@@ -40,6 +40,9 @@
 #   make explain-smoke  attribution layer end-to-end at tiny scale:
 #                     repro explain on the fig11 WEC-vs-plain pair
 #                     (docs/OBSERVABILITY.md, "Attribution")
+#   make bench-test   the repository benchmark's own tests (bench/):
+#                     they fail when a layer the traced run wraps, or a
+#                     memo it reads, no longer matches src/
 #   make bench        full figure/table regeneration at calibrated scale
 #   make calibrate    calibration dashboard (cached, parallel)
 
@@ -47,7 +50,7 @@ PY ?= python
 BENCH_JOBS ?= 1
 export PYTHONPATH := src
 
-.PHONY: test lint bench bench-smoke diff-smoke serve-smoke explain-smoke perf-gate fidelity-smoke calibrate
+.PHONY: test lint bench bench-smoke bench-test diff-smoke serve-smoke explain-smoke perf-gate fidelity-smoke calibrate
 
 test:
 	$(PY) -m pytest -x -q
@@ -70,6 +73,9 @@ diff-smoke:
 
 serve-smoke:
 	$(PY) tools/serve_smoke.py
+
+bench-test:
+	$(PY) -m pytest bench -q
 
 explain-smoke:
 	$(PY) -m repro explain 181.mcf wth-wp-wec --vs wth-wp \

@@ -282,7 +282,7 @@ def campaign_sections() -> "OrderedDict[str, Dict[str, MachineConfig]]":
     Labels are unique across sections so the union runs as one
     :func:`run_grid` axis; configurations that coincide with the
     defaults (e.g. ``orig@8tu`` vs ``orig``) keep their own label — the
-    content-addressed cache dedups the actual simulations.  ``fig10``
+    executor simulates each distinct cell key once per sweep.  ``fig10``
     reuses the ``fig09`` grid and ``fig17`` the ``fig11`` grid, so
     neither declares cells of its own.
     """

@@ -624,12 +624,13 @@ class SweepCell:
 
 @dataclass
 class CellRecord:
-    """How one cell was resolved: from cache or by simulation."""
+    """How one cell was resolved: from cache, by simulation, or from
+    another cell of the same sweep that shares its key."""
 
     benchmark: str
     label: str
     key: str
-    source: str  # "cache" | "run"
+    source: str  # "cache" | "run" | "dedup"
     wall_s: float
     #: Host metrics collected when perf recording is on (``wall_s``,
     #: ``peak_rss_kb``, a ``profile`` section breakdown); None otherwise.
@@ -659,6 +660,8 @@ class SweepStats:
     n_cells: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Cells resolved from another cell of this sweep with the same key.
+    deduped: int = 0
     executed: int = 0
     failed: int = 0
     wall_s: float = 0.0
@@ -689,6 +692,7 @@ class SweepStats:
             "n_cells": self.n_cells,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
+            "deduped": self.deduped,
             "executed": self.executed,
             "failed": self.failed,
             "wall_s": self.wall_s,
@@ -710,6 +714,7 @@ class SweepStats:
         """One-line human-readable digest."""
         return (
             f"{self.n_cells} cells: {self.cache_hits} cached, "
+            f"{self.deduped} deduped, "
             f"{self.executed} simulated ({self.jobs_used} worker(s)), "
             f"{self.failed} failed, {self.wall_s:.1f}s"
         )
@@ -930,7 +935,10 @@ def run_cells(
         ``~/.cache/repro``).
     progress:
         Called once per cell with ``(benchmark, label)`` — before the
-        run in serial mode, on completion in parallel mode.
+        run in serial mode, on completion in parallel mode.  Cells that
+        share a cache key with an earlier cell (aliased labels) are not
+        simulated again; they are reported, and resolved from that
+        cell's result with source ``"dedup"``, once it completes.
     manifest_path:
         If given, the JSON run manifest is written there.
     strict:
@@ -1002,7 +1010,17 @@ def run_cells(
     records: Dict[Tuple[str, str], CellRecord] = {}
     pending = 0  # cache-miss cells not yet ingested (queue-depth gauge)
 
+    def fail(cell: SweepCell, key: str, error: str, tb: str) -> None:
+        stats.failed += 1
+        registry.inc(M_CELLS_TOTAL, source="failed")
+        tlog.event(EV_CELL_FAILED, cell=f"{cell.benchmark}/{cell.label}",
+                   error=error)
+        stats.failures.append(
+            CellFailure(cell.benchmark, cell.label, key, error, tb)
+        )
+
     def ingest(cell: SweepCell, key: str, payload: Tuple[str, object, object]) -> None:
+        """Resolve an executed cell, then every cell that shares its key."""
         nonlocal pending
         status, first, second = payload
         if status == "ok":
@@ -1024,21 +1042,37 @@ def run_cells(
             if dcache is not None:
                 dcache.put(key, result)
         else:
-            stats.failed += 1
-            registry.inc(M_CELLS_TOTAL, source="failed")
-            tlog.event(EV_CELL_FAILED,
-                       cell=f"{cell.benchmark}/{cell.label}",
-                       error=str(first))
-            stats.failures.append(
-                CellFailure(cell.benchmark, cell.label, key, str(first), str(second))
+            fail(cell, key, str(first), str(second))
+        # Like cache hits, deduped cells get no wall time and no ledger
+        # record.
+        for other in followers[key]:
+            if progress is not None:
+                progress(other.benchmark, other.label)
+            if status != "ok":
+                fail(other, key, str(first), str(second))
+                continue
+            results[other.grid_key] = result
+            records[other.grid_key] = CellRecord(
+                other.benchmark, other.label, key, "dedup", 0.0
             )
-        pending = max(0, pending - 1)
+            registry.inc(M_CELLS_TOTAL, source="dedup")
+            tlog.event(EV_CELL_RESOLVED,
+                       cell=f"{other.benchmark}/{other.label}",
+                       source="dedup", wall_s=0.0)
+        pending = max(0, pending - 1 - len(followers[key]))
         registry.set_gauge(M_QUEUE_DEPTH, pending)
 
-    # Phase 1: cache lookups (always in-process — lookups are cheap).
+    # Phase 1: cache lookups (always in-process — lookups are cheap).  A
+    # miss whose key an earlier miss already holds (aliased labels, e.g.
+    # ``orig@8tu`` and ``orig``) is not run again: it follows that cell.
     to_run: List[Tuple[SweepCell, str]] = []
+    followers: Dict[str, List[SweepCell]] = {}
     for cell in cells:
         key = cell.key()
+        if key in followers:
+            followers[key].append(cell)
+            stats.deduped += 1
+            continue
         hit = dcache.get(key) if dcache is not None else None
         if hit is not None:
             if progress is not None:
@@ -1055,7 +1089,8 @@ def run_cells(
         else:
             stats.cache_misses += 1
             to_run.append((cell, key))
-    pending = len(to_run)
+            followers[key] = []
+    pending = len(to_run) + stats.deduped
     registry.set_gauge(M_QUEUE_DEPTH, pending)
 
     # Phase 2: execute the misses — fanned out or serial.  A ``jobs > 1``

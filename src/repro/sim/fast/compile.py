@@ -19,16 +19,23 @@ structure:
   mixer, strided/pointer-chase indexing and the hot/cold split all map
   to exact uint64/float64 array expressions).
 
-Compiled state is attached to region objects via a ``WeakKeyDictionary``
-so it lives exactly as long as the ``Program`` that owns the regions —
-sweep grids that reuse one program across configurations hit the caches,
-and nothing leaks once the program is dropped.
+Bound addresses are held compactly: a trace's loads and stores are
+``array('q')`` copies of the binder's int64 buffers, its target stores
+a tuple, and a wrong-path burst an ``array('q')``; every empty sequence
+is the shared ``()``.
+
+All of it lives in one :class:`ProgramMemo` per ``Program``
+(:func:`program_memo`), held in a ``WeakKeyDictionary`` keyed by the
+program: sweep grids that reuse one program across configurations hit
+the memo, forked sweep workers inherit it, and it is freed with its
+program.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Tuple, Union
+from array import array
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,11 +50,11 @@ from ...workloads.patterns import (
     SequentialPattern,
     StridedPattern,
 )
-from ...workloads.program import ParallelRegionSpec, SequentialRegionSpec
+from ...workloads.program import ParallelRegionSpec, Program, SequentialRegionSpec
 from ...workloads.tracegen import code_base_for
 from .streams import FastStreamFactory
 
-__all__ = ["CompiledRegion", "FastTrace", "compiled_region_for"]
+__all__ = ["CompiledRegion", "FastTrace", "ProgramMemo", "program_memo"]
 
 RegionSpec = Union[ParallelRegionSpec, SequentialRegionSpec]
 
@@ -56,8 +63,8 @@ _C1 = 0x9E3779B97F4A7C15
 _C2 = 0xBF58476D1CE4E5B9
 _C3 = 0x94D049BB133111EB
 
-#: L1 data/instruction block size is fixed at 64 bytes across the config
-#: ladder; the engine asserts this before using compiled block numbers.
+#: I-fetch block size: 64 bytes, like the L1I across the config ladder;
+#: the engine checks this before using compiled code block numbers.
 L1_BLOCK_BITS = 6
 
 #: Upper bound on memoized traces per region (safety valve for huge
@@ -102,10 +109,10 @@ class PathData:
     __slots__ = (
         "key", "n_instr", "n_loads", "n_stores", "events", "branch_pcs",
         "branch_taken", "branch_next_load", "tstore_idx", "mix",
-        "bind", "ifetch_count", "base_cycles",
+        "bind", "ifetch_count",
     )
 
-    def __init__(self, key, walk, region, branch_pcs):
+    def __init__(self, key, walk, region):
         self.key = key
         self.n_instr = walk.n_instr
         self.mix = walk.mix
@@ -183,25 +190,17 @@ class PathData:
             for name, e in per.items()
         ]
         self.ifetch_count = max(1, self.n_instr // 16)
-        #: Filled lazily by the engine (depends on the TU timing model).
-        self.base_cycles: Optional[float] = None
 
 
 class FastTrace:
-    """A fully bound iteration trace in engine-native (list) form."""
+    """A fully bound iteration trace: ``array('q')`` addresses, tuple targets."""
 
-    __slots__ = (
-        "path", "load_addrs", "load_blocks", "store_addrs", "store_blocks",
-        "targets",
-    )
+    __slots__ = ("path", "load_addrs", "store_addrs", "targets")
 
-    def __init__(self, path, load_addrs, load_blocks, store_addrs,
-                 store_blocks, targets):
+    def __init__(self, path, load_addrs, store_addrs, targets):
         self.path = path
         self.load_addrs = load_addrs
-        self.load_blocks = load_blocks
         self.store_addrs = store_addrs
-        self.store_blocks = store_blocks
         self.targets = targets
 
 
@@ -277,9 +276,9 @@ class CompiledRegion:
                 ))
         self.blocks = blocks
         self.paths: Dict[Tuple[bool, ...], PathData] = {}
-        # iteration -> FastTrace, wrong-path key -> List[int], keyed per seed
+        # iteration -> FastTrace, (iteration, branch) -> burst, per seed
         self.traces: Dict[int, Dict[int, FastTrace]] = {}
-        self.wp_addrs: Dict[int, Dict[Tuple[int, int], List[int]]] = {}
+        self.wp_addrs: Dict[int, Dict[Tuple[int, int], Sequence[int]]] = {}
         # I-fetch geometry (shared 64-byte block size with the L1I).
         self.ifetch_base_block = code_base_for(region.name) >> L1_BLOCK_BITS
         self.ifetch_footprint = max(1, region.code_footprint // 64)
@@ -330,7 +329,7 @@ class CompiledRegion:
             # of the same stream, so path structure is exact by
             # construction rather than by transliteration.
             walk = self.region.cfg.walk(streams.fresh(name))
-            path = PathData(key, walk, self.region, None)
+            path = PathData(key, walk, self.region)
             if len(self.paths) < _MAX_PATHS:
                 self.paths[key] = path
         return path
@@ -350,7 +349,7 @@ class CompiledRegion:
         path = self._path_for(key, streams, name)
         la = np.empty(path.n_loads, dtype=np.int64)
         sa = np.empty(path.n_stores, dtype=np.int64)
-        for e in self.bind_entries(path):
+        for e in path.bind:
             if e.scalar:
                 addr = e.pattern.addr
                 occ = e.occ.tolist()
@@ -362,23 +361,16 @@ class CompiledRegion:
                 vec = _vec_addrs(e.pattern, index, e.occ)
                 la[e.lidx] = vec[e.lsel]
                 sa[e.sidx] = vec[e.ssel]
-        load_addrs = la.tolist()
-        store_addrs = sa.tolist()
+        store_addrs = array("q", sa.tobytes())
         trace = FastTrace(
             path,
-            load_addrs,
-            (la >> L1_BLOCK_BITS).tolist(),
+            array("q", la.tobytes()),
             store_addrs,
-            (sa >> L1_BLOCK_BITS).tolist(),
-            [store_addrs[i] for i in path.tstore_idx],
+            tuple(store_addrs[i] for i in path.tstore_idx),
         )
         if len(per_seed) < _MAX_TRACES:
             per_seed[index] = trace
         return trace
-
-    @staticmethod
-    def bind_entries(path: PathData) -> List[_BindEntry]:
-        return path.bind
 
     # -- wrong execution ----------------------------------------------
 
@@ -389,8 +381,8 @@ class CompiledRegion:
         trace: FastTrace,
         branch_idx: int,
         index: int,
-        future_loads: Optional[List[int]],
-    ) -> List[int]:
+        future_loads: Optional[Sequence[int]],
+    ) -> Sequence[int]:
         """Transliteration of ``TraceGenerator.wrong_path_addrs`` with a
         per-(iteration, branch) memo — valid because the injected loads
         depend only on the workload, never on machine configuration."""
@@ -403,16 +395,12 @@ class CompiledRegion:
             return addrs
         region = self.region
         prof = region.wrong_exec
-        if prof.wp_max_loads == 0 or prof.wp_mean_loads <= 0:
-            addrs = []
-        else:
+        burst: List[int] = []
+        if prof.wp_max_loads != 0 and prof.wp_mean_loads > 0:
             rng = streams.fresh(f"wp:{region.name}:{index}:{branch_idx}")
             k = int(rng.geometric(min(1.0, 1.0 / prof.wp_mean_loads)))
             k = min(k, prof.wp_max_loads)
-            if k <= 0:
-                addrs = []
-            else:
-                addrs = []
+            if k > 0:
                 path = trace.path
                 next_load = path.branch_next_load[branch_idx]
                 own_loads = trace.load_addrs
@@ -429,51 +417,68 @@ class CompiledRegion:
                     start = next_load + skip
                     for idx in range(start, min(start + k, n_ext)):
                         if idx < n_own:
-                            addrs.append(own_loads[idx])
+                            burst.append(own_loads[idx])
                         else:
-                            addrs.append(future_loads[idx - n_own])
+                            burst.append(future_loads[idx - n_own])
                 elif pollution is not None:
                     for j in range(k):
                         occ = (1 << 20) + branch_idx * 64 + j
-                        addrs.append(pollution.addr(index, occ))
+                        burst.append(pollution.addr(index, occ))
                 elif n_own:
                     start = min(next_load + prof.wp_lookahead, n_own - 1)
                     for idx in range(start, min(start + k, n_own)):
-                        addrs.append(own_loads[idx])
+                        burst.append(own_loads[idx])
+        addrs = array("q", burst) if burst else ()
         if len(per_seed) < _MAX_TRACES:
             per_seed[memo_key] = addrs
         return addrs
 
     def wrong_thread_addrs(
         self, streams: FastStreamFactory, seed: int, index: int
-    ) -> List[int]:
+    ) -> Sequence[int]:
         """Loads of extrapolated iteration ``index`` for a wrong thread."""
         prof = self.region.wrong_exec
         if prof.wth_fraction <= 0.0:
-            return []
+            return ()
         trace = self.trace(streams, seed, index)
         n = int(round(trace.path.n_loads * prof.wth_fraction))
         return trace.load_addrs[:n]
 
 
-#: id(region) -> (weakref to region, CompiledRegion).  Region specs are
-#: plain (unfrozen, eq-comparing) dataclasses, so they are unhashable
-#: and cannot key a WeakKeyDictionary; we key by identity and keep a
-#: weak reference purely to notice when an id has been recycled by a
-#: new region object.  Dead entries are purged opportunistically.
-_COMPILED: Dict[int, Tuple["weakref.ref", "CompiledRegion"]] = {}
+class ProgramMemo:
+    """Everything the fast engine memoizes for one program.
+
+    ``regions`` maps ``id(region)`` to the region's compiled form; the
+    compiled form holds its region, so no other object can take that id
+    while the entry lives.  ``branch_streams`` holds the branch-outcome
+    streams :func:`repro.sim.fast.engine.run_program_fast` records,
+    keyed by seed and branch geometry.
+    """
+
+    __slots__ = ("regions", "branch_streams", "__weakref__")
+
+    def __init__(self) -> None:
+        self.regions: Dict[int, CompiledRegion] = {}
+        self.branch_streams: Dict[tuple, List[list]] = {}
+
+    def compiled(self, region: RegionSpec) -> CompiledRegion:
+        """The (memoized) compiled form of ``region``."""
+        comp = self.regions.get(id(region))
+        if comp is None:
+            comp = self.regions[id(region)] = CompiledRegion(region)
+        return comp
 
 
-def compiled_region_for(region: RegionSpec) -> CompiledRegion:
-    """The (cached) compiled form of ``region``."""
-    key = id(region)
-    entry = _COMPILED.get(key)
-    if entry is not None and entry[0]() is region:
-        return entry[1]
-    if len(_COMPILED) > 256:
-        dead = [k for k, (ref, _) in _COMPILED.items() if ref() is None]
-        for k in dead:
-            del _COMPILED[k]
-    compiled = CompiledRegion(region)
-    _COMPILED[key] = (weakref.ref(region), compiled)
-    return compiled
+#: Program -> its memo.  Programs hash by identity, and nothing in a
+#: memo refers back to its program, so an entry dies with its program.
+_MEMOS: "weakref.WeakKeyDictionary[Program, ProgramMemo]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def program_memo(program: Program) -> ProgramMemo:
+    """The memo of ``program``, created on first use."""
+    memo = _MEMOS.get(program)
+    if memo is None:
+        memo = _MEMOS[program] = ProgramMemo()
+    return memo

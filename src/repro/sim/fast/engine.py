@@ -26,9 +26,8 @@ two engines, never tolerable noise.
 
 from __future__ import annotations
 
-import weakref
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...common.config import MachineConfig, SidecarKind, SimParams
 from ...common.errors import SimulationError
@@ -41,7 +40,7 @@ from ...mem.layout import geometry_of
 from ...sta.scheduler import compose_pipeline_step
 from ...workloads.program import ParallelRegionSpec, Program
 from ..results import SimResult
-from .compile import CompiledRegion, compiled_region_for
+from .compile import CompiledRegion, ProgramMemo, program_memo
 from .streams import FastStreamFactory
 
 __all__ = ["run_program_fast"]
@@ -56,12 +55,9 @@ __all__ = ["run_program_fast"]
 # first run of a sweep grid records, per execute() call, the branch
 # outcomes ``(n_branches, btb_target_misses, mispredicted_indices)``;
 # every later configuration replays them, skipping predictor/BTB
-# simulation entirely.  Keyed like the compile memo: id(program) with a
-# weakref identity guard (program specs are unhashable dataclasses).
-_BRANCH_STREAMS: Dict[
-    int, Tuple["weakref.ref", Dict[tuple, List[tuple]]]
-] = {}
-
+# simulation entirely.  Streams live in the program's memo
+# (``ProgramMemo.branch_streams``) and are freed with the program.
+#
 # One record per execute() call: ``[n_branches, btb_target_misses,
 # mispredicted_indices, wp_events, mem_events]``.  The last two slots
 # cache the replayed event lists (lazily filled on first use): the
@@ -70,20 +66,6 @@ _BRANCH_STREAMS: Dict[
 # keeps loads/stores plus only the mispredicted branch events,
 # mem_events drops branch events entirely.
 _BranchStream = List[list]
-
-
-def _branch_streams_for(program: Program) -> Dict[tuple, _BranchStream]:
-    key = id(program)
-    entry = _BRANCH_STREAMS.get(key)
-    if entry is not None and entry[0]() is program:
-        return entry[1]
-    if len(_BRANCH_STREAMS) > 8:
-        dead = [k for k, (ref, _) in _BRANCH_STREAMS.items() if ref() is None]
-        for k in dead:
-            del _BRANCH_STREAMS[k]
-    streams: Dict[tuple, _BranchStream] = {}
-    _BRANCH_STREAMS[key] = (weakref.ref(program), streams)
-    return streams
 
 
 class _RegionInfo:
@@ -1018,7 +1000,7 @@ class _FastTU:
 
     # lint: allow(ENG002 dispatch loop: its counters are per-iteration bookkeeping spread across the oracle pipeline, not a single method transcription; every memory counter fuses under the tagged load/store handlers it calls)
     def execute(self, info: _RegionInfo, index: int, trace, sequential: bool,
-                upstream_targets: Optional[List[int]]):
+                upstream_targets: Optional[Sequence[int]]):
         """Replay one iteration/chunk; returns its four stage cycles."""
         eng = self.eng
         path = trace.path
@@ -1124,7 +1106,7 @@ class _FastTU:
         if bp_table is not None and eng.br_replay is not None:
             # Branch-stream replay: this execute()'s outcomes were
             # recorded by the sweep's first configuration (the stream is
-            # config-independent, see _BRANCH_STREAMS).  Counters are
+            # config-independent, see _BranchStream).  Counters are
             # bumped in bulk below; the event list shrinks to what the
             # memory system still needs — every branch event kept is a
             # recorded mispredict (wrong-path burst site), and without
@@ -1362,14 +1344,18 @@ class _FastMachine:
     """All per-run state of one fast simulation."""
 
     __slots__ = (
-        "cfg", "params", "l2", "tus", "bus_c", "head_tu", "n_tus",
+        "cfg", "params", "memo", "l2", "tus", "bus_c", "head_tu", "n_tus",
         "streams", "seed", "timing", "mlp", "split_memo", "region_info",
         "branch_memo", "mem_memo", "br_record", "br_replay", "br_pos",
     )
 
-    def __init__(self, cfg: MachineConfig, params: SimParams) -> None:
+    def __init__(self, cfg: MachineConfig, params: SimParams,
+                 memo: Optional[ProgramMemo] = None) -> None:
         self.cfg = cfg
         self.params = params
+        # The program's memo (compiled regions, branch streams); a
+        # machine built without one compiles into a private memo.
+        self.memo = memo if memo is not None else ProgramMemo()
         self.l2 = _FastL2(cfg)
         self.n_tus = cfg.n_thread_units
         self.tus = [_FastTU(self, i) for i in range(cfg.n_thread_units)]
@@ -1383,7 +1369,7 @@ class _FastMachine:
         self.region_info: Dict[int, _RegionInfo] = {}
         self.branch_memo: Dict[int, Tuple[List[int], List[int]]] = {}
         self.mem_memo: Dict[int, List[Tuple[int, int]]] = {}
-        # Branch-stream record/replay (see _BRANCH_STREAMS): at most one
+        # Branch-stream record/replay (see _BranchStream): at most one
         # of the two is set.  ``br_pos`` is the replay cursor, advanced
         # once per execute() call across all TUs.
         self.br_record: Optional[_BranchStream] = None
@@ -1428,7 +1414,7 @@ class _FastMachine:
         if info is None:
             l1i = self.cfg.tu.l1i
             info = _RegionInfo(
-                compiled_region_for(region), self.cfg,
+                self.memo.compiled(region), self.cfg,
                 l1i.n_sets, l1i.block_size,
             )
             self.region_info[id(region)] = info
@@ -1473,7 +1459,7 @@ class _FastMachine:
         prev_comp_end = 0.0
         prev_comp_len = 0.0
         prev_wb_end = 0.0
-        prev_targets: Optional[List[int]] = None
+        prev_targets: Optional[Sequence[int]] = None
         region_end = 0.0
         coupling = info.coupling
         multi_tu = n_tus > 1
@@ -1572,16 +1558,16 @@ def run_program_fast(
     oracle's event-level replay (the driver enforces this).  The result
     is bit-identical to the oracle's for any program and configuration.
     """
-    eng = _FastMachine(config, params)
+    memo = program_memo(program)
+    eng = _FastMachine(config, params, memo)
     bcfg = config.tu.branch
-    br_streams = br_key = None
+    br_key = None
     if bcfg.kind == "bimodal":
-        br_streams = _branch_streams_for(program)
         br_key = (
             params.seed, config.n_thread_units,
             bcfg.table_bits, bcfg.btb_entries, bcfg.btb_assoc,
         )
-        recorded = br_streams.get(br_key)
+        recorded = memo.branch_streams.get(br_key)
         if recorded is not None:
             eng.br_replay = recorded
         else:
@@ -1623,8 +1609,8 @@ def run_program_fast(
             )
     if eng.br_record is not None:
         # Only a completed run publishes its stream (a raised exception
-        # above leaves the cache untouched).
-        br_streams[br_key] = eng.br_record
+        # above leaves the memo untouched).
+        memo.branch_streams[br_key] = eng.br_record
     counters = eng.collect_stats()
     instructions = sum(tu.core.get("instructions", 0) for tu in eng.tus)
     return SimResult(

@@ -18,6 +18,9 @@ import pytest
 
 from repro import SimParams, named_config
 from repro.common.errors import SweepError
+from repro.obs.ledger import Ledger
+from repro.obs.telemetry import M_CELLS_TOTAL, snapshot_total, snapshot_value
+from repro.sim import executor
 from repro.sim.executor import (
     DiskCache,
     SweepCell,
@@ -218,6 +221,61 @@ class TestFailureSurfacing:
         assert len(outcome.results) == len(BENCHES) * len(CONFIG_LABELS)
         assert outcome.stats.failed == 1
         assert outcome.stats.failures[0].label == "orig"
+
+
+class TestDedup:
+    """Cells that share a key (aliased labels) are simulated once."""
+
+    def test_two_labels_over_one_config_execute_once(self, monkeypatch):
+        calls = []
+        execute = executor._execute_cell
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "_execute_cell", counting)
+        cfg = named_config("orig")
+        cells = [SweepCell("175.vpr", label, cfg, TINY)
+                 for label in ("orig", "orig@alias")]
+        progressed = []
+        outcome = run_cells(cells, cache=False,
+                            progress=lambda b, l: progressed.append(l))
+        assert calls == ["175.vpr"]
+        a, b = (outcome.results[c.grid_key] for c in cells)
+        assert a == b
+        assert progressed == ["orig", "orig@alias"]
+        stats = outcome.stats
+        assert (stats.executed, stats.deduped, stats.cache_misses) == (1, 1, 1)
+        assert [r.source for r in stats.records] == ["run", "dedup"]
+        snap = stats.telemetry
+        assert snapshot_value(snap, M_CELLS_TOTAL, {"source": "dedup"}) == 1.0
+        assert snapshot_total(snap, M_CELLS_TOTAL) == len(cells)
+
+    def test_fork_path_dedups_and_skips_ledger(self, tmp_path):
+        cells = make_cells(benches=["175.vpr"], labels=["orig", "vc"])
+        cells.append(SweepCell("175.vpr", "orig@alias", named_config("orig"),
+                               TINY))
+        outcome = run_cells(cells, jobs=2, cache=False, perf=True,
+                            perf_dir=tmp_path)
+        assert outcome.stats.jobs_used == 2
+        assert (outcome.stats.executed, outcome.stats.deduped) == (2, 1)
+        assert (outcome.results[("175.vpr", "orig@alias")]
+                == outcome.results[("175.vpr", "orig")])
+        # Like a cache hit, the deduped cell gets no ledger record.
+        labels = sorted(r.config for r in Ledger(tmp_path).records())
+        assert labels == ["orig", "vc"]
+
+    def test_failed_leader_fails_every_cell_of_its_key(self):
+        cells = [SweepCell("nosuch.bench", label, named_config("orig"), TINY)
+                 for label in ("orig", "orig@alias")]
+        outcome = run_cells(cells, cache=False, strict=False)
+        assert outcome.stats.executed == 0
+        assert outcome.stats.failed == 2
+        assert [f.label for f in outcome.stats.failures] == ["orig",
+                                                            "orig@alias"]
+        snap = outcome.stats.telemetry
+        assert snapshot_value(snap, M_CELLS_TOTAL, {"source": "failed"}) == 2.0
 
 
 class TestRunCell:

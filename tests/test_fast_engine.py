@@ -3,7 +3,9 @@
 The fast engine (:mod:`repro.sim.fast`) must be *bit-identical* to the
 oracle interpreter on every ``SimResult`` field — not statistically
 close, equal.  The tests here enforce that contract across the full
-configuration ladder and several seeds, pin down the engine-selection
+configuration ladder and several seeds, compare compiled traces with
+the oracle's trace generator address by address, check that a
+program's memo dies with the program, pin down the engine-selection
 rules in the driver, and cover the coherence hook (``bus_update``)
 under every sidecar policy on both engines.
 
@@ -14,12 +16,17 @@ through the same engine plumbing.
 
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
+import weakref
 
 import pytest
 
 from repro.common.config import SidecarKind, SimParams
 from repro.common.errors import ConfigError
+from repro.common.rng import StreamFactory
+from repro.isa.cfg import BlockSpec, BranchSpec, IterationCFG, MemSlot
 from repro.mem.cache import DIRTY, WRONG, SetAssocCache
 from repro.mem.hierarchy import TUMemSystem
 from repro.mem.l2 import SharedL2
@@ -29,10 +36,20 @@ from repro.obs.ledger import WALL_EPSILON_S, PerfRecord
 from repro.sim import executor
 from repro.sim.driver import run_simulation
 from repro.sim.executor import SweepCell, default_engine, run_cells
+from repro.sim.fast.compile import CompiledRegion, program_memo
 from repro.sim.fast.engine import _FastMachine
+from repro.sim.fast.streams import FastStreamFactory
 from repro.sta.configs import named_config
+from repro.workloads import BENCHMARK_NAMES
 from repro.workloads.benchmarks import build_benchmark
 from repro.workloads.microbench import build_microbenchmark
+from repro.workloads.patterns import StridedPattern
+from repro.workloads.program import (
+    ParallelRegionSpec,
+    SequentialRegionSpec,
+    WrongExecProfile,
+)
+from repro.workloads.tracegen import TraceGenerator
 
 #: The differential ladder: every paper configuration plus the two
 #: wrong-execution ablations and the stream-prefetch extension — one
@@ -101,6 +118,130 @@ class TestBitIdentity:
         first = run_simulation(mcf_program, cfg, params, engine="fast")
         second = run_simulation(mcf_program, cfg, params, engine="fast")
         assert first.to_dict() == second.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Compile level: bound traces against the oracle's trace generator
+# ---------------------------------------------------------------------------
+
+#: Iterations/chunks compared per region and seed.
+N_COMPILED = 12
+
+
+def _strided_region():
+    """A small region on a ``StridedPattern``, which no benchmark uses.
+
+    The self-looping block makes the per-walk occurrence count of
+    ``col`` vary from 3 (scalar binding) to 9+ (vectorized binding).
+    """
+    cfg = IterationCFG(
+        entry="walk",
+        blocks=[BlockSpec(
+            "walk", n_instr=20,
+            mem_slots=(MemSlot("col"), MemSlot("col"),
+                       MemSlot("col", is_store=True, is_target_store=True)),
+            branch=BranchSpec(0.6, "walk", None, noise=0.2),
+        )],
+    )
+    patterns = {
+        "col": StridedPattern("col", 0x5000000, 256 * 1024, stride=4096,
+                              per_iter=5),
+        "junk": StridedPattern("junk", 0x6000000, 64 * 1024, stride=320),
+    }
+    return ParallelRegionSpec(
+        name="strided.walk", cfg=cfg, patterns=patterns,
+        iters_per_invocation=N_COMPILED, pollution_pattern="junk",
+        wrong_exec=WrongExecProfile(wp_mean_loads=3.0, wp_max_loads=6,
+                                    p_convergent=0.5, wp_lookahead=4),
+    )
+
+
+@pytest.fixture(scope="module")
+def compile_regions():
+    regions = [region for name in BENCHMARK_NAMES
+               for region in build_benchmark(name, scale=SCALE).body]
+    return regions + [_strided_region()]
+
+
+class TestCompiledTraces:
+    """A compile bug shows here by region and index, not as a digest."""
+
+    @pytest.mark.parametrize("seed", (2003, 7))
+    def test_traces_match_trace_generator(self, compile_regions, seed):
+        gen = TraceGenerator(StreamFactory(seed))
+        streams = FastStreamFactory(seed)
+        bind_paths = set()
+        for region in compile_regions:
+            comp = CompiledRegion(region)
+            sequential = isinstance(region, SequentialRegionSpec)
+            oracle = gen.chunk_trace if sequential else gen.iteration_trace
+            for index in range(N_COMPILED):
+                where = f"{region.name}[{index}] seed {seed}"
+                want = oracle(region, index)
+                got = comp.trace(streams, seed, index)
+                assert got.load_addrs.typecode == "q", where
+                assert got.load_addrs.tolist() == want.load_addrs.tolist(), where
+                assert got.store_addrs.tolist() == want.store_addrs.tolist(), where
+                assert isinstance(got.targets, tuple), where
+                assert list(got.targets) == (
+                    want.store_addrs[want.tstore_mask].tolist()), where
+                bind_paths.update(e.scalar for e in got.path.bind)
+                future = future_fast = None
+                if sequential:
+                    future = oracle(region, index + 1).load_addrs
+                    future_fast = comp.trace(streams, seed, index + 1).load_addrs
+                for b in range(want.n_branches):
+                    burst = comp.wrong_path_addrs(streams, seed, got, b, index,
+                                                  future_fast)
+                    assert burst == () or burst.typecode == "q", where
+                    assert list(burst) == gen.wrong_path_addrs(
+                        region, want, b, index, future_loads=future), where
+                if not sequential:
+                    assert list(comp.wrong_thread_addrs(streams, seed, index)) == (
+                        gen.wrong_thread_addrs(region, index).tolist()), where
+        assert bind_paths == {True, False}  # scalar and vectorized binding
+
+
+# ---------------------------------------------------------------------------
+# Memo lifetime: a program's compiled state dies with the program
+# ---------------------------------------------------------------------------
+
+def _build_run_drop() -> list:
+    """Run a fresh program on the fast engine, drop it, collect.
+
+    Returns weak references to the program, its regions, its memo and
+    the memo's compiled regions.
+    """
+    program = build_benchmark("164.gzip", scale=SCALE)
+    run_simulation(program, named_config("wth-wp-wec"),
+                   SimParams(seed=7, scale=SCALE), engine="fast")
+    memo = program_memo(program)
+    assert memo.regions and memo.branch_streams
+    refs = [weakref.ref(program), weakref.ref(memo)]
+    refs += [weakref.ref(region) for region in program.body]
+    refs += [weakref.ref(comp) for comp in memo.regions.values()]
+    del program, memo
+    gc.collect()
+    return refs
+
+
+class TestMemoLifetime:
+    def test_dropped_program_frees_compiled_state(self):
+        refs = _build_run_drop()
+        assert [ref() for ref in refs if ref() is not None] == []
+
+    def test_build_run_drop_rounds_stay_flat(self):
+        tracemalloc.start()
+        try:
+            sizes = []
+            for _ in range(3):
+                _build_run_drop()
+                sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        # The first round may leave one-time state (interned strings,
+        # lazily built tables); later rounds must not add to it.
+        assert sizes[2] - sizes[0] < 32 * 1024, sizes
 
 
 # ---------------------------------------------------------------------------
