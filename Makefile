@@ -16,15 +16,6 @@
 #   make diff-smoke   oracle-vs-fast differential over the config
 #                     ladder at smoke scale; exits non-zero on any
 #                     counter mismatch
-#   make serve-smoke  sweep service end-to-end: boot `repro serve`
-#                     (2 workers), submit the 48-cell acceptance grid
-#                     twice, assert bit-identity with a local run_grid,
-#                     >=90% cache hits on resubmit, job/tenant
-#                     provenance on every ledger record, and a
-#                     /v1/metrics scrape whose per-layer dedup counts
-#                     sum to both jobs' cells with nonzero latency
-#                     buckets; leaves serve-metrics.json behind (CI
-#                     uploads it as an artifact, docs/SERVICE.md)
 #   make perf-gate    bench-smoke + regression check vs the committed
 #                     baseline (benchmarks/BENCH_baseline.json)
 #   make fidelity-smoke  full fidelity campaign (fig08-fig17 + tables)
@@ -50,7 +41,7 @@ PY ?= python
 BENCH_JOBS ?= 1
 export PYTHONPATH := src
 
-.PHONY: test lint bench bench-smoke bench-test diff-smoke serve-smoke explain-smoke perf-gate fidelity-smoke calibrate
+.PHONY: test lint bench bench-smoke bench-test diff-smoke explain-smoke perf-gate fidelity-smoke calibrate
 
 test:
 	$(PY) -m pytest -x -q
@@ -70,9 +61,6 @@ bench-smoke:
 
 diff-smoke:
 	$(PY) -m repro diff --scale 2e-5 --seeds 2003,7,42
-
-serve-smoke:
-	$(PY) tools/serve_smoke.py
 
 bench-test:
 	$(PY) -m pytest bench -q

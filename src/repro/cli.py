@@ -33,11 +33,6 @@ Commands
 ``lint``
     Static determinism/invariant analysis over Python sources (rule
     catalog in ``docs/STATIC_ANALYSIS.md``); exit 1 on findings.
-``serve`` / ``submit`` / ``jobs``
-    The sweep service (``docs/SERVICE.md``): ``serve`` runs the
-    long-lived deduplicating job-queue server, ``submit`` sends a sweep
-    spec and streams per-cell progress to completion, ``jobs`` lists or
-    inspects the server's jobs.
 ``cache stats | prune``
     Inspect the persistent result cache and evict least-recently-used
     entries down to a size budget (``$REPRO_CACHE_MAX_MB`` or
@@ -60,9 +55,6 @@ Examples
     python -m repro fidelity check benchmarks/FIDELITY_baseline.json
     python -m repro fidelity report
     python -m repro lint src --baseline lint-baseline.json
-    python -m repro serve --port 8753 --workers 4 --engine fast
-    python -m repro submit --benchmarks mcf,equake --configs orig,wth-wp-wec
-    python -m repro jobs j0001 --port 8753
     python -m repro cache stats
     python -m repro cache prune --max-mb 256
 
@@ -123,7 +115,7 @@ from .obs.fidelity import (
     render_trend,
     run_campaign,
 )
-from .obs.export import write_chrome_trace, write_jsonl, write_service_trace
+from .obs.export import write_chrome_trace, write_jsonl
 from .obs.hostprof import HostProfiler, peak_rss_kb
 from .obs.ledger import (
     Ledger,
@@ -131,20 +123,6 @@ from .obs.ledger import (
     default_perf_dir,
     load_records,
     write_export,
-)
-from .obs.telemetry import (
-    M_CACHE_EVICTIONS,
-    M_CACHE_PRUNE_PASSES,
-    M_CELL_LATENCY,
-    M_CELL_RETRIES,
-    M_CELLS_TOTAL,
-    M_JOBS_TOTAL,
-    M_QUEUE_DEPTH,
-    M_WORKER_RESPAWNS,
-    snapshot_hist,
-    snapshot_total,
-    snapshot_value,
-    standard_registry,
 )
 from .obs.tracer import IntervalMetrics, RingBufferTracer
 from .sim.driver import ENGINES, run_program, run_simulation
@@ -333,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument("--flow", action="store_true",
                         help="also run the whole-program flow pass "
                              "(call graph + effect summaries): engine "
-                             "parity ENG001/ENG002, async-safety "
-                             "ASY001-ASY003, interprocedural DET001/"
-                             "DET004 (docs/STATIC_ANALYSIS.md, \"Flow "
-                             "analysis\"); make lint runs with this on")
+                             "parity ENG001/ENG002, interprocedural "
+                             "DET001/DET004 (docs/STATIC_ANALYSIS.md, "
+                             "\"Flow analysis\"); make lint runs with "
+                             "this on")
     lint_p.add_argument("--write-baseline", default=None, metavar="FILE",
                         help="write current findings to FILE as a new "
                              "baseline (reasons stamped as TODO; the "
@@ -344,96 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "exit 0")
     lint_p.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the sweep service: a long-lived deduplicating job "
-             "queue sharding grid cells over worker processes "
-             "(docs/SERVICE.md)",
-    )
-    serve_p.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    serve_p.add_argument("--port", type=int, default=8753,
-                         help="TCP port (default 8753; 0 = ephemeral)")
-    serve_p.add_argument("--workers", type=int, default=2,
-                         help="worker subprocesses (default 2)")
-    serve_p.add_argument("--cache-dir", default=None, metavar="PATH",
-                         help="result-cache root for server and workers "
-                              "(default $REPRO_CACHE_DIR or ~/.cache/repro)")
-    serve_p.add_argument("--log", default=None, metavar="PATH",
-                         help="structured JSONL event log, shared by the "
-                              "server and its workers (default: off)")
-    add_engine(serve_p)
-    serve_sub = serve_p.add_subparsers(dest="serve_command", required=False)
-    top_p = serve_sub.add_parser(
-        "top",
-        help="live fleet view of a running server (workers, queue, "
-             "dedup layers, latency) from GET /v1/metrics",
-    )
-    top_p.add_argument("--host", default="127.0.0.1",
-                       help="server address (default 127.0.0.1)")
-    top_p.add_argument("--port", type=int, default=8753,
-                       help="server port (default 8753)")
-    top_p.add_argument("--timeout", type=float, default=10.0,
-                       help="per-poll timeout in seconds (default 10)")
-    top_p.add_argument("--interval", type=float, default=2.0,
-                       help="refresh period in seconds (default 2)")
-    top_p.add_argument("--once", action="store_true",
-                       help="print a single frame and exit (no screen "
-                            "clearing; scripts and tests)")
-
-    def add_client(sp):
-        sp.add_argument("--host", default="127.0.0.1",
-                        help="server address (default 127.0.0.1)")
-        sp.add_argument("--port", type=int, default=8753,
-                        help="server port (default 8753)")
-        sp.add_argument("--timeout", type=float, default=60.0,
-                        help="per-request timeout in seconds (default 60)")
-
-    submit_p = sub.add_parser(
-        "submit",
-        help="submit a sweep grid to a running `repro serve` and stream "
-             "per-cell progress to completion",
-    )
-    submit_p.add_argument("--benchmarks", default=None, metavar="NAMES",
-                          help="comma-separated benchmark names "
-                               "(default: the whole Table 2 suite)")
-    submit_p.add_argument("--configs", default=DIFF_LADDER, metavar="NAMES",
-                          help="comma-separated configuration names "
-                               f"(default: {DIFF_LADDER})")
-    submit_p.add_argument("--scale", type=float, default=2e-4,
-                          help="instruction scale vs Table 2 (default 2e-4)")
-    submit_p.add_argument("--seed", type=int, default=2003)
-    submit_p.add_argument("--tus", type=int, default=8,
-                          help="number of thread units (default 8)")
-    submit_p.add_argument("--tenant", default="default",
-                          help="provenance tenant stamped on every perf-"
-                               "ledger record of this job (default 'default')")
-    submit_p.add_argument("--no-wait", action="store_true",
-                          help="print the job id and return without "
-                               "streaming progress")
-    submit_p.add_argument("--out", default=None, metavar="PATH",
-                          help="write the finished job's results document "
-                               "as JSON to PATH")
-    add_engine(submit_p)
-    add_client(submit_p)
-
-    jobs_p = sub.add_parser(
-        "jobs",
-        help="list a server's jobs, or show one job's per-cell status",
-    )
-    jobs_p.add_argument("job_id", nargs="?", default=None,
-                        help="job id (omit to list all jobs)")
-    jobs_p.add_argument("--watch", action="store_true",
-                        help="refresh the listing until interrupted")
-    jobs_p.add_argument("--interval", type=float, default=2.0,
-                        help="refresh period for --watch in seconds "
-                             "(default 2)")
-    jobs_p.add_argument("--timeline", default=None, metavar="PATH",
-                        help="also fetch /v1/timeline and write the "
-                             "job→cell→worker spans as a Perfetto trace "
-                             "to PATH")
-    add_client(jobs_p)
 
     cache_p = sub.add_parser(
         "cache",
@@ -571,11 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated grid sections to run "
                              "(default: all); claims needing an unrun "
                              "section score 'skipped'")
-    frun_p.add_argument("--via", default="local",
-                        choices=("local", "serve"),
-                        help="resolve the grid locally or through a "
-                             "running `repro serve`")
-    add_client(frun_p)
     frun_p.add_argument("--out", default=None, metavar="PATH",
                         help="write the scored campaign as a JSON export "
                              "(e.g. benchmarks/FIDELITY_baseline.json)")
@@ -889,218 +772,6 @@ def _cmd_diff(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    # Lazy import: the service pulls in asyncio machinery most CLI
-    # invocations never need.
-    import asyncio
-
-    from .serve.server import ServeServer
-
-    server = ServeServer(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        engine=args.engine,
-        cache_dir=args.cache_dir,
-        log_path=args.log,
-    )
-
-    async def _run() -> None:
-        await server.start()
-        print(
-            f"repro serve: http://{server.host}:{server.port} "
-            f"({server.n_workers} worker(s), engine {server.engine}, "
-            f"cache {server.queue.cache.root})",
-            flush=True,
-        )
-        await server._stopping.wait()
-        await server._shutdown()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("repro serve: interrupted, shutting down", file=sys.stderr)
-    return 0
-
-
-def _fleet_frame(health, snap, jobs) -> str:
-    """One `repro serve top` frame from health + metrics + job list."""
-    lat_count, lat_sum = snapshot_hist(snap, M_CELL_LATENCY)
-    mean_ms = (lat_sum / lat_count * 1e3) if lat_count else 0.0
-    workers = health.get("workers", [])
-    alive = sum(1 for w in workers if w.get("alive"))
-    busy = sum(1 for w in workers if w.get("busy"))
-    lines = [
-        f"repro serve top — engine {health.get('engine')}, "
-        f"{len(health.get('workers', []))} worker slot(s)",
-        "",
-        f"workers : {alive} alive, {busy} busy, "
-        f"{snapshot_value(snap, M_WORKER_RESPAWNS):.0f} respawn(s)",
-        f"queue   : {snapshot_value(snap, M_QUEUE_DEPTH):.0f} pending, "
-        f"{snapshot_value(snap, M_CELL_RETRIES):.0f} retrie(s)",
-        f"jobs    : "
-        f"{snapshot_value(snap, M_JOBS_TOTAL, {'state': 'submitted'}):.0f} "
-        f"submitted, "
-        f"{snapshot_value(snap, M_JOBS_TOTAL, {'state': 'done'}):.0f} done, "
-        f"{snapshot_value(snap, M_JOBS_TOTAL, {'state': 'failed'}):.0f} "
-        f"failed",
-        f"cells   : "
-        f"{snapshot_value(snap, M_CELLS_TOTAL, {'source': 'cache'}):.0f} "
-        f"cache / "
-        f"{snapshot_value(snap, M_CELLS_TOTAL, {'source': 'dedup'}):.0f} "
-        f"dedup / "
-        f"{snapshot_value(snap, M_CELLS_TOTAL, {'source': 'run'}):.0f} "
-        f"run / "
-        f"{snapshot_value(snap, M_CELLS_TOTAL, {'source': 'failed'}):.0f} "
-        f"failed",
-        f"latency : {lat_count} executed cell(s), "
-        f"mean {mean_ms:.1f} ms",
-        f"cache   : "
-        f"{snapshot_value(snap, M_CACHE_PRUNE_PASSES):.0f} prune pass(es), "
-        f"{snapshot_value(snap, M_CACHE_EVICTIONS):.0f} eviction(s)",
-    ]
-    active = [j for j in jobs if j["state"] in ("queued", "running")]
-    shown = active if active else jobs[-5:]
-    if shown:
-        lines.append("")
-        t = TextTable(
-            "active jobs" if active else "recent jobs",
-            ["job", "tenant", "state", "cells", "resolved", "retries",
-             "respawns"],
-        )
-        for j in shown:
-            t.add_row([
-                j["job_id"], j["tenant"], j["state"], j["n_cells"],
-                j.get("resolved", 0), j.get("retries", 0),
-                j.get("respawns", 0),
-            ])
-        lines.append(str(t))
-    return "\n".join(lines)
-
-
-def _cmd_serve_top(args) -> int:
-    from .serve.client import ServeClient
-
-    client = ServeClient(args.host, args.port, timeout=args.timeout)
-    if args.once:
-        print(_fleet_frame(client.health(), client.metrics(), client.jobs()))
-        return 0
-    try:
-        while True:
-            frame = _fleet_frame(client.health(), client.metrics(),
-                                 client.jobs())
-            sys.stdout.write("\x1b[2J\x1b[H" + frame + "\n")
-            sys.stdout.flush()
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-
-
-def _cmd_submit(args) -> int:
-    from .serve.client import ServeClient
-    from .serve.wire import SweepSpec
-
-    bench_names = (
-        [b.strip() for b in args.benchmarks.split(",") if b.strip()]
-        if args.benchmarks else list(BENCHMARK_NAMES)
-    )
-    config_names = [c.strip() for c in args.configs.split(",") if c.strip()]
-    known = set(CONFIG_NAMES) | set(ABLATION_CONFIG_NAMES)
-    unknown = [c for c in config_names if c not in known]
-    if unknown:
-        raise ConfigError(f"unknown configuration(s): {', '.join(unknown)}")
-    spec = SweepSpec(
-        benchmarks=tuple(bench_names),
-        configs=tuple(
-            (name, named_config(name, n_tus=args.tus))
-            for name in config_names
-        ),
-        params=SimParams(seed=args.seed, scale=args.scale),
-        engine=args.engine,
-        tenant=args.tenant,
-    )
-    client = ServeClient(args.host, args.port, timeout=args.timeout)
-    summary = client.submit(spec)
-    job_id = summary["job_id"]
-    print(f"job {job_id}: {summary['n_cells']} cell(s) "
-          f"({summary['cache_hits']} already cached), "
-          f"engine {summary['engine']}, tenant {summary['tenant']}")
-    if args.no_wait:
-        return 0
-
-    def on_event(event) -> None:
-        kind = event.get("kind")
-        if kind == "cell-done":
-            print(f"  {event['benchmark']}/{event['label']}: "
-                  f"{event['source']} ({event.get('wall_s', 0.0):.2f}s)")
-        elif kind == "cell-failed":
-            print(f"  {event['benchmark']}/{event['label']}: FAILED — "
-                  f"{event.get('error')}", file=sys.stderr)
-        elif kind == "cell-retried":
-            print(f"  {event['benchmark']}/{event['label']}: retrying "
-                  f"(attempt {event.get('attempts')})", file=sys.stderr)
-
-    status = client.wait(job_id, on_event=on_event)
-    print(f"job {job_id}: {status['state']} — "
-          f"{status['cache_hits']} cached, {status['executed']} executed, "
-          f"{status['deduped']} deduped, {status['failed']} failed")
-    if args.out:
-        doc = client.results(job_id)
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True))
-        print(f"results: {args.out}")
-    return 0 if status["state"] == "done" else 1
-
-
-def _cmd_jobs(args) -> int:
-    from .serve.client import ServeClient
-
-    client = ServeClient(args.host, args.port, timeout=args.timeout)
-    if args.timeline:
-        doc = client.timeline()
-        path = write_service_trace(doc.get("spans", []), args.timeline,
-                                   label=f"{args.host}:{args.port}")
-        print(f"timeline: {path} ({len(doc.get('spans', []))} span(s), "
-              f"{doc.get('n_dropped', 0)} dropped)")
-    if args.job_id is None:
-        def listing() -> str:
-            jobs = client.jobs()
-            if not jobs:
-                return "no jobs"
-            t = TextTable(
-                f"jobs on {args.host}:{args.port}",
-                ["job", "tenant", "state", "cells", "cached", "run",
-                 "dedup", "failed", "retries", "respawns"],
-            )
-            for j in jobs:
-                t.add_row([
-                    j["job_id"], j["tenant"], j["state"], j["n_cells"],
-                    j["cache_hits"], j["executed"], j["deduped"],
-                    j["failed"], j.get("retries", 0), j.get("respawns", 0),
-                ])
-            return str(t)
-
-        if args.watch:
-            try:
-                while True:
-                    sys.stdout.write("\x1b[2J\x1b[H" + listing() + "\n")
-                    sys.stdout.flush()
-                    time.sleep(args.interval)
-            except KeyboardInterrupt:
-                return 0
-        print(listing())
-        return 0
-    doc = client.job(args.job_id)
-    print(f"job {doc['job_id']}: {doc['state']} "
-          f"(tenant {doc['tenant']}, engine {doc['engine']})")
-    for cell in doc["cells"]:
-        line = (f"  {cell['benchmark']}/{cell['label']}: {cell['status']}"
-                + (f" ({cell['wall_s']:.2f}s)" if cell["wall_s"] else ""))
-        if cell.get("error"):
-            line += f" — {cell['error']}"
-        print(line)
-    return 0
-
-
 def _cmd_cache_stats(args) -> int:
     stats = DiskCache(args.dir).stats()
     print(f"root    : {stats.root}")
@@ -1110,10 +781,6 @@ def _cmd_cache_stats(args) -> int:
         print(f"quota   : {stats.quota_mb:g} MiB ($REPRO_CACHE_MAX_MB)")
     else:
         print("quota   : none ($REPRO_CACHE_MAX_MB unset)")
-    mib = 1024 * 1024
-    print(f"evicted : {stats.evicted_entries} entr(y/ies), "
-          f"{stats.evicted_bytes / mib:.1f} MiB over "
-          f"{stats.prune_passes} prune pass(es), lifetime")
     return 0
 
 
@@ -1289,14 +956,6 @@ def _cmd_perf_report(args) -> int:
 def _fidelity_campaign(args, scale: float, seed: int,
                        sections: Optional[List[str]]) -> Dict:
     """Shared campaign invocation for ``fidelity run`` and ``check``."""
-    client = None
-    if getattr(args, "via", "local") == "serve":
-        from .serve.client import ServeClient
-        client = ServeClient(args.host, args.port, timeout=args.timeout)
-    if args.dir:
-        # Env-var propagation (like --sanitize): forked grid workers
-        # read $REPRO_PERF_DIR, so the ledger lands under --dir.
-        os.environ["REPRO_PERF_DIR"] = str(args.dir)
     done = {"n": 0}
 
     def progress(bench: str, label: str) -> None:
@@ -1313,9 +972,8 @@ def _fidelity_campaign(args, scale: float, seed: int,
         cache=False if args.no_cache else None,
         sections=sections,
         perturb=args.perturb,
-        telemetry=standard_registry(),
-        progress=progress if client is None else None,
-        client=client,
+        progress=progress,
+        perf_dir=args.dir,
     )
 
 
@@ -1445,14 +1103,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _checked("explain", lambda: _cmd_explain(args))
         if args.command == "lint":
             return _checked("lint", lambda: _cmd_lint(args))
-        if args.command == "serve":
-            if getattr(args, "serve_command", None) == "top":
-                return _checked("serve top", lambda: _cmd_serve_top(args))
-            return _checked("serve", lambda: _cmd_serve(args))
-        if args.command == "submit":
-            return _checked("submit", lambda: _cmd_submit(args))
-        if args.command == "jobs":
-            return _checked("jobs", lambda: _cmd_jobs(args))
         if args.command == "cache":
             if args.cache_command == "stats":
                 return _checked("cache stats", lambda: _cmd_cache_stats(args))

@@ -52,26 +52,6 @@ class AnalysisError(ReproError):
     """Result post-processing failed (mismatched runs, empty input, ...)."""
 
 
-class ServeError(ReproError):
-    """The sweep service could not honour a request.
-
-    Raised by :mod:`repro.serve` for client-side problems — an
-    unreachable server, a submit the server rejected, a job id that does
-    not exist — and by the wire layer (as :class:`WireError`) for
-    payloads that do not decode.  Server-internal cell failures are
-    never exceptions on the service boundary: they are reported as
-    structured per-cell failure records in the job status.
-    """
-
-
-class WireError(ServeError):
-    """A wire payload (submit spec, cell request/response) is malformed.
-
-    The message names the offending field; the server maps this to a
-    structured 4xx response, never a 500 or a dead connection.
-    """
-
-
 class LintError(ReproError):
     """A ``repro lint`` invocation was unusable (usage error, exit 2).
 

@@ -16,8 +16,7 @@ perf ledger, and regression gate all rest on ("same config + same code
 ``repro.lint.flow``
     A whole-program pass (``repro lint --flow``) on a project call
     graph with per-function effect summaries: fast-engine/oracle
-    counter-order parity (ENG001/ENG002 via ``# parity:`` tags),
-    async-safety for the serve layer (ASY001–ASY003), and
+    counter-order parity (ENG001/ENG002 via ``# parity:`` tags) and
     interprocedural DET001/DET004 — a wall-clock or environment read
     in an exempt module is flagged at the call site that makes it
     reachable from a scoped layer.

@@ -1,7 +1,7 @@
 """Whole-program flow analysis for ``repro lint --flow``.
 
 Call graph + per-function effect summaries + interprocedural taint over
-the ``repro`` package, feeding the ENG*/ASY* rule families and the
+the ``repro`` package, feeding the ENG* rule family and the
 interprocedural upgrade of DET001/DET004.  See
 docs/STATIC_ANALYSIS.md ("Flow analysis") for the rule catalog, the
 ``# parity:`` tag contract and the pass's conservatism guarantees.

@@ -1,7 +1,7 @@
 """Whole-program model for the flow pass: modules, classes, call edges.
 
 The AST rules in :mod:`repro.lint.rules` are single-file by design; the
-flow rules (ENG*/ASY*, interprocedural DET*) need to see *across* files:
+flow rules (ENG*, interprocedural DET*) need to see *across* files:
 which method a call resolves to, what type ``self.l2`` is, which oracle
 method a fast-engine transcription mirrors.  This module builds that
 view with stdlib ``ast`` + ``tokenize`` only:
@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
-    "BLOCKING_CALLS",
     "CallSite",
     "ClassInfo",
     "FunctionInfo",
@@ -48,35 +47,11 @@ __all__ = [
     "load_project",
 ]
 
-#: Canonical names whose *call* blocks the calling thread — the seed set
-#: for ASY001 taint.  Builtin ``open`` is matched structurally (a Call
-#: of the un-aliased, un-shadowed name ``open``), not by this table.
-#: Method calls on unresolved receivers (``path.read_text()``, raw
-#: ``fh.write``) are invisible to the pass — a documented limitation of
-#: conservative dispatch; route file I/O through helpers the graph can
-#: see (as ``DiskCache``/``StructuredLog`` do).
-BLOCKING_CALLS = frozenset(
-    {
-        "time.sleep",
-        "os.system",
-        "os.fdopen",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "subprocess.Popen",
-    }
-)
-
-#: Lock constructors recognized by ASY003.  Only *thread* locks: the
-#: asyncio primitives guard await-points, not cross-thread state.
-_LOCK_CTORS = frozenset({"threading.Lock", "threading.RLock"})
-
 _PARITY_RE = re.compile(r"#\s*parity:\s*(.+?)\s*$")
 
 
 class Ref(NamedTuple):
-    """One reference to a canonical name (blocking/wallclock/env seed)."""
+    """One reference to a canonical name (wall-clock/env seed)."""
 
     line: int
     col: int
@@ -93,9 +68,6 @@ class CallSite(NamedTuple):
     #: True when the first parameter (``self``) is bound implicitly —
     #: method calls and constructor calls.
     skip_first: bool
-    #: True when the call is a bare expression statement (``f(x)`` as a
-    #: whole line) — the shape ASY002 cares about for coroutines.
-    stmt_expr: bool
 
 
 class FunctionInfo:
@@ -114,14 +86,12 @@ class FunctionInfo:
         self.node = node
         self.cls = cls
         self.parent = parent
-        self.is_async = isinstance(node, ast.AsyncFunctionDef)
         self.nested: Dict[str, "FunctionInfo"] = {}
         #: oracle qualnames from a ``# parity:`` tag, if any
         self.parity: Tuple[str, ...] = ()
         # filled by effects.analyze_function:
         self.effects: Optional[List[object]] = None
         self.call_sites: List[CallSite] = []
-        self.blocking_refs: List[Ref] = []
         self.wallclock_refs: List[Ref] = []
         self.env_refs: List[Ref] = []
 
@@ -180,8 +150,6 @@ class ClassInfo:
         #: recorded in ``ambiguous`` and resolves to nothing.
         self.attr_types: Dict[str, str] = {}
         self.ambiguous: set = set()
-        #: attrs holding a threading lock (``self._lock = Lock()``)
-        self.lock_attrs: set = set()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ClassInfo {self.qualname}>"
@@ -322,9 +290,6 @@ class Scope:
             types = {self.expr_type(a) for a in arms}
             if len(types) == 1:
                 return types.pop()
-            return None
-        if isinstance(node, ast.Await):
-            return self.expr_type(node.value)
         return None
 
     def container_ref(self, node: ast.AST) -> Optional[Tuple[str, str]]:
@@ -379,8 +344,7 @@ class Scope:
             return None
         return None
 
-    def resolve_call(self, node: ast.Call, stmt_expr: bool = False
-                     ) -> Optional[CallSite]:
+    def resolve_call(self, node: ast.Call) -> Optional[CallSite]:
         target = self.resolve_callable(node.func)
         skip_first = isinstance(node.func, ast.Attribute)
         if isinstance(target, ClassInfo):
@@ -391,7 +355,7 @@ class Scope:
         if not isinstance(target, FunctionInfo):
             return None
         return CallSite(node.lineno, node.col_offset, target, node,
-                        skip_first, stmt_expr)
+                        skip_first)
 
     # -- assignments update the local maps -----------------------------------
 
@@ -598,10 +562,6 @@ def _infer_attr_types(project: Project) -> None:
                             # earlier resolution alone (first write wins,
                             # matching __init__-then-update idiom)
                             t = cls.attr_types.get(attr)
-                    if value is not None and isinstance(value, ast.Call):
-                        ctor = scope.canon(value.func)
-                        if ctor in _LOCK_CTORS:
-                            cls.lock_attrs.add(attr)
                     if t is None:
                         continue
                     prior = cls.attr_types.get(attr)

@@ -42,14 +42,7 @@ import ast
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..rules import _WALLCLOCK
-from .callgraph import (
-    BLOCKING_CALLS,
-    CallSite,
-    FunctionInfo,
-    Project,
-    Ref,
-    Scope,
-)
+from .callgraph import CallSite, FunctionInfo, Project, Ref, Scope
 
 __all__ = [
     "Branch",
@@ -114,8 +107,8 @@ class _Extractor:
     """One source-order pass over a function body.
 
     Produces the effect tree and, as side products on the
-    :class:`FunctionInfo`, the flat call-site list and the blocking/
-    wall-clock/environment reference seeds the taint rules start from.
+    :class:`FunctionInfo`, the flat call-site list and the wall-clock/
+    environment reference seeds the taint rules start from.
     """
 
     def __init__(self, project: Project, func: FunctionInfo) -> None:
@@ -124,7 +117,6 @@ class _Extractor:
         self.scope: Scope = project.scope_for(func)
         self.params = set(func.param_names)
         self.calls: List[CallSite] = []
-        self.blocking: List[Ref] = []
         self.wallclock: List[Ref] = []
         self.env: List[Ref] = []
 
@@ -141,7 +133,7 @@ class _Extractor:
                              ast.ClassDef)):
             return []  # separate scope, analyzed on its own
         if isinstance(node, ast.Expr):
-            return self.expr(node.value, stmt_expr=True)
+            return self.expr(node.value)
         if isinstance(node, ast.Assign):
             steps = self.expr(node.value)
             for target in node.targets:
@@ -243,16 +235,14 @@ class _Extractor:
 
     # -- expressions --------------------------------------------------------
 
-    def expr(self, node: Optional[ast.expr],
-             stmt_expr: bool = False) -> List[object]:
+    def expr(self, node: Optional[ast.expr]) -> List[object]:
         if node is None:
             return []
         steps: List[object] = []
-        self._expr(node, steps, stmt_expr)
+        self._expr(node, steps)
         return steps
 
-    def _expr(self, node: ast.expr, steps: List[object],
-              stmt_expr: bool = False) -> None:
+    def _expr(self, node: ast.expr, steps: List[object]) -> None:
         self._note_refs(node)
         if isinstance(node, ast.Call):
             ctr = self._counter_call(node)
@@ -260,25 +250,16 @@ class _Extractor:
                 steps.append(ctr)
                 return
             self._note_refs(node.func)
-            self._note_call_refs(node)
             # arguments evaluate before the call happens
             for arg in node.args:
                 inner = arg.value if isinstance(arg, ast.Starred) else arg
                 self._expr(inner, steps)
             for kw in node.keywords:
                 self._expr(kw.value, steps)
-            site = self.scope.resolve_call(node, stmt_expr=stmt_expr)
+            site = self.scope.resolve_call(node)
             if site is not None:
                 self.calls.append(site)
                 steps.append(CallStep(site))
-            else:
-                # an unresolved call may still *receive* a resolved
-                # callee (asyncio.create_task(self._run_task(...))) —
-                # nothing to record, the inner Call was already walked
-                pass
-            return
-        if isinstance(node, ast.Await):
-            self._expr(node.value, steps)
             return
         if isinstance(node, ast.IfExp):
             self._expr(node.test, steps)
@@ -308,21 +289,6 @@ class _Extractor:
             self.wallclock.append(Ref(node.lineno, node.col_offset, canonical))
         elif canonical in _ENV_READS and not self._allow_tagged(node, "DET004"):
             self.env.append(Ref(node.lineno, node.col_offset, canonical))
-
-    def _note_call_refs(self, node: ast.Call) -> None:
-        func = node.func
-        canonical = self.scope.canon(func)
-        if canonical in BLOCKING_CALLS:
-            self.blocking.append(Ref(node.lineno, node.col_offset, canonical))
-            return
-        if (
-            isinstance(func, ast.Name)
-            and func.id == "open"
-            and func.id not in self.scope.mod.aliases
-            and func.id not in self.scope.var_types
-            and func.id not in self.params
-        ):
-            self.blocking.append(Ref(node.lineno, node.col_offset, "open"))
 
     def _allow_tagged(self, node: ast.AST, rule: str) -> bool:
         tags = self.func.module.allow_tags
@@ -361,7 +327,6 @@ def analyze_function(project: Project, func: FunctionInfo) -> None:
     body = getattr(func.node, "body", [])
     func.effects = extractor.stmts(body)
     func.call_sites = extractor.calls
-    func.blocking_refs = extractor.blocking
     func.wallclock_refs = extractor.wallclock
     func.env_refs = extractor.env
 

@@ -1,5 +1,5 @@
-"""Flow rule families: engine parity (ENG*), async safety (ASY*),
-interprocedural determinism (DET001/DET004 across module boundaries).
+"""Flow rule families: engine parity (ENG*) and interprocedural
+determinism (DET001/DET004 across module boundaries).
 
 All findings ride the existing :class:`repro.lint.rules.Finding` type,
 so allow tags, the baseline ratchet, ``--format json|sarif`` and the
@@ -10,7 +10,6 @@ is whole-program.
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -36,26 +35,6 @@ NS_EQUIV: Dict[str, str] = {
     "repro.sim.fast.engine._FastTU.bp": "bp",
     "repro.branch.frontend.BranchUnit.stats": "bp",
 }
-
-#: Container methods that mutate in place (ASY003 mutation detection).
-_MUTATORS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "remove",
-        "discard",
-        "pop",
-        "popitem",
-        "clear",
-        "update",
-        "setdefault",
-        "sort",
-        "reverse",
-    }
-)
-
 
 def _canon_token(ns: Tuple[str, str], name: str) -> str:
     label = NS_EQUIV.get(f"{ns[0]}.{ns[1]}", ns[1])
@@ -176,45 +155,15 @@ def _check_untagged_counters(project: Project,
         ))
 
 
-# --- ASY001: blocking calls reachable inside async defs --------------------
+# --- interprocedural DET001 / DET004 ---------------------------------------
 
 
-def _blocking_closure(project: Project) -> Dict[str, Tuple[str, object]]:
-    """``qualname -> witness`` for every *sync* function that blocks.
-
-    A witness is ``("prim", Ref)`` for a direct primitive or
-    ``("call", callee_qualname)`` for the first blocking callee found.
-    Propagation never crosses an async callee: calling a coroutine
-    function just builds the coroutine — the blocking happens (and is
-    reported) inside that coroutine itself.
-    """
-    blocked: Dict[str, Tuple[str, object]] = {}
-    for func in project.functions.values():
-        if func.blocking_refs:
-            blocked[func.qualname] = ("prim", func.blocking_refs[0])
-    changed = True
-    while changed:
-        changed = False
-        for func in project.functions.values():
-            if func.is_async or func.qualname in blocked:
-                continue
-            for site in func.call_sites:
-                target = site.target
-                if target.is_async:
-                    continue
-                if target.qualname in blocked:
-                    blocked[func.qualname] = ("call", target.qualname)
-                    changed = True
-                    break
-    return blocked
-
-
-def _witness_chain(blocked: Dict[str, Tuple[str, object]],
+def _witness_chain(tainted: Dict[str, Tuple[str, object]],
                    start: str) -> str:
     parts = [start.split(".")[-1]]
     qual = start
     for _ in range(10):
-        kind, payload = blocked.get(qual, (None, None))
+        kind, payload = tainted.get(qual, (None, None))
         if kind == "prim":
             assert isinstance(payload, Ref)
             parts.append(f"{payload.name}()")
@@ -225,170 +174,6 @@ def _witness_chain(blocked: Dict[str, Tuple[str, object]],
             continue
         break
     return " -> ".join(parts)
-
-
-def _check_async_blocking(project: Project,
-                          findings: List[Finding]) -> None:
-    blocked = _blocking_closure(project)
-    for func in project.functions.values():
-        if not func.is_async or not _in_scope("ASY001", func.module.name):
-            continue
-        for ref in func.blocking_refs:
-            findings.append(Finding(
-                "ASY001", func.module.path, ref.line, ref.col,
-                f"blocking call `{ref.name}()` inside `async def "
-                f"{func.name}` stalls the event loop — run it in a "
-                "worker thread (asyncio.to_thread) or use the async "
-                "equivalent",
-            ))
-        for site in func.call_sites:
-            target = site.target
-            if target.is_async or target.qualname not in blocked:
-                continue
-            chain = _witness_chain(blocked, target.qualname)
-            findings.append(Finding(
-                "ASY001", func.module.path, site.line, site.col,
-                f"`async def {func.name}` reaches a blocking call via "
-                f"{chain} — every await-free hop in between runs on the "
-                "event loop; offload with asyncio.to_thread or make the "
-                "chain async",
-            ))
-
-
-# --- ASY002: coroutine calls that are never awaited/scheduled --------------
-
-
-def _check_dropped_coroutines(project: Project,
-                              findings: List[Finding]) -> None:
-    for func in project.functions.values():
-        if not func.is_async or not _in_scope("ASY002", func.module.name):
-            continue
-        for site in func.call_sites:
-            if site.stmt_expr and site.target.is_async:
-                findings.append(Finding(
-                    "ASY002", func.module.path, site.line, site.col,
-                    f"coroutine `{site.target.name}(...)` is neither "
-                    "awaited nor scheduled — the call builds a coroutine "
-                    "object and drops it; await it or wrap it in "
-                    "asyncio.create_task",
-                ))
-
-
-# --- ASY003: lock-guarded state mutated outside its lock -------------------
-
-
-class _LockWalker(ast.NodeVisitor):
-    """Collect ``self.<attr>`` mutations, tracking lock-held regions."""
-
-    def __init__(self, lock_attrs: Set[str]) -> None:
-        self.lock_attrs = lock_attrs
-        self.depth = 0
-        #: (attr, line, col, under_lock)
-        self.mutations: List[Tuple[str, int, int, bool]] = []
-
-    def _is_lock_item(self, item: ast.withitem) -> bool:
-        expr = item.context_expr
-        return (
-            isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == "self"
-            and expr.attr in self.lock_attrs
-        )
-
-    def visit_With(self, node: ast.With) -> None:
-        held = any(self._is_lock_item(item) for item in node.items)
-        if held:
-            self.depth += 1
-        self.generic_visit(node)
-        if held:
-            self.depth -= 1
-
-    def _self_attr(self, node: ast.AST) -> Optional[str]:
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return node.attr
-        return None
-
-    def _record(self, attr: Optional[str], node: ast.AST) -> None:
-        if attr is not None:
-            self.mutations.append(
-                (attr, node.lineno, node.col_offset, self.depth > 0)
-            )
-
-    def _mutation_target(self, target: ast.AST, node: ast.AST) -> None:
-        self._record(self._self_attr(target), node)
-        if isinstance(target, ast.Subscript):
-            self._record(self._self_attr(target.value), node)
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._mutation_target(elt, node)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._mutation_target(target, node)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._mutation_target(node.target, node)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._mutation_target(node.target, node)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
-            self._record(self._self_attr(func.value), node)
-        self.generic_visit(node)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        pass  # nested defs have their own self/locks story
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        pass
-
-
-def _check_lock_discipline(project: Project,
-                           findings: List[Finding]) -> None:
-    for cls in project.classes.values():
-        if not _in_scope("ASY003", cls.module.name):
-            continue
-        if not cls.lock_attrs:
-            continue
-        per_method: List[Tuple[FunctionInfo, List]] = []
-        guarded: Set[str] = set()
-        for method in cls.methods.values():
-            walker = _LockWalker(cls.lock_attrs)
-            for stmt in method.node.body:  # type: ignore[attr-defined]
-                walker.visit(stmt)
-            per_method.append((method, walker.mutations))
-            for attr, _line, _col, under in walker.mutations:
-                if under:
-                    guarded.add(attr)
-        guarded -= cls.lock_attrs
-        if not guarded:
-            continue
-        lock_name = sorted(cls.lock_attrs)[0]
-        for method, mutations in per_method:
-            if method.name == "__init__":
-                continue  # construction precedes sharing
-            for attr, line, col, under in mutations:
-                if under or attr not in guarded:
-                    continue
-                findings.append(Finding(
-                    "ASY003", cls.module.path, line, col,
-                    f"`self.{attr}` is mutated under `self.{lock_name}` "
-                    f"elsewhere in {cls.node.name} but not here — every "
-                    "mutation of lock-guarded state must hold the lock",
-                ))
-
-
-# --- interprocedural DET001 / DET004 ---------------------------------------
 
 
 def _taint_closure(project: Project,
@@ -436,8 +221,7 @@ def _check_interprocedural_det(project: Project, rule_id: str,
 
 # --- entry point -----------------------------------------------------------
 
-_FLOW_RULE_IDS = ("ENG001", "ENG002", "ASY001", "ASY002", "ASY003",
-                  "DET001", "DET004")
+_FLOW_RULE_IDS = ("ENG001", "ENG002", "DET001", "DET004")
 
 
 def check_flow(
@@ -452,12 +236,6 @@ def check_flow(
         _check_parity(project, findings)
     if "ENG002" in active:
         _check_untagged_counters(project, findings)
-    if "ASY001" in active:
-        _check_async_blocking(project, findings)
-    if "ASY002" in active:
-        _check_dropped_coroutines(project, findings)
-    if "ASY003" in active:
-        _check_lock_discipline(project, findings)
     if "DET001" in active:
         _check_interprocedural_det(
             project, "DET001", "wallclock_refs", "wall-clock read",

@@ -181,13 +181,6 @@ RULES: Tuple[Rule, ...] = (
         "and the explain CLI only understand registered provenances.",
     ),
     Rule(
-        "OBS003",
-        "telemetry emits use registry name constants",
-        "inc/set_gauge/observe with a literal metric name bypasses the "
-        "declared schema in obs/telemetry.py; scrapers, dashboards and "
-        "the manifest embed only understand registered M_* names.",
-    ),
-    Rule(
         "EXC001",
         "no blanket exception handlers",
         "bare except / except Exception hides simulator bugs as silent "
@@ -217,31 +210,6 @@ RULES: Tuple[Rule, ...] = (
         "justify with allow(ENG002 reason) why it has no oracle twin.",
         ("repro.sim.fast",),
     ),
-    Rule(
-        "ASY001",
-        "no blocking calls reachable inside async defs",
-        "A blocking call (time.sleep, sync file I/O, subprocess.run) "
-        "reachable from an async def through any chain of sync helpers "
-        "stalls the server's event loop for every job in flight; offload "
-        "with asyncio.to_thread or use the async equivalent.",
-        ("repro.serve", "repro.obs.telemetry"),
-    ),
-    Rule(
-        "ASY002",
-        "coroutines are awaited or scheduled",
-        "Calling a coroutine function as a bare statement builds a "
-        "coroutine object and drops it — the body never runs; await it, "
-        "or hand it to asyncio.create_task.",
-        ("repro.serve", "repro.obs.telemetry"),
-    ),
-    Rule(
-        "ASY003",
-        "lock-guarded state is mutated only under its lock",
-        "An attribute mutated under a declared threading lock anywhere "
-        "in a class is shared state; mutating it outside the lock races "
-        "the HTTP snapshot threads against the event loop.",
-        ("repro.serve", "repro.obs.telemetry"),
-    ),
 )
 
 RULES_BY_ID: Dict[str, Rule] = {r.id: r for r in RULES}
@@ -255,10 +223,6 @@ _PROV_ARG_METHODS: Dict[str, int] = {
     "set_wrong_context": 0,
     "on_prefetch_fill": 3,
 }
-
-#: MetricsRegistry emit methods (OBS003): the metric name is the first
-#: positional argument (or the ``name`` keyword).
-_METRIC_EMIT_METHODS = frozenset({"inc", "set_gauge", "observe"})
 
 _WALLCLOCK = frozenset(
     {
@@ -503,22 +467,6 @@ class _Checker(ast.NodeVisitor):
                     f"{func.attr}(...) with a literal provenance bypasses "
                     "the shared enum; use a PROV_* constant from "
                     "repro.obs.attrib",
-                )
-
-        if isinstance(func, ast.Attribute) and func.attr in _METRIC_EMIT_METHODS:
-            name_arg: Optional[ast.expr] = node.args[0] if node.args else None
-            if name_arg is None:
-                for kw in node.keywords:
-                    if kw.arg == "name":
-                        name_arg = kw.value
-                        break
-            if isinstance(name_arg, ast.Constant):
-                self._report(
-                    "OBS003",
-                    node,
-                    f"{func.attr}(...) with a literal metric name bypasses "
-                    "the declared registry schema; use an M_* constant from "
-                    "repro.obs.telemetry",
                 )
 
         if (

@@ -86,25 +86,10 @@ from .events import (
 )
 from .export import (
     chrome_trace,
-    service_trace,
     write_chrome_trace,
     write_jsonl,
-    write_service_trace,
 )
 from .hostprof import HostProfiler, peak_rss_kb
-from .telemetry import (
-    METRIC_NAMES,
-    MetricsRegistry,
-    NullLog,
-    SpanLog,
-    StructuredLog,
-    TELEMETRY_SCHEMA_VERSION,
-    TelemetryError,
-    snapshot_hist,
-    snapshot_total,
-    snapshot_value,
-    standard_registry,
-)
 from .ledger import (
     Ledger,
     PerfRecord,
@@ -141,21 +126,8 @@ __all__ = [
     "KIND_NAMES",
     "event_to_dict",
     "chrome_trace",
-    "service_trace",
     "write_chrome_trace",
     "write_jsonl",
-    "write_service_trace",
-    "METRIC_NAMES",
-    "MetricsRegistry",
-    "NullLog",
-    "SpanLog",
-    "StructuredLog",
-    "TELEMETRY_SCHEMA_VERSION",
-    "TelemetryError",
-    "snapshot_hist",
-    "snapshot_total",
-    "snapshot_value",
-    "standard_registry",
     "IntervalMetrics",
     "NullTracer",
     "RingBufferTracer",

@@ -37,16 +37,12 @@ from .events import (
 
 __all__ = [
     "chrome_trace",
-    "service_trace",
     "write_chrome_trace",
     "write_jsonl",
-    "write_service_trace",
 ]
 
 #: ``pid`` used for every simulator track.
 TRACE_PID = 1
-#: ``pid`` of the sweep-service timeline (job→cell→worker spans).
-SERVICE_PID = 2
 #: ``tid`` of the regions track (far above any plausible TU count).
 REGIONS_TID = 10_000
 #: ``tid`` offset for counter pseudo-tracks (unused by counters, kept
@@ -236,86 +232,6 @@ def write_chrome_trace(
                          attrib_series=attrib_series),
             fh,
         )
-    return path
-
-
-def service_trace(spans: Iterable[Dict], label: str = "") -> Dict:
-    """A Chrome trace document from sweep-service cell spans.
-
-    ``spans`` is the wire form of :class:`repro.obs.telemetry.SpanLog`
-    (``GET /v1/timeline``): one record per executed cell with
-    ``job_id``/``benchmark``/``label``/``worker`` and host-epoch
-    ``start_s``/``end_s``.  The export is one track per worker under a
-    dedicated service process (:data:`SERVICE_PID`), timestamps
-    normalized to the earliest span — so the viewer shows exactly how a
-    job's cells were sharded over the worker fleet, with ``job_id`` /
-    ``source`` / ``attempts`` in each span's args.
-
-    Unlike :func:`chrome_trace` (1 trace us = 1 simulated cycle), the
-    service timeline is *host* time: 1 trace us = 1 host microsecond.
-    """
-    spans = list(spans)
-    t0 = min((s["start_s"] for s in spans), default=0.0)
-    workers = sorted({str(s.get("worker", "?")) for s in spans})
-    tids = {worker: tid for tid, worker in enumerate(workers, start=1)}
-    trace_events: List[Dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": SERVICE_PID,
-            "args": {"name": "repro serve workers"},
-        }
-    ]
-    for worker in workers:
-        trace_events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": SERVICE_PID,
-                "tid": tids[worker],
-                "args": {"name": f"worker {worker}"},
-            }
-        )
-    for span in spans:
-        start = float(span["start_s"])
-        end = float(span["end_s"])
-        trace_events.append(
-            {
-                "name": f"{span['benchmark']}/{span['label']}",
-                "cat": "serve",
-                "ph": "X",
-                "pid": SERVICE_PID,
-                "tid": tids[str(span.get("worker", "?"))],
-                "ts": (start - t0) * 1e6,
-                "dur": max(0.0, end - start) * 1e6,
-                "args": {
-                    "job_id": span.get("job_id"),
-                    "index": span.get("index"),
-                    "source": span.get("source"),
-                    "attempts": span.get("attempts", 0),
-                },
-            }
-        )
-    return {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "generator": "repro.obs",
-            "label": label,
-            "clock": "1 trace us = 1 host microsecond",
-            "n_spans": len(spans),
-        },
-    }
-
-
-def write_service_trace(spans: Iterable[Dict], path: Union[str, Path],
-                        label: str = "") -> Path:
-    """Write :func:`service_trace` output to ``path``; returns the path."""
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(service_trace(spans, label), fh)
     return path
 
 

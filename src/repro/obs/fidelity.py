@@ -1,9 +1,9 @@
 """Fidelity observatory: scored reproduction claims, campaigns, drift.
 
 The rest of the observability stack answers "what did this run do" (the
-tracer), "how fast did the simulator go" (the perf ledger) and "what is
-the fleet doing" (telemetry).  This module answers the tier-1 question
-the ROADMAP leaves open: **did we actually reproduce the paper?**
+tracer) and "how fast did the simulator go" (the perf ledger).  This
+module answers the tier-1 question: **did we actually reproduce the
+paper?**
 
 Three pieces:
 
@@ -15,21 +15,20 @@ Three pieces:
   reported).  :func:`load_claims` parses and validates it.
 * **Campaign runner** — :func:`campaign_sections` declares the union
   grid behind Figures 8–17 plus the tables; :func:`run_campaign` runs
-  it through :func:`repro.sim.sweep.run_grid` (or the sweep service),
-  records every executed cell in the perf ledger under
-  ``context="fidelity"``, scores every claim and returns a
-  schema-versioned export document.  Unevaluable claims surface as
-  ``skipped`` with a reason — never silently unevaluated.
+  it through :func:`repro.sim.sweep.run_grid`, records every executed
+  cell in the perf ledger under ``context="fidelity"``, scores every
+  claim and returns a schema-versioned export document.  Unevaluable
+  claims surface as ``skipped`` with a reason — never silently
+  unevaluated.
 * **Drift tracking** — :func:`diff_exports` compares two campaign
   documents claim by claim, polarity-aware like
   :mod:`repro.obs.compare`; a regression on any *gate* claim is a
   failure.  :func:`append_trend`/:func:`load_trend` keep a campaign
-  trajectory next to the perf ledger, and ``M_FIDELITY_*`` counters in
-  :mod:`repro.obs.telemetry` expose progress and per-claim scores.
+  trajectory next to the perf ledger.
 
 Scoring is pure post-processing over the result grid: a
 fidelity-instrumented run is bit-identical to a plain one (the tests
-enforce the same discipline as for tracer and telemetry).
+enforce the same discipline as for the tracer).
 
 CLI surface: ``repro fidelity run | check | report``; the committed
 artifacts are ``benchmarks/FIDELITY_baseline.json`` and
@@ -54,11 +53,6 @@ from ..sim.sweep import ResultGrid, benchmarks_of, grid_cells, run_grid
 from ..sta.configs import CONFIG_NAMES, TABLE3_ROWS, named_config, table3_config
 from ..workloads import BENCHMARK_NAMES, benchmark_infos
 from .ledger import git_sha
-from .telemetry import (
-    M_FIDELITY_CAMPAIGNS,
-    M_FIDELITY_CLAIM_SCORE,
-    M_FIDELITY_CLAIMS,
-)
 
 __all__ = [
     "CLAIM_KINDS",
@@ -562,19 +556,14 @@ def run_campaign(
     cache: Optional[bool] = None,
     sections: Optional[Sequence[str]] = None,
     perturb: Optional[str] = None,
-    telemetry=None,
-    log=None,
     progress: Optional[Callable[[str, str], None]] = None,
-    client=None,
+    perf_dir: Union[str, Path, None] = None,
 ) -> Dict:
     """Run the campaign grid, score every claim, return the export doc.
 
     ``sections`` restricts the grid (default: every section); claims
-    needing an unrun section score ``skipped``.  ``client`` (a
-    :class:`~repro.serve.client.ServeClient`) routes the grid through
-    the sweep service instead of the local executor.  ``telemetry``
-    receives both the executor's fleet signals and the ``M_FIDELITY_*``
-    campaign metrics.
+    needing an unrun section score ``skipped``.  Executed cells land in
+    the perf ledger under ``perf_dir`` (default ``$REPRO_PERF_DIR``).
     """
     claims = load_claims(claims_path)
     all_sections = campaign_sections()
@@ -600,37 +589,19 @@ def run_campaign(
         if axis else 0
 
     grid: ResultGrid = {}
-    status = "ok"
-    try:
-        if axis:
-            if client is not None:
-                grid = _run_via_serve(client, axis, params, engine)
-            else:
-                grid = run_grid(
-                    axis,
-                    benchmarks=list(BENCHMARK_NAMES),
-                    params=params,
-                    progress=progress,
-                    jobs=jobs,
-                    cache=cache,
-                    perf_context="fidelity",
-                    engine=engine,
-                    telemetry=telemetry,
-                    log=log,
-                )
-        scored = evaluate_claims(claims, grid, selected)
-    except Exception:  # lint: allow(EXC001 re-raised unchanged: only marks the campaign counter as failed)
-        status = "failed"
-        raise
-    finally:
-        if telemetry is not None:
-            telemetry.inc(M_FIDELITY_CAMPAIGNS, status=status)
-    if telemetry is not None:
-        for item in scored:
-            telemetry.inc(M_FIDELITY_CLAIMS, status=item.status)
-            if item.measured is not None:
-                telemetry.set_gauge(M_FIDELITY_CLAIM_SCORE, item.measured,
-                                    claim=item.claim.id)
+    if axis:
+        grid = run_grid(
+            axis,
+            benchmarks=list(BENCHMARK_NAMES),
+            params=params,
+            progress=progress,
+            jobs=jobs,
+            cache=cache,
+            perf_context="fidelity",
+            engine=engine,
+            perf_dir=perf_dir,
+        )
+    scored = evaluate_claims(claims, grid, selected)
     return {
         "kind": EXPORT_KIND,
         "schema": FIDELITY_SCHEMA_VERSION,
@@ -650,27 +621,6 @@ def run_campaign(
         "summary": _summarize(scored),
         "claims": [item.to_dict() for item in scored],
     }
-
-
-def _run_via_serve(client, axis: Dict[str, MachineConfig],
-                   params: SimParams, engine: Optional[str]) -> ResultGrid:
-    from ..serve.wire import SweepSpec
-
-    spec = SweepSpec(
-        benchmarks=tuple(BENCHMARK_NAMES),
-        configs=tuple(axis.items()),
-        params=params,
-        engine=engine,
-        tenant="fidelity",
-    )
-    summary = client.submit(spec)
-    job_id = summary["job_id"]
-    state = client.wait(job_id)
-    if state.get("state") != "done":
-        raise AnalysisError(
-            f"fidelity campaign job {job_id} ended {state.get('state')!r} "
-            f"({state.get('failed', 0)} failed cell(s))")
-    return client.result_grid(job_id)
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,6 @@ class PerfRecord:
         params_fp: str = "",
         code_token: str = "",
         engine: str = "",
-        extra_provenance: Optional[Dict[str, str]] = None,
     ) -> "PerfRecord":
         """Build a record from a :class:`~repro.sim.results.SimResult`.
 
@@ -143,12 +142,6 @@ class PerfRecord:
         clock's resolution is clamped to :data:`WALL_EPSILON_S` for the
         division (raw ``wall_s`` kept as measured, ``wall_clamped``
         marker set) instead of silently dropping the metrics.
-
-        ``extra_provenance`` merges additional identity keys into the
-        provenance dict — the sweep service stamps ``job_id`` and
-        ``tenant`` here so every executed cell is traceable to the
-        submission that caused it (see ``docs/SERVICE.md``).  Reserved
-        keys (git_sha, code_token, ...) cannot be overridden.
         """
         sim = result.sim_metrics()
         if speedup_pct is not None:
@@ -168,10 +161,6 @@ class PerfRecord:
             "params_fp": params_fp,
             "engine": engine or "oracle",
         }
-        if extra_provenance:
-            for key, value in extra_provenance.items():
-                if key not in provenance:
-                    provenance[key] = str(value)
         return cls(
             benchmark=result.benchmark,
             config=result.config,

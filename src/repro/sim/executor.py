@@ -63,24 +63,6 @@ from ..common.config import MachineConfig, SimParams
 from ..common.errors import AnalysisError, ConfigError, SweepError
 from ..obs.hostprof import HostProfiler, peak_rss_kb
 from ..obs.ledger import Ledger, PerfRecord, default_perf_dir
-from ..obs.telemetry import (
-    EV_CACHE_PRUNE,
-    EV_CELL_FAILED,
-    EV_CELL_RESOLVED,
-    EV_SWEEP_DONE,
-    M_CACHE_EVICTED_BYTES,
-    M_CACHE_EVICTIONS,
-    M_CACHE_PRUNE_PASSES,
-    M_CELL_LATENCY,
-    M_CELLS_TOTAL,
-    M_QUEUE_DEPTH,
-    M_WORKERS_ALIVE,
-    M_WORKERS_BUSY,
-    MetricsRegistry,
-    NullLog,
-    StructuredLog,
-    standard_registry,
-)
 from ..workloads.benchmarks import build_benchmark
 from ..workloads.program import Program
 from .driver import ENGINES, run_program
@@ -88,7 +70,6 @@ from .results import SimResult
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
-    "CELL_WIRE_SCHEMA_VERSION",
     "CacheStats",
     "CellFailure",
     "CellRecord",
@@ -105,7 +86,6 @@ __all__ = [
     "default_engine",
     "default_jobs",
     "run_cell",
-    "run_cell_request",
     "run_cells",
 ]
 
@@ -213,9 +193,10 @@ def default_cache_root() -> Path:
 def default_cache_quota_mb() -> Optional[float]:
     """``$REPRO_CACHE_MAX_MB`` as a positive float, or ``None`` (no quota).
 
-    A quota makes the cache safe to share between tenants of the sweep
-    service: without one, every submitted grid grows the directory
-    forever.  A malformed or non-positive value is a loud
+    Keys fold in the code-version token, so every edit to the simulator
+    strands the previous entries: without a quota, a local cache grows
+    by one grid's worth of stale results per change, forever.  A
+    malformed or non-positive value is a loud
     :class:`ConfigError` — a typo'd quota silently meaning "unlimited"
     is exactly the failure mode a quota exists to prevent.
     """
@@ -235,23 +216,12 @@ def default_cache_quota_mb() -> Optional[float]:
 
 @dataclass
 class CacheStats:
-    """Size accounting for one :class:`DiskCache` directory.
-
-    ``prune_passes``/``evicted_entries``/``evicted_bytes`` are the
-    *lifetime* quota-eviction totals of this cache directory, persisted
-    in a sidecar next to the entry tree (see
-    :meth:`DiskCache.eviction_totals`) so they survive process restarts
-    and aggregate across the service's worker subprocesses.
-    """
+    """Size accounting for one :class:`DiskCache` directory."""
 
     root: str
     entries: int = 0
     total_bytes: int = 0
     quota_mb: Optional[float] = None
-    prune_passes: int = 0
-    evicted_entries: int = 0
-    evicted_bytes: int = 0
-    last_prune_ts: Optional[float] = None
 
     @property
     def total_mb(self) -> float:
@@ -264,10 +234,6 @@ class CacheStats:
             "total_bytes": self.total_bytes,
             "total_mb": self.total_mb,
             "quota_mb": self.quota_mb,
-            "prune_passes": self.prune_passes,
-            "evicted_entries": self.evicted_entries,
-            "evicted_bytes": self.evicted_bytes,
-            "last_prune_ts": self.last_prune_ts,
         }
 
 
@@ -306,52 +272,28 @@ class DiskCache:
     ``$REPRO_CACHE_MAX_MB``), :meth:`put` periodically prunes the
     least-recently-*used* entries — :meth:`get` refreshes an entry's
     mtime on every hit, so hot cells survive and cold ones age out.
-    The scan runs every :data:`PRUNE_INTERVAL` puts (``1`` = every put),
-    so the directory can transiently overshoot the quota by at most that
-    many entries between scans.
+    The scan runs every :data:`PRUNE_INTERVAL` puts, so the directory
+    can transiently overshoot the quota by at most that many entries
+    between scans.
     """
 
-    #: Puts between quota scans (``$REPRO_CACHE_PRUNE_EVERY`` overrides;
-    #: a full-directory size scan per put would make large sweeps O(n²)).
+    #: Puts between quota scans (a full-directory size scan per put
+    #: would make large sweeps O(n²)).
     PRUNE_INTERVAL = 16
 
     def __init__(
         self,
         root: Union[str, Path, None] = None,
         max_mb: Optional[float] = None,
-        registry: Optional[MetricsRegistry] = None,
-        log: Union[StructuredLog, NullLog, None] = None,
     ) -> None:
         base = Path(root) if root is not None else default_cache_root()
-        self.base = base
         self.root = base / "results" / f"v{CACHE_SCHEMA_VERSION}"
-        #: Lifetime eviction totals live *next to* the entry tree, never
-        #: under it — ``_entries``/``prune`` rglob the tree and must not
-        #: count (or evict) the bookkeeping file.
-        self._totals_path = base / "eviction-totals.json"
         self.max_mb = max_mb if max_mb is not None else default_cache_quota_mb()
-        self.registry = registry
-        self.log = log if log is not None else NullLog()
-        try:
-            self._prune_interval = max(
-                1, int(os.environ.get("REPRO_CACHE_PRUNE_EVERY",
-                                      str(self.PRUNE_INTERVAL)))
-            )
-        except ValueError:
-            self._prune_interval = self.PRUNE_INTERVAL
         self._puts_since_prune = 0
         self._write_warned = False
-        #: Telemetry baseline: only evictions that happen *after* this
-        #: instance opened the directory count into its registry —
-        #: historical totals belong to past runs' metrics, not this one's.
-        self._synced = self.eviction_totals()
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
-
-    def contains(self, key: str) -> bool:
-        """Cheap existence probe (no read/validate; ``get`` still decides)."""
-        return self._path(key).is_file()
 
     def get(self, key: str) -> Optional[SimResult]:
         """The cached result for ``key``, or ``None`` on a miss."""
@@ -415,7 +357,7 @@ class DiskCache:
                     pass
         if self.max_mb is not None:
             self._puts_since_prune += 1
-            if self._puts_since_prune >= self._prune_interval:
+            if self._puts_since_prune >= self.PRUNE_INTERVAL:
                 self._puts_since_prune = 0
                 self.prune(self.max_mb)
 
@@ -433,89 +375,12 @@ class DiskCache:
         return out
 
     def stats(self) -> CacheStats:
-        """Entry count, total size, and lifetime eviction totals."""
+        """Entry count and total size."""
         stats = CacheStats(root=str(self.root), quota_mb=self.max_mb)
         for _path, _mtime, size in self._entries():
             stats.entries += 1
             stats.total_bytes += size
-        totals = self.eviction_totals()
-        stats.prune_passes = totals["prune_passes"]
-        stats.evicted_entries = totals["evicted_entries"]
-        stats.evicted_bytes = totals["evicted_bytes"]
-        stats.last_prune_ts = totals["last_prune_ts"]
         return stats
-
-    # -- eviction accounting (quota satellite) ---------------------------
-
-    def eviction_totals(self) -> Dict:
-        """Lifetime quota-eviction totals of this cache directory.
-
-        Persisted in a sidecar *next to* the entry tree and updated by
-        every prune pass — including the ones the service's worker
-        subprocesses run — so the totals aggregate across processes and
-        survive restarts.  An unreadable sidecar reads as zeros: the
-        totals are observability, never correctness.
-        """
-        try:
-            with open(self._totals_path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError):
-            raw = {}
-        if not isinstance(raw, dict):
-            raw = {}
-        return {
-            "prune_passes": int(raw.get("prune_passes", 0)),
-            "evicted_entries": int(raw.get("evicted_entries", 0)),
-            "evicted_bytes": int(raw.get("evicted_bytes", 0)),
-            "last_prune_ts": raw.get("last_prune_ts"),
-        }
-
-    def _bump_totals(self, removed: int, freed_bytes: int) -> None:
-        """Fold one prune pass into the persistent totals (best-effort)."""
-        totals = self.eviction_totals()
-        totals["prune_passes"] += 1
-        totals["evicted_entries"] += removed
-        totals["evicted_bytes"] += freed_bytes
-        totals["last_prune_ts"] = time.time()  # lint: allow(DET001 host timestamp for cache bookkeeping, never feeds sim state)
-        tmp: Optional[str] = None
-        try:
-            self._totals_path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self._totals_path.parent, prefix=".evict-", suffix=".tmp"
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(totals, fh, sort_keys=True)
-            os.replace(tmp, self._totals_path)
-            tmp = None
-        except OSError:
-            pass  # same best-effort posture as put()
-        finally:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-
-    def sync_telemetry(self) -> None:
-        """Fold sidecar eviction totals into the attached registry.
-
-        Counters are monotonic, so the sidecar (which other processes —
-        service workers — also advance) is reconciled by delta: each call
-        adds only what changed since the last sync.  No-op without a
-        registry.
-        """
-        if self.registry is None:
-            return
-        totals = self.eviction_totals()
-        for metric, key in (
-            (M_CACHE_PRUNE_PASSES, "prune_passes"),
-            (M_CACHE_EVICTIONS, "evicted_entries"),
-            (M_CACHE_EVICTED_BYTES, "evicted_bytes"),
-        ):
-            delta = totals[key] - self._synced[key]
-            if delta > 0:
-                self.registry.inc(metric, delta)
-            self._synced[key] = totals[key]
 
     def prune(self, max_mb: Optional[float] = None) -> PruneResult:
         """Evict least-recently-used entries until the cache fits ``max_mb``.
@@ -550,17 +415,6 @@ class DiskCache:
                 continue
             result.removed += 1
             result.freed_bytes += size
-        self._bump_totals(result.removed, result.freed_bytes)
-        self.log.event(
-            EV_CACHE_PRUNE,
-            root=str(self.root),
-            removed=result.removed,
-            freed_bytes=result.freed_bytes,
-            kept=result.kept,
-            kept_bytes=result.kept_bytes,
-            quota_mb=max_mb,
-        )
-        self.sync_telemetry()
         return result
 
     def clear(self) -> int:
@@ -675,10 +529,6 @@ class SweepStats:
     serial_fallback: Optional[str] = None
     records: List[CellRecord] = field(default_factory=list)
     failures: List[CellFailure] = field(default_factory=list)
-    #: Final :meth:`MetricsRegistry.snapshot` of the run — the same
-    #: signal set the service exposes on ``GET /v1/metrics``, embedded
-    #: in the manifest so local sweeps are inspectable the same way.
-    telemetry: Optional[Dict] = None
 
     def to_manifest(self) -> Dict:
         """JSON-serializable run manifest."""
@@ -699,7 +549,6 @@ class SweepStats:
             "cache_root": self.cache_root,
             "cells": [dataclasses.asdict(r) for r in self.records],
             "failures": [dataclasses.asdict(f) for f in self.failures],
-            "telemetry": self.telemetry,
         }
 
     def write_manifest(self, path: Union[str, Path]) -> None:
@@ -780,97 +629,6 @@ def _execute_cell(
         return ("err", f"{type(exc).__name__}: {exc}", traceback.format_exc())
 
 
-#: Version of the cell request/response wire schema spoken between the
-#: sweep service and its workers (``repro.serve.worker``).  Bumped on
-#: any incompatible change; both sides reject unknown versions loudly.
-CELL_WIRE_SCHEMA_VERSION = 1
-
-
-def run_cell_request(request: Dict) -> Dict:
-    """Worker-side cell runner: resolve one wire-schema cell request.
-
-    This is the stable boundary the sweep service shards work across
-    (``repro serve`` workers call it in a loop over stdin/stdout JSONL;
-    schema documented in ``docs/SERVICE.md``).  A request carries the
-    benchmark name, the *full* canonicalized config/params dataclasses
-    (decoded by :mod:`repro.serve.wire`), the engine, and job/tenant
-    provenance.  The runner resolves the cell exactly like
-    :func:`run_cells` does for one cell: disk-cache probe first (another
-    worker or an earlier job may have filled the key), then simulate,
-    then publish to the cache.  When ``$REPRO_PERF_DIR`` is set,
-    executed cells land in the perf ledger with ``job_id``/``tenant``
-    stamped into provenance.
-
-    Responses are always well-formed wire dicts — a failing cell returns
-    ``status: "err"`` with the error and traceback; exceptions never
-    cross the pipe.
-    """
-    # Local import: repro.serve depends on this module at import time
-    # (cell_key, DiskCache); the reverse dependency stays call-time only.
-    from ..serve.wire import decode_cell_request
-
-    try:
-        req = decode_cell_request(request)
-    # lint: allow(EXC001 wire boundary: any undecodable request must come back as a structured error response, never kill the worker)
-    except Exception as exc:
-        return {
-            "kind": "cell-response",
-            "schema": CELL_WIRE_SCHEMA_VERSION,
-            "id": request.get("id") if isinstance(request, dict) else None,
-            "status": "err",
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        }
-    response: Dict = {
-        "kind": "cell-response",
-        "schema": CELL_WIRE_SCHEMA_VERSION,
-        "id": req.id,
-        "key": req.key,
-        "benchmark": req.cell.benchmark,
-        "label": req.cell.label,
-    }
-    dcache = DiskCache(req.cache_dir) if req.cache else None
-    if dcache is not None:
-        hit = dcache.get(req.key)
-        if hit is not None:
-            response.update(status="ok", source="cache",
-                            result=hit.to_dict(), host={"wall_s": 0.0})
-            return response
-    perf_root = default_perf_dir()
-    perf_on = perf_root is not None
-    payload = _execute_cell(req.cell.benchmark, req.cell.config,
-                            req.cell.params, profile=perf_on,
-                            engine=req.engine)
-    status, first, second = payload
-    if status != "ok":
-        response.update(status="err", error=str(first),
-                        traceback=str(second))
-        return response
-    result = SimResult.from_dict(first)  # type: ignore[arg-type]
-    host: Dict = dict(second)  # type: ignore[arg-type]
-    if dcache is not None:
-        dcache.put(req.key, result)
-    if perf_on:
-        rss = host.get("peak_rss_kb")
-        Ledger(perf_root).append(
-            PerfRecord.from_result(
-                result,
-                wall_s=float(host["wall_s"]),
-                profile=host.get("profile"),
-                peak_rss_kb=int(rss) if rss is not None else None,
-                context="serve.worker",
-                config_fp=config_fingerprint(req.cell.config),
-                params_fp=config_fingerprint(req.cell.params),
-                code_token=code_version_token(),
-                engine=req.engine,
-                extra_provenance={"job_id": req.job_id,
-                                  "tenant": req.tenant},
-            )
-        )
-    response.update(status="ok", source="run", result=first, host=host)
-    return response
-
-
 def _fork_available() -> bool:
     # fork is the only start method that is safe without a __main__ guard
     # (spawn re-imports __main__, which would re-run unguarded scripts).
@@ -914,8 +672,6 @@ def run_cells(
     perf_dir: Union[str, Path, None] = None,
     perf_context: str = "executor",
     engine: Optional[str] = None,
-    telemetry: Optional[MetricsRegistry] = None,
-    log: Union[StructuredLog, NullLog, None] = None,
 ) -> SweepOutcome:
     """Execute a sweep: resolve every cell from cache or simulation.
 
@@ -968,17 +724,6 @@ def run_cells(
         bit-identical on results, so a cached oracle result satisfies a
         fast-engine sweep and vice versa.  The engine used is recorded
         in the manifest and in each ledger record's provenance.
-    telemetry:
-        A :class:`~repro.obs.telemetry.MetricsRegistry` to emit the
-        fleet signal set into (cells by source, cell-latency histogram,
-        queue depth, cache evictions — the same names ``repro serve``
-        exposes on ``/v1/metrics``).  ``None`` uses a fresh
-        :func:`~repro.obs.telemetry.standard_registry`; either way the
-        final snapshot lands in ``stats.telemetry`` and the manifest.
-        Host-side only — results are bit-identical with or without it.
-    log:
-        A :class:`~repro.obs.telemetry.StructuredLog` for per-cell and
-        sweep-completion events (default: no logging).
     """
     cells = list(cells)
     if engine is None:
@@ -988,12 +733,7 @@ def run_cells(
             f"unknown engine {engine!r} (expected one of: {', '.join(ENGINES)})"
         )
     t_start = time.perf_counter()  # lint: allow(DET001 host wall-clock for sweep stats)
-    registry = telemetry if telemetry is not None else standard_registry()
-    tlog = log if log is not None else NullLog()
-    dcache = (
-        DiskCache(cache_dir, registry=registry, log=tlog)
-        if _cache_enabled(cache) else None
-    )
+    dcache = DiskCache(cache_dir) if _cache_enabled(cache) else None
 
     perf_root = Path(perf_dir) if perf_dir is not None else default_perf_dir()
     perf_on = perf if perf is not None else perf_root is not None
@@ -1008,20 +748,15 @@ def run_cells(
     )
     results: Dict[Tuple[str, str], SimResult] = {}
     records: Dict[Tuple[str, str], CellRecord] = {}
-    pending = 0  # cache-miss cells not yet ingested (queue-depth gauge)
 
     def fail(cell: SweepCell, key: str, error: str, tb: str) -> None:
         stats.failed += 1
-        registry.inc(M_CELLS_TOTAL, source="failed")
-        tlog.event(EV_CELL_FAILED, cell=f"{cell.benchmark}/{cell.label}",
-                   error=error)
         stats.failures.append(
             CellFailure(cell.benchmark, cell.label, key, error, tb)
         )
 
     def ingest(cell: SweepCell, key: str, payload: Tuple[str, object, object]) -> None:
         """Resolve an executed cell, then every cell that shares its key."""
-        nonlocal pending
         status, first, second = payload
         if status == "ok":
             result = SimResult.from_dict(first)  # type: ignore[arg-type]
@@ -1032,13 +767,6 @@ def run_cells(
                 float(host["wall_s"]), host=host,
             )
             stats.executed += 1
-            registry.inc(M_CELLS_TOTAL, source="run")
-            registry.observe(M_CELL_LATENCY, float(host["wall_s"]),
-                             benchmark=cell.benchmark, engine=engine)
-            tlog.event(EV_CELL_RESOLVED,
-                       cell=f"{cell.benchmark}/{cell.label}",
-                       source="run", wall_s=float(host["wall_s"]),
-                       engine=engine)
             if dcache is not None:
                 dcache.put(key, result)
         else:
@@ -1055,12 +783,6 @@ def run_cells(
             records[other.grid_key] = CellRecord(
                 other.benchmark, other.label, key, "dedup", 0.0
             )
-            registry.inc(M_CELLS_TOTAL, source="dedup")
-            tlog.event(EV_CELL_RESOLVED,
-                       cell=f"{other.benchmark}/{other.label}",
-                       source="dedup", wall_s=0.0)
-        pending = max(0, pending - 1 - len(followers[key]))
-        registry.set_gauge(M_QUEUE_DEPTH, pending)
 
     # Phase 1: cache lookups (always in-process — lookups are cheap).  A
     # miss whose key an earlier miss already holds (aliased labels, e.g.
@@ -1082,16 +804,10 @@ def run_cells(
                 cell.benchmark, cell.label, key, "cache", 0.0
             )
             stats.cache_hits += 1
-            registry.inc(M_CELLS_TOTAL, source="cache")
-            tlog.event(EV_CELL_RESOLVED,
-                       cell=f"{cell.benchmark}/{cell.label}",
-                       source="cache", wall_s=0.0)
         else:
             stats.cache_misses += 1
             to_run.append((cell, key))
             followers[key] = []
-    pending = len(to_run) + stats.deduped
-    registry.set_gauge(M_QUEUE_DEPTH, pending)
 
     # Phase 2: execute the misses — fanned out or serial.  A ``jobs > 1``
     # request that cannot be honoured is recorded in the manifest and
@@ -1155,8 +871,6 @@ def run_cells(
         gc.freeze()
     if use_parallel:
         stats.jobs_used = min(jobs, len(to_run))
-        registry.set_gauge(M_WORKERS_ALIVE, stats.jobs_used)
-        registry.set_gauge(M_WORKERS_BUSY, stats.jobs_used)
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=stats.jobs_used, mp_context=ctx) as pool:
             futures = {
@@ -1178,8 +892,6 @@ def run_cells(
                 ingest(cell, key, payload)
     else:
         stats.jobs_used = 1
-        registry.set_gauge(M_WORKERS_ALIVE, 1 if to_run else 0)
-        registry.set_gauge(M_WORKERS_BUSY, 1 if to_run else 0)
         for cell, key in to_run:
             if progress is not None:
                 progress(cell.benchmark, cell.label)
@@ -1200,15 +912,6 @@ def run_cells(
     if ledger is not None:
         _record_perf(ledger, cells, ordered, records, stats, perf_context,
                      engine)
-
-    registry.set_gauge(M_WORKERS_BUSY, 0)
-    if dcache is not None:
-        dcache.sync_telemetry()
-    stats.telemetry = registry.snapshot()
-    tlog.event(EV_SWEEP_DONE, engine=engine, n_cells=stats.n_cells,
-               cache_hits=stats.cache_hits, executed=stats.executed,
-               failed=stats.failed, wall_s=stats.wall_s,
-               jobs_used=stats.jobs_used)
 
     if manifest_path is not None:
         stats.write_manifest(manifest_path)

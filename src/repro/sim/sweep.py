@@ -36,10 +36,8 @@ def grid_cells(
 ) -> List[SweepCell]:
     """Expand a {label: config} axis × benchmarks into ordered cells.
 
-    This is the single source of grid *order* — benchmarks outermost,
-    axis labels in mapping order — shared by :func:`run_grid` and the
-    sweep service (:mod:`repro.serve`), so a grid submitted remotely
-    resolves cell-for-cell identically to a local run.
+    This is the single source of grid *order*: benchmarks outermost,
+    axis labels in mapping order.
     """
     if not configs:
         raise AnalysisError("empty configuration axis")
@@ -66,8 +64,7 @@ def run_grid(
     manifest_path: Union[str, Path, None] = None,
     perf_context: str = "sweep",
     engine: Optional[str] = None,
-    telemetry=None,
-    log=None,
+    perf_dir: Union[str, Path, None] = None,
 ) -> ResultGrid:
     """Run every benchmark × configuration pair.
 
@@ -78,14 +75,11 @@ def run_grid(
     ``manifest_path`` are forwarded to
     :func:`repro.sim.executor.run_cells`; a failing cell raises
     :class:`~repro.common.errors.SweepError` naming its grid key after
-    the rest of the grid has been attempted.  When ``$REPRO_PERF_DIR``
-    is set, executed cells are appended to the perf ledger under
-    ``perf_context``.  ``engine`` selects the simulation engine for
-    executed cells (``None``: ``$REPRO_ENGINE`` or ``oracle``).
-    ``telemetry``/``log`` (a
-    :class:`~repro.obs.telemetry.MetricsRegistry` / ``StructuredLog``)
-    receive the fleet signal set — host-side only, results are
-    bit-identical with or without them.
+    the rest of the grid has been attempted.  When ``perf_dir`` (default
+    ``$REPRO_PERF_DIR``) is set, executed cells are appended to the perf
+    ledger there under ``perf_context``.  ``engine`` selects the
+    simulation engine for executed cells (``None``: ``$REPRO_ENGINE`` or
+    ``oracle``).
     """
     cells = grid_cells(configs, benchmarks, params)
     outcome = run_cells(
@@ -97,8 +91,7 @@ def run_grid(
         manifest_path=manifest_path,
         perf_context=perf_context,
         engine=engine,
-        telemetry=telemetry,
-        log=log,
+        perf_dir=perf_dir,
     )
     return outcome.results
 

@@ -8,6 +8,7 @@ Exit-code convention (covered below for ``trace`` and ``perf``):
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -210,23 +211,14 @@ def fidelity_export(tmp_path_factory):
     fig11-only at a tiny scale: enough cells for the fig11/fig17 gate
     claims to evaluate (everything else scores skipped-with-reason).
     """
-    import os
-
     root = tmp_path_factory.mktemp("fidelity")
     out = root / "baseline.json"
-    saved = os.environ.get("REPRO_PERF_DIR")  # --dir exports it to workers
-    try:
-        rc = main(["fidelity", "run", "--scale", "2e-6",
-                   "--sections", "fig11", "--engine", "fast", "--no-cache",
-                   "--dir", str(root / "perf"),
-                   "--out", str(out), "--md", str(root / "FIDELITY.md")])
-        assert rc == 0
-        yield root, out
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_PERF_DIR", None)
-        else:
-            os.environ["REPRO_PERF_DIR"] = saved
+    rc = main(["fidelity", "run", "--scale", "2e-6",
+               "--sections", "fig11", "--engine", "fast", "--no-cache",
+               "--dir", str(root / "perf"),
+               "--out", str(out), "--md", str(root / "FIDELITY.md")])
+    assert rc == 0
+    return root, out
 
 
 class TestFidelityCli:
@@ -234,7 +226,6 @@ class TestFidelityCli:
         args = build_parser().parse_args(["fidelity", "run"])
         assert args.scale == 2e-4
         assert args.seed == 2003
-        assert args.via == "local"
         assert args.perturb is None
 
     def test_check_parser_defaults(self):
@@ -259,6 +250,22 @@ class TestFidelityCli:
                    "--sections", "fig99", "--dir", str(tmp_path)])
         assert rc == 2
         assert "fidelity run:" in capsys.readouterr().err
+
+    def test_dir_leaves_environment_unchanged(self, tmp_path, monkeypatch):
+        # --dir reaches the ledger as an argument; it must not leak into
+        # $REPRO_PERF_DIR, where every later sweep in this process would
+        # pick it up -- not even when the command fails.
+        monkeypatch.delenv("REPRO_PERF_DIR", raising=False)
+        before = dict(os.environ)
+        rc = main(["fidelity", "run", "--scale", "2e-6",
+                   "--sections", "fig99", "--dir", str(tmp_path)])
+        assert rc == 2
+        assert dict(os.environ) == before
+
+    def test_dir_receives_campaign_ledger(self, fidelity_export):
+        root, _ = fidelity_export
+        records = Ledger(root / "perf").records()
+        assert records and {r.context for r in records} == {"fidelity"}
 
     def test_check_against_itself_is_clean(self, fidelity_export, capsys):
         root, out = fidelity_export

@@ -19,7 +19,6 @@ import pytest
 from repro import SimParams, named_config
 from repro.common.errors import SweepError
 from repro.obs.ledger import Ledger
-from repro.obs.telemetry import M_CELLS_TOTAL, snapshot_total, snapshot_value
 from repro.sim import executor
 from repro.sim.executor import (
     DiskCache,
@@ -248,9 +247,11 @@ class TestDedup:
         stats = outcome.stats
         assert (stats.executed, stats.deduped, stats.cache_misses) == (1, 1, 1)
         assert [r.source for r in stats.records] == ["run", "dedup"]
-        snap = stats.telemetry
-        assert snapshot_value(snap, M_CELLS_TOTAL, {"source": "dedup"}) == 1.0
-        assert snapshot_total(snap, M_CELLS_TOTAL) == len(cells)
+        assert (stats.cache_hits + stats.executed + stats.deduped
+                + stats.failed) == stats.n_cells == len(cells)
+        manifest = stats.to_manifest()
+        assert (manifest["executed"], manifest["deduped"],
+                manifest["failed"]) == (1, 1, 0)
 
     def test_fork_path_dedups_and_skips_ledger(self, tmp_path):
         cells = make_cells(benches=["175.vpr"], labels=["orig", "vc"])
@@ -274,8 +275,10 @@ class TestDedup:
         assert outcome.stats.failed == 2
         assert [f.label for f in outcome.stats.failures] == ["orig",
                                                             "orig@alias"]
-        snap = outcome.stats.telemetry
-        assert snapshot_value(snap, M_CELLS_TOTAL, {"source": "failed"}) == 2.0
+        # The follower is counted as deduped *and* failed: it was never
+        # run, and it has no result.
+        assert outcome.stats.deduped == 1
+        assert outcome.results == {}
 
 
 class TestRunCell:
@@ -345,6 +348,50 @@ class TestCacheAtomicity:
         assert all(cache.get(k) == result for k in keys)
 
 
+def _grid_into(queue, barrier, axis, cache_dir):
+    """Child-process body: one cached ``run_grid``, results sent back."""
+    barrier.wait()
+    grid = run_grid(axis, benchmarks=BENCHES, params=TINY,
+                    cache_dir=cache_dir)
+    queue.put({f"{b}|{label}": r.to_dict() for (b, label), r in grid.items()})
+
+
+class TestSharedCache:
+    """Separate processes sweeping one grid share results via the cache."""
+
+    @pytest.mark.skipif(not executor._fork_available(),
+                        reason="needs the fork start method")
+    def test_concurrent_processes_share_one_cache(self, tmp_path):
+        import multiprocessing
+
+        axis = {label: named_config(label) for label in CONFIG_LABELS}
+        axis["orig@alias"] = named_config("orig")
+        serial = run_grid(axis, benchmarks=BENCHES, params=TINY, cache=False)
+
+        ctx = multiprocessing.get_context("fork")
+        queue, barrier = ctx.Queue(), ctx.Barrier(2)
+        procs = [ctx.Process(target=_grid_into,
+                             args=(queue, barrier, axis, tmp_path))
+                 for _ in range(2)]
+        for proc in procs:
+            proc.start()
+        grids = [queue.get(timeout=300) for _ in procs]
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        for grid in grids:
+            assert {k: SimResult.from_dict(v) for k, v in grid.items()} == {
+                f"{b}|{label}": r for (b, label), r in serial.items()}
+
+        cache = DiskCache(tmp_path)
+        keys = {cell_key(b, cfg, TINY)
+                for b in BENCHES for cfg in axis.values()}
+        assert len(keys) == len(BENCHES) * len(CONFIG_LABELS)
+        assert len(cache) == len(keys)
+        assert all(cache.get(k) is not None for k in keys)
+        assert list(cache.root.rglob("*.tmp")) == []
+
+
 class TestCacheQuota:
     """LRU eviction and the ``$REPRO_CACHE_MAX_MB`` quota."""
 
@@ -402,7 +449,7 @@ class TestCacheQuota:
             DiskCache(tmp_path).prune()
 
     def test_put_autoprunes_under_quota(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_PRUNE_EVERY", "1")
+        monkeypatch.setattr(DiskCache, "PRUNE_INTERVAL", 1)
         probe = DiskCache(tmp_path)
         result = run_cell("175.vpr", named_config("orig"), TINY, cache=False)
         probe.put("00" + "8" * 62, result)

@@ -2,10 +2,9 @@
 
 Covers the claim registry (parsing + validation), claim evaluation over
 a real (tiny) campaign grid, the drift checker's polarity semantics,
-export-document validation, the trajectory file, the markdown renderer,
-campaign telemetry — and the bit-identity discipline: instrumenting a
-grid run for a fidelity campaign must not change a single simulated
-cycle.
+export-document validation, the trajectory file, the markdown renderer
+— and the bit-identity discipline: instrumenting a grid run for a
+fidelity campaign must not change a single simulated cycle.
 """
 
 from __future__ import annotations
@@ -34,12 +33,7 @@ from repro.obs.fidelity import (
     run_campaign,
     validate_fidelity_export,
 )
-from repro.obs.telemetry import (
-    M_FIDELITY_CAMPAIGNS,
-    M_FIDELITY_CLAIM_SCORE,
-    M_FIDELITY_CLAIMS,
-    standard_registry,
-)
+from repro.obs.ledger import Ledger
 from repro.sim.sweep import run_grid
 from repro.sta.configs import named_config
 from repro.workloads import BENCHMARK_NAMES
@@ -231,7 +225,7 @@ class TestEvaluateClaims:
 
 
 class TestBitIdentity:
-    def test_instrumented_grid_identical_to_plain(self):
+    def test_instrumented_grid_identical_to_plain(self, tmp_path):
         """A fidelity-instrumented run must not change a single cycle."""
         axis = {
             "orig": named_config("orig", n_tus=2),
@@ -241,8 +235,7 @@ class TestBitIdentity:
                       params=SimParams(**TINY), cache=False, engine="fast")
         plain = run_grid(axis, **kwargs)
         instrumented = run_grid(
-            axis, telemetry=standard_registry(), perf_context="fidelity",
-            **kwargs)
+            axis, perf_context="fidelity", perf_dir=tmp_path, **kwargs)
         assert set(plain) == set(instrumented)
         for key in plain:
             assert plain[key].total_cycles == instrumented[key].total_cycles
@@ -251,9 +244,8 @@ class TestBitIdentity:
 
 class TestRunCampaign:
     def test_small_campaign_scores_every_claim(self, tmp_path):
-        reg = standard_registry()
         doc = run_campaign(sections=["fig12"], cache=False, engine="fast",
-                           telemetry=reg, **TINY)
+                           perf_dir=tmp_path, **TINY)
         assert validate_fidelity_export(doc) == []
         claims = load_claims()
         assert len(doc["claims"]) == len(claims)
@@ -265,14 +257,10 @@ class TestRunCampaign:
         # "tables" rides along even when not requested.
         assert by_id["tables.t3_constant_issue"]["status"] == "pass"
         assert doc["sections"][0] == "tables"
-        # Telemetry: one ok campaign, one count per claim, gauges set.
-        assert reg.value(M_FIDELITY_CAMPAIGNS, status="ok") == 1
-        total = sum(reg.value(M_FIDELITY_CLAIMS, status=s)
-                    for s in ("pass", "fail", "skipped"))
-        assert total == len(claims)
-        assert reg.value(M_FIDELITY_CLAIM_SCORE,
-                         claim="fig12.wec_robust_to_assoc") == \
-            by_id["fig12.wec_robust_to_assoc"]["measured"]
+        # Every simulated cell landed in the ledger under perf_dir.
+        records = Ledger(tmp_path).records()
+        assert len(records) == doc["n_cells"]
+        assert {r.context for r in records} == {"fidelity"}
 
     def test_unknown_section_rejected(self):
         with pytest.raises(AnalysisError, match="unknown section"):

@@ -3,9 +3,9 @@
 Fixture projects are synthetic ``repro`` packages written under
 ``tmp_path`` — module discovery anchors on the enclosing ``repro``
 directory, so the fixtures land in the real rule scopes
-(``repro.sim.fast`` for ENG*, ``repro.serve`` for ASY*) without
-touching the shipped tree.  Each family gets a violating fixture with
-a known graph/effect order and a compliant twin that stays silent.
+(``repro.sim.fast`` for ENG*) without touching the shipped tree.  Each
+family gets a violating fixture with a known graph/effect order and a
+compliant twin that stays silent.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ class TestEngineParity:
     def test_out_of_scope_counters_ignored(self, tmp_path):
         # counters outside repro.sim.fast never need parity tags
         fired = flow_rules_fired(tmp_path, {
-            "serve/counters.py": (
+            "analysis/counters.py": (
                 "class C:\n"
                 "    def __init__(self):\n"
                 "        self.stats = {}\n"
@@ -190,100 +190,6 @@ class TestEngineParity:
             ),
         })
         assert "ENG002" not in fired
-
-
-# ---------------------------------------------------------------------------
-# ASY001-ASY003: async safety
-# ---------------------------------------------------------------------------
-
-
-class TestAsyncSafety:
-    def test_blocking_two_hops_away_fires_asy001(self, tmp_path):
-        findings = run_flow(write_pkg(tmp_path, {
-            "serve/app.py": (
-                "import time\n"
-                "def leaf():\n"
-                "    time.sleep(0.1)\n"
-                "def middle():\n"
-                "    leaf()\n"
-                "async def handler():\n"
-                "    middle()\n"
-            ),
-        }))
-        asy = [f for f in findings if f.rule == "ASY001"]
-        assert len(asy) == 1
-        assert asy[0].line == 7  # the call site inside the async def
-        assert "middle" in asy[0].message and "leaf" in asy[0].message
-
-    def test_to_thread_offload_is_silent(self, tmp_path):
-        fired = flow_rules_fired(tmp_path, {
-            "serve/app.py": (
-                "import asyncio, time\n"
-                "def leaf():\n"
-                "    time.sleep(0.1)\n"
-                "async def handler():\n"
-                "    await asyncio.to_thread(leaf)\n"
-            ),
-        })
-        assert "ASY001" not in fired
-
-    def test_dropped_coroutine_fires_asy002(self, tmp_path):
-        findings = run_flow(write_pkg(tmp_path, {
-            "serve/app.py": (
-                "async def work():\n"
-                "    return 1\n"
-                "async def handler():\n"
-                "    work()\n"
-            ),
-        }))
-        asy = [f for f in findings if f.rule == "ASY002"]
-        assert len(asy) == 1
-        assert asy[0].line == 4
-
-    def test_awaited_coroutine_is_silent(self, tmp_path):
-        fired = flow_rules_fired(tmp_path, {
-            "serve/app.py": (
-                "async def work():\n"
-                "    return 1\n"
-                "async def handler():\n"
-                "    await work()\n"
-            ),
-        })
-        assert "ASY002" not in fired
-
-    def test_unguarded_mutation_fires_asy003(self, tmp_path):
-        findings = run_flow(write_pkg(tmp_path, {
-            "serve/app.py": (
-                "import threading\n"
-                "class Box:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self.items = []\n"
-                "    def good(self):\n"
-                "        with self._lock:\n"
-                "            self.items.append(1)\n"
-                "    def bad(self):\n"
-                "        self.items.append(2)\n"
-            ),
-        }))
-        asy = [f for f in findings if f.rule == "ASY003"]
-        assert len(asy) == 1
-        assert asy[0].line == 10
-
-    def test_all_mutations_guarded_is_silent(self, tmp_path):
-        fired = flow_rules_fired(tmp_path, {
-            "serve/app.py": (
-                "import threading\n"
-                "class Box:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self.items = []\n"
-                "    def good(self):\n"
-                "        with self._lock:\n"
-                "            self.items.append(1)\n"
-            ),
-        })
-        assert "ASY003" not in fired
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +288,7 @@ class TestSarif:
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"ENG001", "ENG002", "ASY001", "ASY002", "ASY003"} <= rule_ids
+        assert {"ENG001", "ENG002", "DET001", "DET004"} <= rule_ids
         res = run["results"][0]
         assert res["ruleId"] == report.findings[0].rule
         region = res["locations"][0]["physicalLocation"]["region"]
@@ -401,7 +307,7 @@ class TestShippedTree:
         report = lint_paths([SRC], flow=True)
         flow_findings = [
             f for f in report.findings
-            if f.rule.startswith(("ENG", "ASY"))
+            if f.rule.startswith("ENG")
         ]
         assert flow_findings == []
 
