@@ -3,9 +3,9 @@
 #   make test         tier-1 suite (unit/property/integration tests)
 #   make lint         static determinism/invariant analysis over src/
 #                     (rule catalog: docs/STATIC_ANALYSIS.md)
-#   make bench-smoke  one figure bench at tiny scale — fast CI probe;
-#                     records to the perf ledger and leaves
-#                     BENCH_smoke.json behind.  Runs serially by
+#   make bench-smoke  the campaign's Figure 11 section at tiny scale —
+#                     fast CI probe; records to the perf ledger and
+#                     leaves BENCH_smoke.json behind.  Runs serially by
 #                     default (BENCH_JOBS=1): per-cell wall times feed
 #                     the ledger, and worker processes oversubscribing
 #                     the host's cores corrupt them (on a 1-core host,
@@ -34,14 +34,13 @@
 #   make bench-test   the repository benchmark's own tests (bench/):
 #                     they fail when a layer the traced run wraps, or a
 #                     memo it reads, no longer matches src/
-#   make bench        full figure/table regeneration at calibrated scale
 #   make calibrate    calibration dashboard (cached, parallel)
 
 PY ?= python
 BENCH_JOBS ?= 1
 export PYTHONPATH := src
 
-.PHONY: test lint bench bench-smoke bench-test diff-smoke explain-smoke perf-gate fidelity-smoke calibrate
+.PHONY: test lint bench-smoke bench-test diff-smoke explain-smoke perf-gate fidelity-smoke calibrate
 
 test:
 	$(PY) -m pytest -x -q
@@ -54,9 +53,8 @@ lint:
 # each cell exactly once) and engine comparisons drown in noise.
 bench-smoke:
 	rm -rf .perf-smoke
-	REPRO_BENCH_SCALE=1e-4 REPRO_JOBS=$(BENCH_JOBS) REPRO_NO_CACHE=1 \
-	REPRO_BENCH_SMOKE=1 REPRO_PERF_DIR=.perf-smoke \
-	$(PY) -m pytest benchmarks/bench_fig11_configs.py --benchmark-only -q
+	$(PY) -m repro fidelity run --sections fig11 --scale 1e-4 --no-cache \
+	--jobs $(BENCH_JOBS) --dir .perf-smoke
 	$(PY) -m repro perf report --dir .perf-smoke --json BENCH_smoke.json
 
 diff-smoke:
@@ -80,9 +78,6 @@ fidelity-smoke:
 	--out FIDELITY_smoke.json --md FIDELITY_smoke.md
 	$(PY) -m repro fidelity check benchmarks/FIDELITY_smoke_baseline.json \
 	--new FIDELITY_smoke.json
-
-bench:
-	$(PY) -m pytest benchmarks/ --benchmark-only -q
 
 calibrate:
 	$(PY) tools/calibrate.py --jobs 2

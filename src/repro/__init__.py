@@ -29,7 +29,7 @@ Package layout:
   scheduler, and the eight named configurations of §4.3;
 - :mod:`repro.workloads` — the six SPEC2000-like benchmark models;
 - :mod:`repro.sim` — the run driver, sweeps, result records;
-- :mod:`repro.analysis` — speedups, charts, experiment reports.
+- :mod:`repro.analysis` — suite-average speedup, ASCII bar charts.
 """
 
 from .common.config import (
@@ -52,7 +52,6 @@ from .common.errors import (
     SweepError,
     WorkloadError,
 )
-from .sim.cache_only import replay_cache_only
 from .sim.driver import run_program, run_simulation
 from .sim.executor import SweepCell, run_cell, run_cells
 from .sim.results import SimResult
@@ -81,7 +80,6 @@ __all__ = [
     "SimulationError",
     "SweepError",
     "WorkloadError",
-    "replay_cache_only",
     "run_program",
     "run_simulation",
     "SweepCell",

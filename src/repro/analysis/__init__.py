@@ -1,22 +1,9 @@
-"""Result analysis: speedups, charts, experiment reports."""
+"""Result analysis: the suite-average speedup and ASCII bar charts."""
 
-from .plots import bar_chart, grouped_bar_chart
-from .report import ExperimentRecord, ShapeCheck, render_report
-from .speedup import (
-    normalized_times,
-    relative_speedups,
-    speedup_table_rows,
-    suite_average_speedup_pct,
-)
+from .plots import bar_chart
+from .speedup import suite_average_speedup_pct
 
 __all__ = [
     "bar_chart",
-    "grouped_bar_chart",
-    "ExperimentRecord",
-    "ShapeCheck",
-    "render_report",
-    "normalized_times",
-    "relative_speedups",
-    "speedup_table_rows",
     "suite_average_speedup_pct",
 ]

@@ -1,16 +1,16 @@
-"""ASCII bar charts for terminal-friendly figure rendering.
+"""ASCII bar charts for terminal-friendly result rendering.
 
-The bench targets print each reproduced figure both as a table and as a
-grouped bar chart, mirroring the paper's grouped-bar presentation.
+:func:`bar_chart` draws one labelled series of horizontal bars; the
+examples use it to show per-benchmark results next to their tables.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping
 
 from ..common.errors import AnalysisError
 
-__all__ = ["bar_chart", "grouped_bar_chart"]
+__all__ = ["bar_chart"]
 
 _BAR = "#"
 _NEG = "-"
@@ -36,38 +36,4 @@ def bar_chart(
         n = int(round(abs(v) / max_abs * width))
         fill = (_NEG if v < 0 else _BAR) * n
         lines.append(f"  {label.ljust(label_w)} |{fill} {v:+.1f}{unit}")
-    return "\n".join(lines)
-
-
-def grouped_bar_chart(
-    title: str,
-    groups: Sequence[str],
-    series: Mapping[str, Mapping[str, float]],
-    width: int = 40,
-    unit: str = "%",
-) -> str:
-    """Render grouped bars: for each group, one bar per series.
-
-    ``series`` maps a series name (e.g. a configuration) to its
-    per-group values (e.g. per benchmark) — the layout of Figures 9–16.
-    """
-    if not series:
-        raise AnalysisError("grouped bar chart with no series")
-    all_vals = [
-        v for per_group in series.values() for v in per_group.values()
-    ]
-    if not all_vals:
-        raise AnalysisError("grouped bar chart with no values")
-    max_abs = max(abs(v) for v in all_vals) or 1.0
-    series_w = max(len(s) for s in series)
-    lines = [title]
-    for group in groups:
-        lines.append(f"  {group}")
-        for sname, per_group in series.items():
-            if group not in per_group:
-                continue
-            v = per_group[group]
-            n = int(round(abs(v) / max_abs * width))
-            fill = (_NEG if v < 0 else _BAR) * n
-            lines.append(f"    {sname.ljust(series_w)} |{fill} {v:+.1f}{unit}")
     return "\n".join(lines)

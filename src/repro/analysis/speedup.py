@@ -1,26 +1,22 @@
-"""Suite-level speedup aggregation over result grids.
+"""The suite-average speedup over a result grid.
 
-These helpers turn a :data:`~repro.sim.sweep.ResultGrid` into the rows
-the paper's figures plot: per-benchmark relative speedups against a
-baseline axis label, plus the execution-time-weighted suite average
-("average" bar in Figures 9–12 and 15–17).
+:func:`suite_average_speedup_pct` is the "average" bar of Figures 9–12
+and 15–17: the execution-time-weighted mean speedup of one axis label
+over a baseline label, across every benchmark in a
+:data:`~repro.sim.sweep.ResultGrid`.  The claim registry's
+``avg_speedup`` and ``repro suite`` both go through it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 from ..common.errors import AnalysisError
 from ..common.stats import weighted_mean_speedup
 from ..sim.results import SimResult
-from ..sim.sweep import ResultGrid, benchmarks_of, labels_of
+from ..sim.sweep import ResultGrid, benchmarks_of
 
-__all__ = [
-    "relative_speedups",
-    "suite_average_speedup_pct",
-    "normalized_times",
-    "speedup_table_rows",
-]
+__all__ = ["suite_average_speedup_pct"]
 
 
 def _cell(grid: ResultGrid, bench: str, label: str) -> SimResult:
@@ -29,18 +25,6 @@ def _cell(grid: ResultGrid, bench: str, label: str) -> SimResult:
     if result is None:
         raise AnalysisError(f"grid is missing {bench} for {label!r}")
     return result
-
-
-def relative_speedups(
-    grid: ResultGrid, baseline_label: str, label: str
-) -> Dict[str, float]:
-    """Per-benchmark percent speedup of ``label`` over ``baseline_label``."""
-    out: Dict[str, float] = {}
-    for bench in benchmarks_of(grid):
-        base = _cell(grid, bench, baseline_label)
-        new = _cell(grid, bench, label)
-        out[bench] = new.relative_speedup_pct_vs(base)
-    return out
 
 
 def suite_average_speedup_pct(
@@ -57,41 +41,3 @@ def suite_average_speedup_pct(
         base_times.append(_cell(grid, bench, baseline_label).total_cycles)
         new_times.append(_cell(grid, bench, label).total_cycles)
     return (weighted_mean_speedup(base_times, new_times) - 1.0) * 100.0
-
-
-def normalized_times(
-    grid: ResultGrid, baseline_label: str, label: str
-) -> Dict[str, float]:
-    """Per-benchmark execution time normalized to the baseline label."""
-    out: Dict[str, float] = {}
-    for bench in benchmarks_of(grid):
-        base = _cell(grid, bench, baseline_label)
-        new = _cell(grid, bench, label)
-        out[bench] = new.normalized_time_vs(base)
-    return out
-
-
-def speedup_table_rows(
-    grid: ResultGrid,
-    baseline_label: str,
-    labels: Optional[Sequence[str]] = None,
-) -> List[Tuple[str, Dict[str, float]]]:
-    """One row per benchmark (plus 'average'): label -> percent speedup."""
-    use_labels = [
-        l for l in (labels if labels is not None else labels_of(grid))
-        if l != baseline_label
-    ]
-    rows: List[Tuple[str, Dict[str, float]]] = []
-    for bench in benchmarks_of(grid):
-        base = _cell(grid, bench, baseline_label)
-        row = {
-            label: _cell(grid, bench, label).relative_speedup_pct_vs(base)
-            for label in use_labels
-        }
-        rows.append((bench, row))
-    avg_row = {
-        label: suite_average_speedup_pct(grid, baseline_label, label)
-        for label in use_labels
-    }
-    rows.append(("average", avg_row))
-    return rows

@@ -553,7 +553,7 @@ class AttributionCollector:
 
 
 # ---------------------------------------------------------------------------
-# Report rendering (`repro explain`, examples, tools/make_report.py)
+# Report rendering (`repro explain`, examples)
 # ---------------------------------------------------------------------------
 
 def _require_attribution(result) -> Dict:

@@ -70,7 +70,6 @@ __all__ = [
     "append_trend",
     "apply_perturbation",
     "campaign_sections",
-    "claim_band",
     "claims_fingerprint",
     "default_claims_path",
     "diff_exports",
@@ -250,19 +249,6 @@ def claims_fingerprint(path: Union[str, Path, None] = None) -> str:
     if not path.is_file():
         return ""
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-
-
-def claim_band(
-    claim_id: str, path: Union[str, Path, None] = None
-) -> Tuple[Optional[float], Optional[float]]:
-    """The ``[lo, hi]`` band of one claim — the single source of truth
-    the figure benches read instead of hard-coding their thresholds."""
-    for claim in load_claims(path):
-        if claim.id == claim_id:
-            if claim.band is None:
-                raise AnalysisError(f"claim {claim_id!r} has no band")
-            return claim.band
-    raise AnalysisError(f"no claim {claim_id!r} in the registry")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Simulation driving, sweeps, results and table formatting."""
 
-from .cache_only import CacheOnlyResult, replay_cache_only
 from .driver import run_program, run_simulation
 from .executor import (
     DiskCache,
@@ -21,11 +20,9 @@ from .sweep import (
     run_config_axis,
     run_grid,
 )
-from .tables import TextTable, format_pct, format_ratio
+from .tables import TextTable
 
 __all__ = [
-    "CacheOnlyResult",
-    "replay_cache_only",
     "run_program",
     "run_simulation",
     "DiskCache",
@@ -45,6 +42,4 @@ __all__ = [
     "run_config_axis",
     "run_grid",
     "TextTable",
-    "format_pct",
-    "format_ratio",
 ]

@@ -21,7 +21,7 @@ from ``params.seed``.  This module exploits that purity twice:
   *complete* canonicalized config/params dataclasses plus a
   code-version token (a hash of the installed ``repro`` sources).  Any
   change to a config field or to the simulator invalidates exactly the
-  affected entries; re-running a bench file or tool on unchanged code
+  affected entries; re-running a campaign or tool on unchanged code
   is near-instant.  Set ``REPRO_NO_CACHE=1`` (or pass ``cache=False``)
   to bypass it.
 

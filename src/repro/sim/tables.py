@@ -1,32 +1,19 @@
 """Plain-text table rendering for experiment output.
 
-Every bench target prints its figure/table through :class:`TextTable`,
-so the regenerated artifacts are uniform and diffable.
+The CLI verbs (``list``, ``compare``, ``suite``) and the examples print
+their results through :class:`TextTable`, so the output is uniform and
+diffable.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 from ..common.errors import AnalysisError
 
-__all__ = ["TextTable", "format_pct", "format_ratio"]
+__all__ = ["TextTable"]
 
 Cell = Union[str, int, float, None]
-
-
-def format_pct(value: Optional[float], signed: bool = True) -> str:
-    """Render a percentage cell (``+9.7%``)."""
-    if value is None:
-        return "-"
-    return f"{value:+.1f}%" if signed else f"{value:.1f}%"
-
-
-def format_ratio(value: Optional[float], digits: int = 2) -> str:
-    """Render a ratio cell (speedup, normalized time)."""
-    if value is None:
-        return "-"
-    return f"{value:.{digits}f}"
 
 
 class TextTable:

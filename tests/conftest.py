@@ -2,7 +2,7 @@
 
 Tests run at much smaller instruction scales than the calibrated
 benchmark defaults — the goal here is exercising mechanisms, not
-reproducing figures (the ``benchmarks/`` tree does that).
+reproducing figures (``repro fidelity run`` does that).
 """
 
 from __future__ import annotations

@@ -1,20 +1,14 @@
-"""Tests for analysis helpers: speedups, tables, charts, reports."""
+"""Tests for analysis helpers: suite speedup, tables, charts."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.plots import bar_chart, grouped_bar_chart
-from repro.analysis.report import ExperimentRecord, ShapeCheck, render_report
-from repro.analysis.speedup import (
-    normalized_times,
-    relative_speedups,
-    speedup_table_rows,
-    suite_average_speedup_pct,
-)
+from repro.analysis.plots import bar_chart
+from repro.analysis.speedup import suite_average_speedup_pct
 from repro.common.errors import AnalysisError
 from repro.sim.results import SimResult
-from repro.sim.tables import TextTable, format_pct, format_ratio
+from repro.sim.tables import TextTable
 
 
 def result(bench, config, cycles):
@@ -37,44 +31,26 @@ def grid():
 
 
 class TestSpeedupHelpers:
-    def test_relative_speedups(self, grid):
-        rs = relative_speedups(grid, "orig", "wec")
-        assert rs["a"] == pytest.approx(25.0)
-        assert rs["b"] == pytest.approx(100.0)
-
     def test_suite_average_is_harmonic(self, grid):
         # speedups 1.25 and 2.0 -> harmonic mean = 2/(0.8+0.5) ≈ 1.538.
         avg = suite_average_speedup_pct(grid, "orig", "wec")
         assert avg == pytest.approx((2 / (1 / 1.25 + 1 / 2.0) - 1) * 100)
 
-    def test_normalized_times(self, grid):
-        nt = normalized_times(grid, "orig", "wec")
-        assert nt["a"] == pytest.approx(0.8)
-        assert nt["b"] == pytest.approx(0.5)
-
-    def test_table_rows_include_average(self, grid):
-        rows = speedup_table_rows(grid, "orig")
-        names = [name for name, _ in rows]
-        assert names == ["a", "b", "average"]
-        assert "wec" in rows[0][1]
-        assert "orig" not in rows[0][1]
-
     def test_missing_label_raises(self, grid):
-        with pytest.raises(AnalysisError):
-            relative_speedups(grid, "orig", "ghost")
+        with pytest.raises(AnalysisError, match=r"a for 'ghost'"):
+            suite_average_speedup_pct(grid, "orig", "ghost")
 
     def test_table_rows_incomplete_grid_raises_named(self, grid):
         # An incomplete grid must raise AnalysisError naming the missing
-        # (benchmark, label) cell, not a bare KeyError (consistency with
-        # relative_speedups / normalized_times / suite_average).
+        # (benchmark, label) cell, not a bare KeyError.
         del grid[("b", "wec")]
         with pytest.raises(AnalysisError, match=r"b for 'wec'"):
-            speedup_table_rows(grid, "orig")
+            suite_average_speedup_pct(grid, "orig", "wec")
 
     def test_table_rows_missing_baseline_raises_named(self, grid):
         del grid[("a", "orig")]
         with pytest.raises(AnalysisError, match=r"a for 'orig'"):
-            speedup_table_rows(grid, "orig")
+            suite_average_speedup_pct(grid, "orig", "wec")
 
 
 class TestTextTable:
@@ -103,13 +79,6 @@ class TestTextTable:
         with pytest.raises(AnalysisError):
             TextTable("t", [])
 
-    def test_format_helpers(self):
-        assert format_pct(9.7) == "+9.7%"
-        assert format_pct(9.7, signed=False) == "9.7%"
-        assert format_pct(None) == "-"
-        assert format_ratio(1.5) == "1.50"
-        assert format_ratio(None) == "-"
-
 
 class TestCharts:
     def test_bar_chart(self):
@@ -122,39 +91,3 @@ class TestCharts:
     def test_bar_chart_empty(self):
         with pytest.raises(AnalysisError):
             bar_chart("x", {})
-
-    def test_grouped(self):
-        out = grouped_bar_chart(
-            "fig", ["mcf"], {"wec": {"mcf": 10.0}, "nlp": {"mcf": 5.0}}
-        )
-        assert "wec" in out and "nlp" in out
-
-    def test_grouped_empty(self):
-        with pytest.raises(AnalysisError):
-            grouped_bar_chart("fig", [], {})
-
-
-class TestReport:
-    def test_record_render(self):
-        rec = ExperimentRecord(
-            exp_id="Figure 11",
-            title="Configuration speedups",
-            workload="6 benchmarks, 8 TUs",
-            bench_target="benchmarks/bench_fig11_configs.py",
-        )
-        rec.add_check("wec beats nlp", "9.7 > 5.5", "9.2 > 5.1", True)
-        rec.add_check("mcf is max", "18.5", "25.0", False)
-        out = rec.render()
-        assert "[PASS]" in out and "[FAIL]" in out
-        assert not rec.passed
-
-    def test_render_report(self):
-        rec = ExperimentRecord("T2", "Table 2", "static", "bench_tables.py")
-        rec.add_check("fractions", "x", "x", True)
-        out = render_report([rec], header="# Experiments")
-        assert "1/1 experiments" in out
-        assert "# Experiments" in out
-
-    def test_render_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            render_report([])

@@ -51,8 +51,14 @@ class TestRegistry:
         assert mcf.fraction_parallelized == pytest.approx(0.361, abs=0.001)
 
     def test_table1_transformations_present(self):
+        paper_three = {
+            "loop coalescing",
+            "loop unrolling",
+            "statement reordering to increase overlap",
+        }
         for info in benchmark_infos():
             assert len(info.transformations) >= 1
+            assert set(info.transformations) <= paper_three
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)

@@ -9,7 +9,10 @@ fidelity campaign must not change a single simulated cycle.
 
 from __future__ import annotations
 
+import ast
+import inspect
 import json
+import re
 
 import pytest
 
@@ -20,7 +23,6 @@ from repro.obs.fidelity import (
     apply_perturbation,
     append_trend,
     campaign_sections,
-    claim_band,
     claims_fingerprint,
     default_claims_path,
     diff_exports,
@@ -32,6 +34,7 @@ from repro.obs.fidelity import (
     render_trend,
     run_campaign,
     validate_fidelity_export,
+    _eval_namespace,
 )
 from repro.obs.ledger import Ledger
 from repro.sim.sweep import run_grid
@@ -117,18 +120,6 @@ class TestRegistry:
         with pytest.raises(AnalysisError, match="fig99"):
             load_claims(path)
 
-    def test_claim_band_lookup(self):
-        lo, hi = claim_band("fig17.missred_band")
-        assert lo is not None and hi is not None and lo < hi
-
-    def test_claim_band_unknown_claim(self):
-        with pytest.raises(AnalysisError, match="no claim"):
-            claim_band("fig99.nope")
-
-    def test_claim_band_bandless_claim(self):
-        with pytest.raises(AnalysisError, match="no band"):
-            claim_band("fig11.wec_best_config")
-
 
 class TestCampaignGrid:
     def test_sections_cover_the_declared_names(self):
@@ -140,6 +131,38 @@ class TestCampaignGrid:
         }
         labels = [l for cfgs in sections.values() for l in cfgs]
         assert len(labels) == len(set(labels)) == 51
+
+    @pytest.mark.parametrize("section", list(campaign_sections()))
+    def test_every_label_feeds_a_claim(self, section):
+        # A campaign cell no claim reads is simulated for nothing.  A
+        # label counts as read when a claim expression names it as a
+        # string literal, matches a '%d' pattern in one ('wec@%dtu'),
+        # or is a namespace helper's default base= ('orig', 't3-base').
+        claims = load_claims()
+        assert any(section in c.requires for c in claims)
+        literals = {
+            node.value
+            for c in claims
+            for node in ast.walk(ast.parse(c.expr, mode="eval"))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        patterns = [
+            re.compile(re.escape(text).replace("%d", r"\d+") + "$")
+            for text in literals if "%d" in text
+        ]
+        defaults = {
+            param.default
+            for fn in _eval_namespace({}).values()
+            if inspect.isfunction(fn)
+            for name, param in inspect.signature(fn).parameters.items()
+            if name == "base" and param.default is not param.empty
+        }
+        unread = [
+            label for label in campaign_sections()[section]
+            if label not in literals | defaults
+            and not any(p.match(label) for p in patterns)
+        ]
+        assert unread == []
 
     def test_perturbation_strips_every_wec(self):
         perturbed = apply_perturbation(campaign_sections(), "no-wec")

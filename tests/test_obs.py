@@ -183,9 +183,15 @@ class TestDeterminism:
     def test_interval_series_surface(self):
         r = traced_run(IntervalMetrics(window=2048.0))
         s = r.interval_series
-        assert s is not None and len(s["window_start"]) > 0
+        assert s is not None and len(s["window_start"]) > 10
         assert r.to_dict()["interval_series"] == s
         assert traced_run(None).interval_series is None
+        # Windowed IPC integrates back to the aggregate IPC.  Windows
+        # overlap across TUs and the last one is partial, so the bound
+        # is loose: it guards unit errors, not precision.
+        mean_ipc = sum(s["ipc"]) / len(s["ipc"])
+        assert 0.5 * r.ipc < mean_ipc < 2.0 * r.ipc
+        assert max(s["wec_hit_rate"]) > 0.0
 
 
 # ---------------------------------------------------------------------------

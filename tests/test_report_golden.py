@@ -1,10 +1,8 @@
-"""Golden-output tests for the analysis renderers.
+"""Golden-output tests for the ASCII bar chart renderer.
 
-The ASCII charts (:mod:`repro.analysis.plots`) and the experiment-report
-machinery (:mod:`repro.analysis.report`) feed the committed artifacts
-(EXPERIMENTS.md, reproduction_report.md, docs/FIDELITY.md); these tests
-pin their exact output for fixed inputs so formatting changes are
-deliberate, reviewed diffs rather than silent drift.
+These tests pin :func:`repro.analysis.plots.bar_chart`'s exact output
+for fixed inputs so formatting changes are deliberate, reviewed diffs
+rather than silent drift.
 """
 
 from __future__ import annotations
@@ -13,13 +11,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.plots import bar_chart, grouped_bar_chart
-from repro.analysis.report import (
-    ExperimentRecord,
-    ShapeCheck,
-    claims_to_record,
-    render_report,
-)
+from repro.analysis.plots import bar_chart
 from repro.common.errors import AnalysisError
 
 
@@ -59,135 +51,3 @@ class TestBarChartGolden:
     def test_bar_chart_empty_rejected(self):
         with pytest.raises(AnalysisError, match="no values"):
             bar_chart("t", {})
-
-    def test_grouped_bar_chart(self):
-        out = grouped_bar_chart(
-            "fig (bars)",
-            ["mcf", "gzip"],
-            {"wec": {"mcf": 8.0, "gzip": 4.0}, "nlp": {"mcf": -2.0}},
-            width=8,
-        )
-        assert out == golden("""
-            fig (bars)
-              mcf
-                wec |######## +8.0%
-                nlp |-- -2.0%
-              gzip
-                wec |#### +4.0%
-        """)
-
-    def test_grouped_bar_chart_empty_rejected(self):
-        with pytest.raises(AnalysisError, match="no series"):
-            grouped_bar_chart("t", ["g"], {})
-        with pytest.raises(AnalysisError, match="no values"):
-            grouped_bar_chart("t", ["g"], {"s": {}})
-
-
-class TestReportGolden:
-    def test_shape_check_render(self):
-        check = ShapeCheck("wec wins", "+9.7 %", "+11.2 %", True)
-        assert check.render() == golden("""
-            - [PASS] wec wins
-                paper:    +9.7 %
-                measured: +11.2 %
-        """)
-
-    def test_shape_check_render_fail(self):
-        assert ShapeCheck("d", "e", "m", False).render().startswith("- [FAIL]")
-
-    def test_experiment_record_render(self):
-        record = ExperimentRecord(
-            exp_id="Figure 11",
-            title="Relative speedups",
-            workload="6 models",
-            bench_target="pytest benchmarks/bench_fig11_configs.py",
-            notes="See docs/FIDELITY.md.",
-        )
-        record.add_check("wec wins", "yes", "yes", True)
-        assert record.passed
-        assert record.render() == golden("""
-            ## Figure 11 — Relative speedups
-
-            *Workload*: 6 models
-            *Regenerate with*: `pytest benchmarks/bench_fig11_configs.py`
-
-            - [PASS] wec wins
-                paper:    yes
-                measured: yes
-
-            See docs/FIDELITY.md.
-        """) + "\n"
-
-    def test_render_report(self):
-        passing = ExperimentRecord("A", "t", "w", "b")
-        passing.add_check("x", "e", "m", True)
-        failing = ExperimentRecord("B", "t", "w", "b")
-        failing.add_check("y", "e", "m", False)
-        out = render_report([passing, failing], header="# Report")
-        assert out.startswith("# Report\n")
-        assert ("**Shape verdicts: 1/2 experiments match the paper's "
-                "qualitative results.**") in out
-        assert "## A — t" in out and "## B — t" in out
-
-    def test_render_report_empty_rejected(self):
-        with pytest.raises(AnalysisError, match="no experiment records"):
-            render_report([])
-
-
-def scored(**over):
-    data = {
-        "id": "fig11.x", "title": "wec average", "kind": "value",
-        "status": "pass", "measured": 11.2, "unit": "%",
-        "paper": "+9.7 %", "band": [6.0, 14.0], "reason": "",
-    }
-    data.update(over)
-    return data
-
-
-class TestClaimsToRecord:
-    def test_value_claim_golden(self):
-        record = claims_to_record(
-            [scored()], exp_id="Figure 11", title="T", workload="w",
-            bench_target="b")
-        assert record.render() == golden("""
-            ## Figure 11 — T
-
-            *Workload*: w
-            *Regenerate with*: `b`
-
-            - [PASS] fig11.x: wec average
-                paper:    +9.7 %
-                measured: +11.20 % (band [6, 14])
-        """) + "\n"
-
-    def test_bool_claim_renders_yes_no(self):
-        record = claims_to_record(
-            [scored(kind="bool", measured=1.0, band=None, paper="")],
-            exp_id="F", title="T", workload="w", bench_target="b")
-        check = record.checks[0]
-        assert check.measured == "yes"
-        assert check.expected == "(shape predicate)"
-
-    def test_skipped_claim_fails_with_reason(self):
-        record = claims_to_record(
-            [scored(status="skipped", measured=None, reason="no fig11")],
-            exp_id="F", title="T", workload="w", bench_target="b")
-        assert not record.passed
-        assert record.checks[0].measured == "skipped: no fig11"
-
-    def test_half_open_band_rendering(self):
-        record = claims_to_record(
-            [scored(band=[8.0, None])],
-            exp_id="F", title="T", workload="w", bench_target="b")
-        assert "(band [8, inf])" in record.checks[0].measured
-
-    def test_failed_claim_fails_the_record(self):
-        record = claims_to_record(
-            [scored(status="fail")],
-            exp_id="F", title="T", workload="w", bench_target="b")
-        assert not record.passed
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError, match="no scored claims"):
-            claims_to_record([], exp_id="F", title="T", workload="w",
-                             bench_target="b")
