@@ -13,8 +13,9 @@
 #                     BENCH_JOBS=N on a host with N+ idle cores; the
 #                     parallel executor path itself is covered by
 #                     diff-smoke and the tier-1 tests.
-#   make diff-smoke   oracle-vs-fast differential over the config
-#                     ladder at smoke scale; exits non-zero on any
+#   make diff-smoke   oracle-vs-fast differential over the paper's eight
+#                     named configurations x six benchmarks x seeds
+#                     2003/7/42 at smoke scale; exits non-zero on any
 #                     counter mismatch
 #   make perf-gate    bench-smoke + regression check vs the committed
 #                     baseline (benchmarks/BENCH_baseline.json)

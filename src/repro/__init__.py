@@ -20,7 +20,7 @@ Package layout:
 
 - :mod:`repro.common` — configuration, statistics, RNG streams;
 - :mod:`repro.isa` — instruction classes, iteration CFGs, trace encoding;
-- :mod:`repro.branch` — direction predictors, BTB, RAS;
+- :mod:`repro.branch` — direction predictors, BTB;
 - :mod:`repro.mem` — caches, the WEC / victim cache / prefetch buffer,
   shared L2, update-bus coherence;
 - :mod:`repro.core` — thread-unit cores: replay engine, timing model,
@@ -55,7 +55,7 @@ from .common.errors import (
 from .sim.driver import run_program, run_simulation
 from .sim.executor import SweepCell, run_cell, run_cells
 from .sim.results import SimResult
-from .sim.sweep import run_config_axis, run_grid
+from .sim.sweep import run_grid
 from .sta.configs import CONFIG_NAMES, named_config, table3_config
 from .sta.machine import Machine
 from .workloads.benchmarks import BENCHMARK_NAMES, benchmark_infos, build_benchmark
@@ -86,7 +86,6 @@ __all__ = [
     "run_cell",
     "run_cells",
     "SimResult",
-    "run_config_axis",
     "run_grid",
     "CONFIG_NAMES",
     "named_config",

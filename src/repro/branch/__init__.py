@@ -1,4 +1,4 @@
-"""Branch prediction: direction predictors, BTB, RAS, front-end unit."""
+"""Branch prediction: direction predictors, BTB, front-end unit."""
 
 from .btb import BranchTargetBuffer
 from .frontend import BranchUnit
@@ -10,7 +10,6 @@ from .predictors import (
     TwoLevelPredictor,
     make_predictor,
 )
-from .ras import ReturnAddressStack
 
 __all__ = [
     "BranchTargetBuffer",
@@ -21,5 +20,4 @@ __all__ = [
     "GsharePredictor",
     "TwoLevelPredictor",
     "make_predictor",
-    "ReturnAddressStack",
 ]

@@ -1,4 +1,4 @@
-"""Front-end branch unit: direction predictor + BTB + RAS + statistics.
+"""Front-end branch unit: direction predictor + BTB + statistics.
 
 One :class:`BranchUnit` lives in each thread unit.  The replay engine
 feeds it every dynamic conditional branch; it answers whether the branch
@@ -13,7 +13,6 @@ from ..common.stats import CounterGroup
 from ..obs.events import BRANCH_RESOLVE, CAT_BRANCH
 from .btb import BranchTargetBuffer
 from .predictors import DirectionPredictor, make_predictor
-from .ras import ReturnAddressStack
 
 __all__ = ["BranchUnit"]
 
@@ -22,7 +21,7 @@ class BranchUnit:
     """Complete per-TU branch machinery."""
 
     __slots__ = (
-        "cfg", "predictor", "btb", "ras", "stats", "_mispredict_penalty",
+        "cfg", "predictor", "btb", "stats", "_mispredict_penalty",
         "_obs", "_obs_tu",
     )
 
@@ -36,7 +35,6 @@ class BranchUnit:
         self.cfg = cfg
         self.predictor: DirectionPredictor = make_predictor(cfg)
         self.btb = BranchTargetBuffer(cfg.btb_entries, cfg.btb_assoc)
-        self.ras = ReturnAddressStack(cfg.ras_entries)
         self.stats = CounterGroup(name)
         self._mispredict_penalty = cfg.mispredict_penalty
         self._obs = (
@@ -89,5 +87,4 @@ class BranchUnit:
         """Clear predictor state and statistics."""
         self.predictor.reset()
         self.btb.reset()
-        self.ras.reset()
         self.stats.reset()

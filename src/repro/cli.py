@@ -135,15 +135,10 @@ from .sim.executor import (
 )
 from .sim.sweep import run_grid
 from .sim.tables import TextTable
-from .sta.configs import ABLATION_CONFIG_NAMES, CONFIG_NAMES, named_config
+from .sta.configs import CONFIG_NAMES, named_config
 from .workloads.benchmarks import BENCHMARK_NAMES, benchmark_infos, build_benchmark
 
 __all__ = ["main", "build_parser"]
-
-#: Default ``repro diff`` ladder: every wrong-execution mode and sidecar
-#: policy combination the differential tests pin down.
-DIFF_LADDER = "orig,wp,wth,wth-wp,wth-wp-wec,vc,nlp,stream-pf"
-
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser (exposed for testing)."""
@@ -215,9 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     diff_p.add_argument("--benchmarks", default=None, metavar="NAMES",
                         help="comma-separated benchmark names "
                              "(default: the whole Table 2 suite)")
-    diff_p.add_argument("--configs", default=DIFF_LADDER, metavar="NAMES",
+    diff_p.add_argument("--configs", default=",".join(CONFIG_NAMES),
+                        metavar="NAMES",
                         help="comma-separated configuration names "
-                             f"(default: {DIFF_LADDER})")
+                             "(default: the paper's eight, %(default)s)")
     diff_p.add_argument("--scale", type=float, default=2e-5,
                         help="instruction scale vs Table 2 "
                              "(default 2e-5: smoke size)")
@@ -727,8 +723,7 @@ def _cmd_diff(args) -> int:
         if args.benchmarks else list(BENCHMARK_NAMES)
     )
     config_names = [c.strip() for c in args.configs.split(",") if c.strip()]
-    known = set(CONFIG_NAMES) | set(ABLATION_CONFIG_NAMES)
-    unknown = [c for c in config_names if c not in known]
+    unknown = [c for c in config_names if c not in CONFIG_NAMES]
     if unknown:
         raise ConfigError(f"unknown configuration(s): {', '.join(unknown)}")
     seeds = (

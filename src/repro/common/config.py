@@ -15,14 +15,14 @@ The defaults reproduce the paper's §4.1/§5.2 setup:
   8 FP adders, 4 FP mult.
 
 All dataclasses are frozen; use :func:`dataclasses.replace` to derive
-variants (the sweep helpers in :mod:`repro.sim.sweep` do exactly that).
+variants (the fidelity campaign in :mod:`repro.obs.fidelity` does exactly
+that).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple, Union
 
 from .errors import ConfigError
 from .units import is_pow2, parse_size
@@ -38,9 +38,6 @@ __all__ = [
     "WrongExecutionConfig",
     "MachineConfig",
     "SimParams",
-    "DEFAULT_L1D",
-    "DEFAULT_L1I",
-    "DEFAULT_L2",
 ]
 
 
@@ -54,9 +51,6 @@ class SidecarKind(enum.Enum):
     WEC = "wec"
     #: Tagged next-line prefetch buffer (configuration ``nlp``).
     PREFETCH = "nlp"
-    #: Stream-detecting prefetcher (extension configuration
-    #: ``stream-pf``; not in the paper).
-    STREAM = "streampf"
 
 
 @dataclass(frozen=True)
@@ -152,7 +146,6 @@ class BranchPredictorConfig:
     table_bits: int = 12
     btb_entries: int = 1024
     btb_assoc: int = 4
-    ras_entries: int = 8
     #: Pipeline refill penalty charged per mispredicted branch.
     mispredict_penalty: int = 7
 
@@ -276,15 +269,6 @@ class MachineConfig:
         if self.tu.l1d.block_size > self.mem.l2.block_size:
             raise ConfigError("L1 block size must not exceed L2 block size")
 
-    @property
-    def total_issue_width(self) -> int:
-        """Aggregate issue bandwidth across all TUs."""
-        return self.n_thread_units * self.tu.issue_width
-
-    def with_thread_units(self, n: int) -> "MachineConfig":
-        """Copy of this machine with a different TU count."""
-        return replace(self, n_thread_units=n)
-
     def describe(self) -> str:
         """One-line human-readable summary."""
         side = self.tu.sidecar
@@ -371,10 +355,3 @@ class SimParams:
         if self.prefetch_late_cycles < 0 or self.prefetch_late_far_cycles < 0:
             raise ConfigError("negative prefetch lateness charge")
 
-
-#: Paper-default L1 data cache (§5.2): 8KB direct-mapped, 64B blocks.
-DEFAULT_L1D = CacheConfig(size=8 * 1024, assoc=1, block_size=64, name="l1d")
-#: Paper-default L1 instruction cache (§4.1): 32KB 2-way.
-DEFAULT_L1I = CacheConfig(size=32 * 1024, assoc=2, block_size=64, name="l1i")
-#: Paper-default unified L2 (§4.1): 512KB 4-way, 128B blocks.
-DEFAULT_L2 = CacheConfig(size=512 * 1024, assoc=4, block_size=128, hit_latency=12, name="l2")

@@ -6,14 +6,14 @@ against a baseline configuration, with benchmark averages computed as an
 each benchmark program independent of its total execution time"
 (Lilja, *Measuring Computer Performance*, 2000).  Normalising every
 benchmark to equal weight and then averaging total time is exactly the
-harmonic mean of the per-benchmark speedups; both that and the plain
-(arithmetic/geometric) means are provided.
+harmonic mean of the per-benchmark speedups; both that and the
+geometric mean are provided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 from .errors import AnalysisError
 
@@ -25,7 +25,6 @@ __all__ = [
     "normalized_time",
     "weighted_mean_speedup",
     "geometric_mean",
-    "arithmetic_mean",
     "Histogram",
 ]
 
@@ -165,14 +164,6 @@ def geometric_mean(values: Iterable[float]) -> float:
             raise AnalysisError(f"geometric mean requires positive values, got {v}")
         prod *= v
     return prod ** (1.0 / len(vals))
-
-
-def arithmetic_mean(values: Iterable[float]) -> float:
-    """Plain arithmetic mean."""
-    vals = list(values)
-    if not vals:
-        raise AnalysisError("arithmetic mean of empty sequence")
-    return sum(vals) / len(vals)
 
 
 @dataclass

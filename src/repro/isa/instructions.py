@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping
 
 from ..common.errors import ConfigError
 
@@ -49,9 +49,6 @@ FU_CLASS_MAP: Dict[InstrClass, str] = {
     InstrClass.TSTORE: "int_alu",
     InstrClass.BRANCH: "int_alu",
 }
-
-N_CLASSES = len(InstrClass)
-
 
 @dataclass
 class InstructionMix:

@@ -6,7 +6,6 @@ from .fully_assoc import FullyAssocBuffer
 from .hierarchy import HIT_LATENCY, TUMemSystem
 from .l2 import SharedL2
 from .mainmem import MainMemory
-from .streampf import StreamDetector
 
 __all__ = [
     "DIRTY",
@@ -20,5 +19,4 @@ __all__ = [
     "TUMemSystem",
     "SharedL2",
     "MainMemory",
-    "StreamDetector",
 ]

@@ -35,9 +35,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..common.config import CacheConfig, SidecarConfig, SidecarKind
-from ..common.errors import ConfigError
 from ..common.stats import CounterGroup
-from ..obs.attrib import PROV_NLP, PROV_STREAM
+from ..obs.attrib import PROV_NLP
 from ..obs.events import (
     CAT_MEM,
     CAT_WEC,
@@ -50,7 +49,6 @@ from ..obs.events import (
 from .cache import DIRTY, PF_FAR, PREFETCHED, WRONG, SetAssocCache
 from .fully_assoc import FullyAssocBuffer
 from .l2 import SharedL2
-from .streampf import StreamDetector
 
 __all__ = ["TUMemSystem"]
 
@@ -74,7 +72,6 @@ class TUMemSystem:
         "load_wrong",
         "prefetch_late_cycles",
         "prefetch_late_far_cycles",
-        "stream_detector",
         "_obs",
         "_obs_wec",
         "_attrib",
@@ -99,9 +96,6 @@ class TUMemSystem:
         self.l1d = SetAssocCache(l1d_cfg)
         self.l1i = SetAssocCache(l1i_cfg)
         self.sidecar_kind = sidecar_cfg.kind
-        self.stream_detector = (
-            StreamDetector() if sidecar_cfg.kind is SidecarKind.STREAM else None
-        )
         self.l2 = l2
         self.stats = CounterGroup(f"tu{tu_id}.mem")
         live = tracer is not None and tracer.enabled
@@ -132,10 +126,6 @@ class TUMemSystem:
         elif kind is SidecarKind.PREFETCH:
             self.load_correct = self._load_correct_nlp
             self.store_correct = self._store_correct_nlp
-            self.load_wrong = self._load_wrong_nlp
-        elif kind is SidecarKind.STREAM:
-            self.load_correct = self._load_correct_stream
-            self.store_correct = self._store_correct_nlp  # stores: as nlp
             self.load_wrong = self._load_wrong_nlp
         else:
             self.load_correct = self._load_correct_plain
@@ -550,84 +540,6 @@ class TUMemSystem:
         return HIT_LATENCY + latency
 
     # ------------------------------------------------------------------
-    # Stream-detecting prefetcher (extension; not in the paper)
-    # ------------------------------------------------------------------
-
-    def _prefetch_block_into_sidecar(self, target: int) -> None:
-        """Fetch one specific block into the prefetch buffer."""
-        assert self.sidecar is not None
-        if target in self.l1d or target in self.sidecar:
-            return
-        self.stats.counter("prefetches").add()
-        latency = self._fill_from_l2(target, prefetch=True)
-        if self._obs_wec is not None:
-            self._obs_wec.emit(WEC_NLP, self.tu_id, target, latency)
-        att = self._attrib
-        if att is not None:
-            att.on_prefetch_fill(self.tu_id, target, latency, PROV_STREAM)
-        flags = PREFETCHED
-        if latency > self.l2.cfg.l2.hit_latency:
-            flags |= PF_FAR
-        bumped = self.sidecar.insert(target, flags)
-        if bumped is not None:
-            if att is not None:
-                att.on_evict(self.tu_id, bumped[0], from_sidecar=True)
-            if bumped[1] & DIRTY:
-                self._writeback(bumped[0])
-
-    def _load_correct_stream(self, addr: int) -> int:
-        stats = self.stats
-        att = self._attrib
-        stats.counter("loads").add()
-        block = addr >> self.l1d.block_bits
-        detector = self.stream_detector
-        assert detector is not None and self.sidecar is not None
-        flags = self.l1d.lookup(block)
-        if flags is not None:
-            stats.counter("l1_hits").add()
-            if flags & WRONG:
-                # Wrong loads fill the L1 under stream (shared nlp wrong
-                # path): settle usefulness on first correct touch.
-                stats.counter("useful_wrong_hits").add()
-                self.l1d.clear_flags(block, WRONG)
-            if att is not None:
-                att.on_use(self.tu_id, block)
-            if flags & PREFETCHED:
-                late = self._late_charge(flags)
-                self.l1d.clear_flags(block, PREFETCHED | PF_FAR)
-                stats.counter("useful_prefetch_hits").add()
-                for target in detector.on_prefetch_hit(block):
-                    self._prefetch_block_into_sidecar(target)
-                return HIT_LATENCY + late
-            return HIT_LATENCY
-        stats.counter("l1_misses").add()
-        if self._obs is not None:
-            self._obs.emit(L1_MISS, self.tu_id, block)
-        sflags = self.sidecar.probe(block)
-        if sflags is not None:
-            stats.counter("sidecar_hits").add()
-            self._count_usefulness(block, sflags)
-            if att is not None:
-                att.on_use(self.tu_id, block)
-            self.sidecar.remove(block)
-            evicted = self.l1d.insert(block, sflags & DIRTY)
-            self._evict_to_l2(evicted)
-            for target in detector.on_prefetch_hit(block):
-                self._prefetch_block_into_sidecar(target)
-            return HIT_LATENCY + (
-                self._late_charge(sflags) if sflags & PREFETCHED else 0.0
-            )
-        stats.counter("demand_fills").add()
-        latency = self._fill_from_l2(block)
-        if att is not None:
-            att.on_demand_fill(self.tu_id, block)
-        evicted = self.l1d.insert(block, 0)
-        self._evict_to_l2(evicted)
-        for target in detector.on_demand_miss(block):
-            self._prefetch_block_into_sidecar(target)
-        return HIT_LATENCY + latency
-
-    # ------------------------------------------------------------------
     # Plain policy (orig / wp / wth / wth-wp): no sidecar
     # ------------------------------------------------------------------
 
@@ -792,6 +704,4 @@ class TUMemSystem:
         self.l1i.flush()
         if self.sidecar is not None:
             self.sidecar.flush()
-        if self.stream_detector is not None:
-            self.stream_detector.reset()
         self.stats.reset()

@@ -37,7 +37,7 @@ went to).  CLI surface: ``repro perf record | compare | report``.
 **Provenance attribution** (:mod:`repro.obs.attrib`) is the third
 pillar: an :class:`AttributionCollector` tags every fill into the
 L1D / WEC / VC / prefetch sidecar with its provenance (correct demand,
-wrong-path, wrong-thread, next-line or stream prefetch, victim), tracks
+wrong-path, wrong-thread, next-line prefetch, victim), tracks
 block lifetimes fill → first correct use → eviction, and classifies
 them useful / late / unused / polluting.  ``repro explain`` renders the
 summary; ``repro explain --vs`` diffs two configs.
@@ -52,7 +52,6 @@ from .attrib import (
     PROV_DEMAND,
     PROV_NAMES,
     PROV_NLP,
-    PROV_STREAM,
     PROV_VICTIM,
     PROV_WRONG_PATH,
     PROV_WRONG_THREAD,
@@ -105,7 +104,6 @@ __all__ = [
     "PROV_DEMAND",
     "PROV_NAMES",
     "PROV_NLP",
-    "PROV_STREAM",
     "PROV_VICTIM",
     "PROV_WRONG_PATH",
     "PROV_WRONG_THREAD",

@@ -12,7 +12,7 @@ in :mod:`repro.obs.events`, and lint rule OBS002 requires call sites to
 pass the named constants, mirroring OBS001 for ``emit()``.  The tags
 correspond to the per-block cache flags of :mod:`repro.mem.cache`
 (``WRONG`` ↔ wrong-path/wrong-thread fills, ``PREFETCHED`` ↔
-next-line/stream prefetches); the flags mark *state* on a cached block
+next-line prefetches); the flags mark *state* on a cached block
 while the provenance tags name the *fill* that created it, so the
 collector is the single naming authority for both.
 
@@ -67,7 +67,6 @@ __all__ = [
     "PROV_WRONG_PATH",
     "PROV_WRONG_THREAD",
     "PROV_NLP",
-    "PROV_STREAM",
     "PROV_VICTIM",
     "PROVENANCES",
     "SPECULATIVE_PROVS",
@@ -95,31 +94,27 @@ PROV_WRONG_PATH = 1
 PROV_WRONG_THREAD = 2
 #: Next-line prefetch into the sidecar (§3.2.1 chains, or the nlp config).
 PROV_NLP = 3
-#: Stream-detector prefetch (the stream-pf extension config).
-PROV_STREAM = 4
 #: L1 victim demoted into the sidecar (victim caching).
-PROV_VICTIM = 5
+PROV_VICTIM = 4
 
 PROVENANCES: Tuple[int, ...] = (
-    PROV_DEMAND, PROV_WRONG_PATH, PROV_WRONG_THREAD,
-    PROV_NLP, PROV_STREAM, PROV_VICTIM,
+    PROV_DEMAND, PROV_WRONG_PATH, PROV_WRONG_THREAD, PROV_NLP, PROV_VICTIM,
 )
 
 #: Fills whose usefulness is speculative (everything but demand).
 SPECULATIVE_PROVS: Tuple[int, ...] = (
-    PROV_WRONG_PATH, PROV_WRONG_THREAD, PROV_NLP, PROV_STREAM, PROV_VICTIM,
+    PROV_WRONG_PATH, PROV_WRONG_THREAD, PROV_NLP, PROV_VICTIM,
 )
 #: Wrong-execution provenance classes (the paper's mechanism).
 WRONG_PROVS: Tuple[int, ...] = (PROV_WRONG_PATH, PROV_WRONG_THREAD)
 #: Explicit-prefetcher provenance classes.
-PREFETCH_PROVS: Tuple[int, ...] = (PROV_NLP, PROV_STREAM)
+PREFETCH_PROVS: Tuple[int, ...] = (PROV_NLP,)
 
 PROV_NAMES: Dict[int, str] = {
     PROV_DEMAND: "demand",
     PROV_WRONG_PATH: "wrong-path",
     PROV_WRONG_THREAD: "wrong-thread",
     PROV_NLP: "nlp-prefetch",
-    PROV_STREAM: "stream-prefetch",
     PROV_VICTIM: "victim",
 }
 
@@ -317,8 +312,8 @@ class AttributionCollector:
                          prov: int) -> None:
         """A prefetcher filled ``block`` into the sidecar.
 
-        ``prov`` is :data:`PROV_NLP` or :data:`PROV_STREAM` (OBS002
-        enforces the named constant at call sites).
+        ``prov`` is :data:`PROV_NLP` (OBS002 enforces the named
+        constant at call sites).
         """
         self._fills[prov] += 1
         self._evicted_by.pop((tu, block), None)

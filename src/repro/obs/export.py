@@ -45,9 +45,6 @@ __all__ = [
 TRACE_PID = 1
 #: ``tid`` of the regions track (far above any plausible TU count).
 REGIONS_TID = 10_000
-#: ``tid`` offset for counter pseudo-tracks (unused by counters, kept
-#: distinct for readers that require one).
-COUNTERS_TID = 10_001
 
 #: Counter-series keys exported from an interval series, with the
 #: human-readable track names they become.

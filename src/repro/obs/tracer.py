@@ -28,7 +28,6 @@ from .events import (
     Event,
     ITER_RETIRE,
     KIND_CATEGORY,
-    KIND_NAMES,
     L1_MISS,
     METRICS_CATEGORIES,
     WEC_HIT,
@@ -279,14 +278,6 @@ class RingBufferTracer(Tracer):
         if len(self._ring) < self.capacity:
             return list(self._ring)
         return self._ring[self._head:] + self._ring[: self._head]
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """Readable per-kind tally of the currently buffered events."""
-        out: Dict[str, int] = {}
-        for ev in self._ring:
-            name = KIND_NAMES.get(ev.kind, str(ev.kind))
-            out[name] = out.get(name, 0) + 1
-        return out
 
     def clear(self) -> None:
         """Drop all buffered events (counters keep running)."""

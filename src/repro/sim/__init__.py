@@ -14,10 +14,8 @@ from .executor import (
 from .results import SimResult, require_same_workload
 from .sweep import (
     ResultGrid,
-    baseline_of,
     benchmarks_of,
     labels_of,
-    run_config_axis,
     run_grid,
 )
 from .tables import TextTable
@@ -36,10 +34,8 @@ __all__ = [
     "SimResult",
     "require_same_workload",
     "ResultGrid",
-    "baseline_of",
     "benchmarks_of",
     "labels_of",
-    "run_config_axis",
     "run_grid",
     "TextTable",
 ]

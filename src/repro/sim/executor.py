@@ -127,7 +127,7 @@ def config_fingerprint(obj: object) -> str:
 
     Unlike a hand-maintained format string this covers every declared
     field — two configs differing in *any* knob (L2 latency, memory
-    ports, stream-prefetcher parameters, ...) always get distinct
+    ports, sidecar entries, ...) always get distinct
     fingerprints.
     """
     payload = json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"))

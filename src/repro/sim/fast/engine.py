@@ -20,7 +20,7 @@ Bit-exactness contract: every counter update, LRU movement and float
 operation below replays the oracle's in the same order with the same
 operand grouping.  The differential suite
 (``tests/test_fast_engine.py``) enforces ``SimResult`` equality across
-the full configuration ladder; any divergence is a bug in one of the
+the paper's eight configurations; any divergence is a bug in one of the
 two engines, never tolerable noise.
 """
 
@@ -181,7 +181,6 @@ class _FastTU:
         "l1i_sets", "l1i_mask", "l1i_assoc", "l1i_bits",
         "l1i_rid", "l1i_warm_n",
         "side", "side_cap", "load_hit_mask",
-        "sd_table", "sd_cap", "sd_depth",
         "mb_stores", "mb_upstream", "mb_arrived", "mb_cap",
         "predictor", "bp_table", "bp_mask",
         "btb_sets", "btb_nsets", "btb_assoc",
@@ -221,9 +220,6 @@ class _FastTU:
             None if kind is SidecarKind.NONE else {}
         )
         self.side_cap = tu.sidecar.entries
-        self.sd_table: Dict[int, int] = {}
-        self.sd_cap = 16
-        self.sd_depth = 2
         self.mb_stores: Dict[int, bool] = {}
         self.mb_upstream: set = set()
         self.mb_arrived: set = set()
@@ -267,11 +263,6 @@ class _FastTU:
             self.load_hit_mask = WRONG
         elif kind is SidecarKind.PREFETCH:
             self.load_correct = self._load_correct_nlp
-            self.store_correct = self._store_correct_nlp
-            self.load_wrong = self._load_wrong_nlp
-            self.load_hit_mask = WRONG | PREFETCHED
-        elif kind is SidecarKind.STREAM:
-            self.load_correct = self._load_correct_stream
             self.store_correct = self._store_correct_nlp
             self.load_wrong = self._load_wrong_nlp
             self.load_hit_mask = WRONG | PREFETCHED
@@ -412,9 +403,9 @@ class _FastTU:
             self._side_insert(victim, vflags)
         s[block] = flags
 
-    # parity: repro.mem.hierarchy.TUMemSystem._prefetch_next_into_sidecar, repro.mem.hierarchy.TUMemSystem._prefetch_block_into_sidecar
+    # parity: repro.mem.hierarchy.TUMemSystem._prefetch_next_into_sidecar
     def _prefetch_block(self, target: int) -> None:
-        """Fetch ``target`` into the sidecar (next-line and stream)."""
+        """Fetch ``target`` (the next line) into the sidecar."""
         if target in self.l1d_sets[target & self.l1d_mask] or target in self.side:
             return
         m = self.m
@@ -690,95 +681,6 @@ class _FastTU:
             return 1
         m["wrong_fills"] += 1
         return 1 + self._fill_evict_l2(block, WRONG, wrong=True)
-
-    # -- stream-prefetch policy ----------------------------------------
-    #
-    # The stream detector's insert/advance logic is inlined at its three
-    # sites below (helper frames cost more than the logic itself): an
-    # insert refreshes a present entry, else drops the FIFO-oldest at
-    # capacity; a hit/miss on a tracked block pops it, chases
-    # ``sd_depth`` blocks in its direction (non-negative targets only,
-    # detector re-armed *before* the chase issues), and a miss with no
-    # tracked stream arms both directions instead.
-
-    def _stream_chase(self, block: int) -> None:
-        """Pop + advance + chase for a prefetch-hit on ``block``."""
-        table = self.sd_table
-        direction = table.pop(block, None)
-        if direction is None:
-            direction = 1
-        expected = block + direction
-        if expected in table:
-            del table[expected]
-        elif len(table) >= self.sd_cap:
-            del table[next(iter(table))]
-        table[expected] = direction
-        for i in range(1, self.sd_depth + 1):
-            t = block + direction * i
-            if t >= 0:
-                self._prefetch_block(t)
-
-    # parity: repro.mem.hierarchy.TUMemSystem._load_correct_stream
-    def _load_correct_stream(self, addr: int):
-        m = self.m
-        m["loads"] += 1
-        block = addr >> self.l1d_bits
-        s = self.l1d_sets[block & self.l1d_mask]
-        flags = s.get(block)
-        if flags is not None:
-            del s[block]
-            s[block] = flags
-            m["l1_hits"] += 1
-            cur = flags
-            if flags & WRONG:
-                m["useful_wrong_hits"] += 1
-                cur &= ~WRONG
-                s[block] = cur
-            if flags & PREFETCHED:
-                late = self.late_far if flags & PF_FAR else self.late_near
-                s[block] = cur & ~(PREFETCHED | PF_FAR)
-                m["useful_prefetch_hits"] += 1
-                self._stream_chase(block)
-                return 1 + late
-            return 1
-        m["l1_misses"] += 1
-        side = self.side
-        sflags = side.get(block)
-        if sflags is not None:
-            m["sidecar_hits"] += 1
-            if sflags & WRONG:
-                m["useful_wrong_hits"] += 1
-            if sflags & PREFETCHED:
-                m["useful_prefetch_hits"] += 1
-            del side[block]
-            self._promote_evict_l2(block, sflags & DIRTY)
-            self._stream_chase(block)
-            if sflags & PREFETCHED:
-                return 1 + (self.late_far if sflags & PF_FAR else self.late_near)
-            return 1 + 0.0
-        m["demand_fills"] += 1
-        latency = self._fill_evict_l2(block, 0)
-        table = self.sd_table
-        direction = table.pop(block, None)
-        if direction is not None:
-            expected = block + direction
-            if expected in table:
-                del table[expected]
-            elif len(table) >= self.sd_cap:
-                del table[next(iter(table))]
-            table[expected] = direction
-            for i in range(1, self.sd_depth + 1):
-                t = block + direction * i
-                if t >= 0:
-                    self._prefetch_block(t)
-        else:
-            for expected, d in ((block + 1, 1), (block - 1, -1)):
-                if expected in table:
-                    del table[expected]
-                elif len(table) >= self.sd_cap:
-                    del table[next(iter(table))]
-                table[expected] = d
-        return 1 + latency
 
     # -- plain policy --------------------------------------------------
 

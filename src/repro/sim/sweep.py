@@ -1,4 +1,4 @@
-"""Parameter-sweep helpers used by the figure-reproduction benches.
+"""Parameter-sweep helpers used by the fidelity campaign and the CLI.
 
 Every figure in the paper is a sweep over {benchmark} × {configuration
 axis}; these helpers run such grids and return keyed result maps.  The
@@ -23,7 +23,7 @@ from ..workloads.benchmarks import BENCHMARK_NAMES
 from .executor import SweepCell, run_cells
 from .results import SimResult
 
-__all__ = ["grid_cells", "run_grid", "run_config_axis", "ResultGrid"]
+__all__ = ["grid_cells", "run_grid", "ResultGrid"]
 
 #: (benchmark name, axis label) -> SimResult
 ResultGrid = Dict[Tuple[str, str], SimResult]
@@ -94,30 +94,6 @@ def run_grid(
         perf_dir=perf_dir,
     )
     return outcome.results
-
-
-def run_config_axis(
-    config_factory: Callable[[str], MachineConfig],
-    axis: Sequence[str],
-    benchmarks: Optional[Sequence[str]] = None,
-    params: SimParams = SimParams(),
-    jobs: int = 1,
-    cache: Optional[bool] = None,
-) -> ResultGrid:
-    """Sweep an axis of labels through ``config_factory``."""
-    configs = {label: config_factory(label) for label in axis}
-    return run_grid(configs, benchmarks, params, jobs=jobs, cache=cache)
-
-
-def baseline_of(grid: ResultGrid, baseline_label: str) -> Dict[str, SimResult]:
-    """Extract one axis label's results keyed by benchmark."""
-    out: Dict[str, SimResult] = {}
-    for (bench, label), result in grid.items():
-        if label == baseline_label:
-            out[bench] = result
-    if not out:
-        raise AnalysisError(f"baseline label {baseline_label!r} not present in grid")
-    return out
 
 
 def labels_of(grid: ResultGrid) -> List[str]:

@@ -1,7 +1,6 @@
 """The superthreaded architecture: machine, scheduler, configurations."""
 
 from .configs import (
-    ABLATION_CONFIG_NAMES,
     CONFIG_NAMES,
     TABLE3_ROWS,
     named_config,
@@ -11,7 +10,6 @@ from .machine import Machine
 from .scheduler import RegionResult, Scheduler
 
 __all__ = [
-    "ABLATION_CONFIG_NAMES",
     "CONFIG_NAMES",
     "TABLE3_ROWS",
     "named_config",

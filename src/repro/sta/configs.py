@@ -20,11 +20,9 @@ design points (issue × TUs = 16) used for the Figure 8 baseline study.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from ..common.config import (
-    BranchPredictorConfig,
     CacheConfig,
     FuncUnitMix,
     MachineConfig,
@@ -38,7 +36,6 @@ from ..common.errors import ConfigError
 
 __all__ = [
     "CONFIG_NAMES",
-    "ABLATION_CONFIG_NAMES",
     "named_config",
     "table3_config",
     "TABLE3_ROWS",
@@ -55,17 +52,6 @@ CONFIG_NAMES: Tuple[str, ...] = (
     "nlp",
 )
 
-#: Extra configurations this reproduction adds beyond the paper's §4.3,
-#: used by the channel-decomposition ablation: the WEC fed by only one
-#: of the two wrong-execution sources, and the WEC as a pure victim
-#: cache (no wrong execution at all).
-ABLATION_CONFIG_NAMES: Tuple[str, ...] = (
-    "wp-wec",
-    "wth-wec",
-    "wec-victim-only",
-    "stream-pf",
-)
-
 _SIDECARS: Dict[str, SidecarKind] = {
     "orig": SidecarKind.NONE,
     "vc": SidecarKind.VICTIM,
@@ -75,10 +61,6 @@ _SIDECARS: Dict[str, SidecarKind] = {
     "wth-wp-vc": SidecarKind.VICTIM,
     "wth-wp-wec": SidecarKind.WEC,
     "nlp": SidecarKind.PREFETCH,
-    "wp-wec": SidecarKind.WEC,
-    "wth-wec": SidecarKind.WEC,
-    "wec-victim-only": SidecarKind.WEC,
-    "stream-pf": SidecarKind.STREAM,
 }
 
 _WRONG_EXEC: Dict[str, WrongExecutionConfig] = {
@@ -90,10 +72,6 @@ _WRONG_EXEC: Dict[str, WrongExecutionConfig] = {
     "wth-wp-vc": WrongExecutionConfig(True, True),
     "wth-wp-wec": WrongExecutionConfig(True, True),
     "nlp": WrongExecutionConfig(False, False),
-    "wp-wec": WrongExecutionConfig(wrong_path=True, wrong_thread=False),
-    "wth-wec": WrongExecutionConfig(wrong_path=False, wrong_thread=True),
-    "wec-victim-only": WrongExecutionConfig(False, False),
-    "stream-pf": WrongExecutionConfig(False, False),
 }
 
 
@@ -105,16 +83,15 @@ def named_config(
     l2: Optional[CacheConfig] = None,
     issue_width: int = 8,
 ) -> MachineConfig:
-    """Build one of the eight §4.3 configurations (or an ablation extra).
+    """Build one of the eight §4.3 configurations.
 
     Defaults follow §5.2: eight 8-issue TUs, 64-entry ROB/LSQ,
     8 INT ALU / 4 INT MULT / 8 FP ALU / 4 FP MULT, 8KB direct-mapped L1D
     with 64-byte blocks, 8-entry sidecar, 512KB 4-way shared L2.
     """
-    if name not in CONFIG_NAMES and name not in ABLATION_CONFIG_NAMES:
+    if name not in CONFIG_NAMES:
         raise ConfigError(
-            f"unknown configuration {name!r}; choose from "
-            f"{CONFIG_NAMES + ABLATION_CONFIG_NAMES}"
+            f"unknown configuration {name!r}; choose from {CONFIG_NAMES}"
         )
     l1d = l1d or CacheConfig(size=8 * 1024, assoc=1, block_size=64, name="l1d")
     tu = ThreadUnitConfig(

@@ -47,7 +47,7 @@ FAST = SimParams(seed=7, scale=5e-5, warmup_invocations=0)
 
 #: The ladder subset covering every sidecar policy plus plain wrong
 #: execution and the no-speculation baseline.
-LADDER = ["orig", "wth-wp", "wth-wp-vc", "wth-wp-wec", "nlp", "stream-pf"]
+LADDER = ["orig", "wth-wp", "wth-wp-vc", "wth-wp-wec", "nlp"]
 
 
 def attributed_run(config="wth-wp-wec", params=FAST, **kwargs):
@@ -280,7 +280,7 @@ class TestObs002:
         src = (
             "att.set_wrong_context(PROV_WRONG_PATH, pc=5)\n"
             "att.on_prefetch_fill(0, b, lat, PROV_NLP)\n"
-            "att.on_prefetch_fill(0, b, lat, prov=PROV_STREAM)\n"
+            "att.on_prefetch_fill(0, b, lat, prov=PROV_NLP)\n"
         )
         assert not self._findings(src)
 

@@ -14,7 +14,6 @@ from repro.branch.predictors import (
     TwoLevelPredictor,
     make_predictor,
 )
-from repro.branch.ras import ReturnAddressStack
 from repro.common.config import BranchPredictorConfig
 from repro.common.errors import ConfigError
 
@@ -166,45 +165,6 @@ class TestBTB:
         assert btb.occupancy() == 0
         assert btb.lookup(0x40) is None
         assert btb.misses == 1  # the post-reset lookup
-
-
-class TestRAS:
-    def test_push_pop(self):
-        ras = ReturnAddressStack(4)
-        ras.push(0x10)
-        ras.push(0x20)
-        assert ras.pop() == 0x20
-        assert ras.pop() == 0x10
-
-    def test_underflow(self):
-        ras = ReturnAddressStack(2)
-        assert ras.pop() is None
-        assert ras.underflows == 1
-
-    def test_wrap_loses_oldest(self):
-        ras = ReturnAddressStack(2)
-        for v in (1, 2, 3):
-            ras.push(v)
-        assert ras.pop() == 3
-        assert ras.pop() == 2
-        assert ras.pop() is None  # 1 was overwritten
-
-    def test_peek(self):
-        ras = ReturnAddressStack(2)
-        assert ras.peek() is None
-        ras.push(9)
-        assert ras.peek() == 9
-        assert len(ras) == 1
-
-    def test_reset(self):
-        ras = ReturnAddressStack(2)
-        ras.push(1)
-        ras.reset()
-        assert len(ras) == 0 and ras.pushes == 0
-
-    def test_zero_depth_rejected(self):
-        with pytest.raises(ConfigError):
-            ReturnAddressStack(0)
 
 
 class TestBranchUnit:

@@ -1,12 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface.
 
-Exit-code convention (covered below for ``trace`` and ``perf``):
+Exit-code convention (covered below for ``trace``, ``diff`` and ``perf``):
 0 = success, 1 = failed run or significant perf regression,
 2 = usage error.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -110,6 +111,55 @@ class TestTraceExitCodes:
                    "--out", str(tmp_path / "t.json")])
         assert rc == 2
         assert "trace:" in capsys.readouterr().err
+
+
+DIFF_ARGS = ["diff", "--benchmarks", "164.gzip", "--configs", "orig,wth-wp-wec",
+             "--scale", "1e-5"]
+
+
+class TestDiffCli:
+    @pytest.fixture(autouse=True)
+    def _no_env_sanitizer(self, monkeypatch):
+        # The fast engine refuses the sanitizer; diff pins both engines.
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+    def test_default_configs_are_the_papers_eight(self):
+        from repro.sta.configs import CONFIG_NAMES
+        args = build_parser().parse_args(["diff"])
+        assert args.configs.split(",") == list(CONFIG_NAMES)
+
+    def test_identical_engines_return_0(self, capsys):
+        assert main(DIFF_ARGS) == 0
+        out = capsys.readouterr().out
+        assert "diff: 2 cell(s) bit-identical across engines" in out
+
+    def test_non_paper_config_is_usage_error(self, capsys):
+        # The WEC fed by wrong threads alone is a valid machine, but not
+        # one of the paper's eight named configurations.
+        rc = main(["diff", "--benchmarks", "164.gzip",
+                   "--configs", "orig,wth-wec", "--scale", "1e-5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "diff: unknown configuration(s): wth-wec" in err
+
+    def test_divergence_returns_1_naming_the_field(self, monkeypatch, capsys):
+        import repro.cli as cli
+        real = cli.run_program
+
+        def perturbed(program, cfg, params, engine=None):
+            result = real(program, cfg, params, engine=engine)
+            if engine == "fast" and cfg.name == "wth-wp-wec":
+                counters = dict(result.counters)
+                counters["tu0.mem.loads"] += 1
+                result = dataclasses.replace(result, counters=counters)
+            return result
+
+        monkeypatch.setattr(cli, "run_program", perturbed)
+        assert main(DIFF_ARGS) == 1
+        err = capsys.readouterr().err
+        assert "1 of 2 cell(s) diverge" in err
+        assert "164.gzip/wth-wp-wec seed=2003:" in err
+        assert "counters.tu0.mem.loads: oracle=" in err
 
 
 RECORD_ARGS = ["perf", "record", "181.mcf", "wth-wp-wec",

@@ -154,13 +154,8 @@ class TestMachineConfig:
     def test_defaults(self):
         m = MachineConfig()
         assert m.n_thread_units == 8
-        assert m.total_issue_width == 64
         assert m.fork_delay == 4
         assert m.comm_cycles_per_value == 2
-
-    def test_with_thread_units(self):
-        m = MachineConfig().with_thread_units(4)
-        assert m.n_thread_units == 4
 
     def test_describe_mentions_key_facts(self):
         text = MachineConfig(name="wth-wp-wec").describe()

@@ -9,10 +9,8 @@ from repro.common.errors import AnalysisError
 from repro.sim.driver import run_program, run_simulation
 from repro.sim.results import SimResult, require_same_workload
 from repro.sim.sweep import (
-    baseline_of,
     benchmarks_of,
     labels_of,
-    run_config_axis,
     run_grid,
 )
 from repro.sta.configs import named_config
@@ -143,29 +141,9 @@ class TestSweep:
         assert benchmarks_of(grid) == ["175.vpr", "164.gzip"]
         assert labels_of(grid) == ["orig", "vc"]
 
-    def test_baseline_of(self):
-        grid = run_grid(
-            {"orig": named_config("orig"), "vc": named_config("vc")},
-            benchmarks=["175.vpr"],
-            params=PARAMS,
-        )
-        base = baseline_of(grid, "orig")
-        assert set(base) == {"175.vpr"}
-        with pytest.raises(AnalysisError):
-            baseline_of(grid, "ghost")
-
     def test_empty_axis_rejected(self):
         with pytest.raises(AnalysisError):
             run_grid({}, benchmarks=["175.vpr"], params=PARAMS)
-
-    def test_run_config_axis(self):
-        grid = run_config_axis(
-            lambda label: named_config(label),
-            axis=["orig", "nlp"],
-            benchmarks=["175.vpr"],
-            params=PARAMS,
-        )
-        assert ("175.vpr", "nlp") in grid
 
     def test_progress_callback(self):
         calls = []

@@ -2,8 +2,8 @@
 
 The fast engine (:mod:`repro.sim.fast`) must be *bit-identical* to the
 oracle interpreter on every ``SimResult`` field — not statistically
-close, equal.  The tests here enforce that contract across the full
-configuration ladder and several seeds, compare compiled traces with
+close, equal.  The tests here enforce that contract across the paper's
+eight configurations and several seeds, compare compiled traces with
 the oracle's trace generator address by address, check that a
 program's memo dies with the program, pin down the engine-selection
 rules in the driver, and cover the coherence hook (``bus_update``)
@@ -39,7 +39,7 @@ from repro.sim.executor import SweepCell, default_engine, run_cells
 from repro.sim.fast.compile import CompiledRegion, program_memo
 from repro.sim.fast.engine import _FastMachine
 from repro.sim.fast.streams import FastStreamFactory
-from repro.sta.configs import named_config
+from repro.sta.configs import CONFIG_NAMES, named_config
 from repro.workloads import BENCHMARK_NAMES
 from repro.workloads.benchmarks import build_benchmark
 from repro.workloads.microbench import build_microbenchmark
@@ -51,12 +51,6 @@ from repro.workloads.program import (
 )
 from repro.workloads.tracegen import TraceGenerator
 
-#: The differential ladder: every paper configuration plus the two
-#: wrong-execution ablations and the stream-prefetch extension — one
-#: config per distinct policy/flag combination the engines implement.
-LADDER = (
-    "orig", "wp", "wth", "wth-wp", "wth-wp-wec", "vc", "nlp", "stream-pf",
-)
 SEEDS = (2003, 7, 42)
 SCALE = 1e-5
 
@@ -90,7 +84,7 @@ def mcf_program():
 
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("config_name", LADDER)
+    @pytest.mark.parametrize("config_name", CONFIG_NAMES)
     def test_ladder_bit_identical(self, mcf_program, config_name, seed):
         cfg = named_config(config_name)
         params = SimParams(seed=seed, scale=SCALE)
@@ -99,7 +93,7 @@ class TestBitIdentity:
         assert fast.to_dict() == oracle.to_dict()
 
     @pytest.mark.parametrize("kind", ["random", "mixed", "chase"])
-    @pytest.mark.parametrize("config_name", ["wth-wp-wec", "nlp", "stream-pf"])
+    @pytest.mark.parametrize("config_name", ["wth-wp-wec", "nlp"])
     def test_microbench_workloads_bit_identical(self, kind, config_name):
         # Synthetic access patterns (uniform random, pointer chase, the
         # mixed blend) stress sidecar/replacement paths the SPEC models
@@ -312,7 +306,6 @@ POLICY_CONFIGS = (
     ("vc", SidecarKind.VICTIM),
     ("wth-wp-wec", SidecarKind.WEC),
     ("nlp", SidecarKind.PREFETCH),
-    ("stream-pf", SidecarKind.STREAM),
 )
 
 
@@ -460,7 +453,7 @@ class TestPerfRecord:
 # ---------------------------------------------------------------------------
 
 class TestLayoutGeometry:
-    @pytest.mark.parametrize("config_name", ["orig", "wth-wp-wec", "stream-pf"])
+    @pytest.mark.parametrize("config_name", ["orig", "wth-wp-wec"])
     def test_matches_oracle_cache_arrays(self, config_name):
         for cache_cfg in (named_config(config_name).tu.l1d,
                           named_config(config_name).tu.l1i,

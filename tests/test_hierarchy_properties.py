@@ -154,7 +154,6 @@ ALL_KINDS = [
     SidecarKind.WEC,
     SidecarKind.VICTIM,
     SidecarKind.PREFETCH,
-    SidecarKind.STREAM,
     SidecarKind.NONE,
 ]
 

@@ -11,7 +11,6 @@ from repro.common.stats import (
     Counter,
     CounterGroup,
     Histogram,
-    arithmetic_mean,
     geometric_mean,
     normalized_time,
     relative_speedup_pct,
@@ -136,11 +135,6 @@ class TestMeans:
             geometric_mean([])
         with pytest.raises(AnalysisError):
             geometric_mean([1.0, -1.0])
-
-    def test_arithmetic(self):
-        assert arithmetic_mean([1.0, 3.0]) == pytest.approx(2.0)
-        with pytest.raises(AnalysisError):
-            arithmetic_mean([])
 
 
 class TestHistogram:
