@@ -20,7 +20,7 @@ Package layout:
 
 - :mod:`repro.common` — configuration, statistics, RNG streams;
 - :mod:`repro.isa` — instruction classes, iteration CFGs, trace encoding;
-- :mod:`repro.branch` — direction predictors, BTB;
+- :mod:`repro.branch` — bimodal predictor, BTB;
 - :mod:`repro.mem` — caches, the WEC / victim cache / prefetch buffer,
   shared L2, update-bus coherence;
 - :mod:`repro.core` — thread-unit cores: replay engine, timing model,

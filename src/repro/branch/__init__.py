@@ -1,23 +1,11 @@
-"""Branch prediction: direction predictors, BTB, front-end unit."""
+"""Branch prediction: bimodal direction predictor, BTB, front-end unit."""
 
 from .btb import BranchTargetBuffer
 from .frontend import BranchUnit
-from .predictors import (
-    BimodalPredictor,
-    CombiningPredictor,
-    DirectionPredictor,
-    GsharePredictor,
-    TwoLevelPredictor,
-    make_predictor,
-)
+from .predictors import BimodalPredictor
 
 __all__ = [
     "BranchTargetBuffer",
     "BranchUnit",
     "BimodalPredictor",
-    "CombiningPredictor",
-    "DirectionPredictor",
-    "GsharePredictor",
-    "TwoLevelPredictor",
-    "make_predictor",
 ]

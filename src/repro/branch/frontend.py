@@ -1,4 +1,4 @@
-"""Front-end branch unit: direction predictor + BTB + statistics.
+"""Front-end branch unit: bimodal predictor + BTB + statistics.
 
 One :class:`BranchUnit` lives in each thread unit.  The replay engine
 feeds it every dynamic conditional branch; it answers whether the branch
@@ -12,7 +12,7 @@ from ..common.config import BranchPredictorConfig
 from ..common.stats import CounterGroup
 from ..obs.events import BRANCH_RESOLVE, CAT_BRANCH
 from .btb import BranchTargetBuffer
-from .predictors import DirectionPredictor, make_predictor
+from .predictors import BimodalPredictor
 
 __all__ = ["BranchUnit"]
 
@@ -33,7 +33,7 @@ class BranchUnit:
         tu_id: int = 0,
     ) -> None:
         self.cfg = cfg
-        self.predictor: DirectionPredictor = make_predictor(cfg)
+        self.predictor = BimodalPredictor(cfg.table_bits)
         self.btb = BranchTargetBuffer(cfg.btb_entries, cfg.btb_assoc)
         self.stats = CounterGroup(name)
         self._mispredict_penalty = cfg.mispredict_penalty

@@ -1,54 +1,30 @@
-"""Dynamic branch direction predictors.
+"""Dynamic branch direction prediction: a bimodal predictor.
 
-Four classic predictors are provided: bimodal (per-PC 2-bit counters),
-gshare (global history XOR PC), a two-level local-history predictor, and
-a combining (tournament) predictor.  The superthreaded TU cores default
-to gshare with a 4K-entry table; the predictor drives where wrong-path
-execution is triggered, so its per-PC learning behaviour matters to the
-experiments (biased branches mispredict rarely, noisy data-dependent
-branches mispredict often — and those are exactly the wrong paths that
-prefetch).
+Each thread unit predicts with a per-PC table of saturating 2-bit
+counters (the reason the reproduction uses bimodal rather than a
+global-history design is given on
+:class:`~repro.common.config.BranchPredictorConfig`).  The predictor
+drives where wrong-path execution is triggered, so its per-PC learning
+behaviour matters to the experiments (biased branches mispredict
+rarely, noisy data-dependent branches mispredict often — and those are
+exactly the wrong paths that prefetch).
 
-Implementation note: predictors are called once per dynamic branch in
-the replay loop, so state lives in flat Python lists of small ints
+Implementation note: the predictor is called once per dynamic branch in
+the replay loop, so its state lives in a flat Python list of small ints
 (faster than numpy for scalar indexing).
 """
 
 from __future__ import annotations
 
-from typing import List, Protocol
+from typing import List
 
-from ..common.config import BranchPredictorConfig
 from ..common.errors import ConfigError
 
-__all__ = [
-    "DirectionPredictor",
-    "BimodalPredictor",
-    "GsharePredictor",
-    "TwoLevelPredictor",
-    "CombiningPredictor",
-    "make_predictor",
-]
+__all__ = ["BimodalPredictor"]
 
 _TAKEN_THRESHOLD = 2  # 2-bit counters: 0,1 -> not taken; 2,3 -> taken
 _COUNTER_MAX = 3
 _WEAK_TAKEN = 2
-
-
-class DirectionPredictor(Protocol):
-    """Protocol implemented by all direction predictors."""
-
-    def predict(self, pc: int) -> bool:
-        """Predict the direction of the branch at ``pc``."""
-        ...
-
-    def update(self, pc: int, taken: bool) -> None:
-        """Train with the resolved outcome."""
-        ...
-
-    def reset(self) -> None:
-        """Forget all learned state."""
-        ...
 
 
 class BimodalPredictor:
@@ -78,136 +54,3 @@ class BimodalPredictor:
     def reset(self) -> None:
         for i in range(len(self._table)):
             self._table[i] = _WEAK_TAKEN
-
-
-class GsharePredictor:
-    """Global-history predictor: counters indexed by ``history XOR pc``."""
-
-    __slots__ = ("_mask", "_table", "_history", "_hist_mask")
-
-    def __init__(self, table_bits: int, history_bits: int = 0) -> None:
-        if not 1 <= table_bits <= 24:
-            raise ConfigError("gshare table_bits out of range")
-        size = 1 << table_bits
-        self._mask = size - 1
-        self._table: List[int] = [_WEAK_TAKEN] * size
-        hist_bits = history_bits or table_bits
-        self._hist_mask = (1 << hist_bits) - 1
-        self._history = 0
-
-    def _index(self, pc: int) -> int:
-        return ((pc >> 2) ^ self._history) & self._mask
-
-    def predict(self, pc: int) -> bool:
-        return self._table[self._index(pc)] >= _TAKEN_THRESHOLD
-
-    def update(self, pc: int, taken: bool) -> None:
-        idx = self._index(pc)
-        c = self._table[idx]
-        if taken:
-            if c < _COUNTER_MAX:
-                self._table[idx] = c + 1
-        elif c > 0:
-            self._table[idx] = c - 1
-        self._history = ((self._history << 1) | int(taken)) & self._hist_mask
-
-    def reset(self) -> None:
-        for i in range(len(self._table)):
-            self._table[i] = _WEAK_TAKEN
-        self._history = 0
-
-
-class TwoLevelPredictor:
-    """PAg-style local-history predictor.
-
-    A per-PC history register selects a shared pattern table of 2-bit
-    counters.  Captures short periodic behaviour (e.g. loop branches
-    with constant trip counts) that bimodal cannot.
-    """
-
-    __slots__ = ("_hist_table", "_hist_mask", "_pattern", "_pat_mask", "_pc_mask")
-
-    def __init__(self, table_bits: int, history_bits: int = 8) -> None:
-        if not 1 <= table_bits <= 24:
-            raise ConfigError("twolevel table_bits out of range")
-        if not 1 <= history_bits <= 16:
-            raise ConfigError("twolevel history_bits out of range")
-        n_hist = 1 << max(1, table_bits - 2)
-        self._pc_mask = n_hist - 1
-        self._hist_table: List[int] = [0] * n_hist
-        self._hist_mask = (1 << history_bits) - 1
-        n_pat = 1 << table_bits
-        self._pat_mask = n_pat - 1
-        self._pattern: List[int] = [_WEAK_TAKEN] * n_pat
-
-    def predict(self, pc: int) -> bool:
-        hist = self._hist_table[(pc >> 2) & self._pc_mask]
-        return self._pattern[hist & self._pat_mask] >= _TAKEN_THRESHOLD
-
-    def update(self, pc: int, taken: bool) -> None:
-        hidx = (pc >> 2) & self._pc_mask
-        hist = self._hist_table[hidx]
-        pidx = hist & self._pat_mask
-        c = self._pattern[pidx]
-        if taken:
-            if c < _COUNTER_MAX:
-                self._pattern[pidx] = c + 1
-        elif c > 0:
-            self._pattern[pidx] = c - 1
-        self._hist_table[hidx] = ((hist << 1) | int(taken)) & self._hist_mask
-
-    def reset(self) -> None:
-        for i in range(len(self._hist_table)):
-            self._hist_table[i] = 0
-        for i in range(len(self._pattern)):
-            self._pattern[i] = _WEAK_TAKEN
-
-
-class CombiningPredictor:
-    """Tournament predictor choosing between bimodal and gshare per PC."""
-
-    __slots__ = ("_p0", "_p1", "_chooser", "_mask")
-
-    def __init__(self, table_bits: int) -> None:
-        self._p0 = BimodalPredictor(table_bits)
-        self._p1 = GsharePredictor(table_bits)
-        size = 1 << table_bits
-        self._mask = size - 1
-        self._chooser: List[int] = [_WEAK_TAKEN] * size
-
-    def predict(self, pc: int) -> bool:
-        use_gshare = self._chooser[(pc >> 2) & self._mask] >= _TAKEN_THRESHOLD
-        return self._p1.predict(pc) if use_gshare else self._p0.predict(pc)
-
-    def update(self, pc: int, taken: bool) -> None:
-        pred0 = self._p0.predict(pc)
-        pred1 = self._p1.predict(pc)
-        idx = (pc >> 2) & self._mask
-        c = self._chooser[idx]
-        if pred0 != pred1:
-            if pred1 == taken:
-                if c < _COUNTER_MAX:
-                    self._chooser[idx] = c + 1
-            elif c > 0:
-                self._chooser[idx] = c - 1
-        self._p0.update(pc, taken)
-        self._p1.update(pc, taken)
-
-    def reset(self) -> None:
-        self._p0.reset()
-        self._p1.reset()
-        for i in range(len(self._chooser)):
-            self._chooser[i] = _WEAK_TAKEN
-
-
-def make_predictor(cfg: BranchPredictorConfig) -> DirectionPredictor:
-    """Instantiate the direction predictor described by ``cfg``."""
-    if cfg.kind == "bimodal":
-        return BimodalPredictor(cfg.table_bits)
-    if cfg.kind == "gshare":
-        return GsharePredictor(cfg.table_bits)
-    if cfg.kind == "twolevel":
-        return TwoLevelPredictor(cfg.table_bits)
-    if cfg.kind == "combining":
-        return CombiningPredictor(cfg.table_bits)
-    raise ConfigError(f"unknown predictor kind {cfg.kind!r}")

@@ -2,7 +2,8 @@
 
 The defaults reproduce the paper's §4.1/§5.2 setup:
 
-* per-TU 4-way 1024-entry BTB, gshare-class predictor;
+* per-TU 4-way 1024-entry BTB, bimodal predictor (see
+  :class:`BranchPredictorConfig` for why not global history);
 * 128-entry fully-associative speculative memory buffer;
 * 32KB 2-way L1 I-cache per TU;
 * default L1 D-cache: 8KB direct-mapped, 64-byte blocks;
@@ -135,14 +136,15 @@ class SidecarConfig:
 
 @dataclass(frozen=True)
 class BranchPredictorConfig:
-    """Per-TU branch prediction resources (§4.1)."""
+    """Per-TU branch prediction resources (§4.1).
 
-    #: ``"gshare"``, ``"bimodal"``, ``"twolevel"`` or ``"combining"``.
-    #: Bimodal is the default: with per-TU private predictors and short
-    #: MinneSPEC-scale regions, per-PC counters train in a handful of
-    #: visits, whereas global-history tables never warm up.
-    kind: str = "bimodal"
-    #: log2 of the pattern-history / counter table size.
+    The direction predictor is bimodal (per-PC 2-bit counters): with
+    per-TU private predictors and short MinneSPEC-scale regions, per-PC
+    counters train in a handful of visits, whereas global-history tables
+    never warm up.
+    """
+
+    #: log2 of the counter table size.
     table_bits: int = 12
     btb_entries: int = 1024
     btb_assoc: int = 4
@@ -150,8 +152,6 @@ class BranchPredictorConfig:
     mispredict_penalty: int = 7
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gshare", "bimodal", "twolevel", "combining"):
-            raise ConfigError(f"unknown predictor kind {self.kind!r}")
         if not 4 <= self.table_bits <= 24:
             raise ConfigError("predictor table_bits out of range [4, 24]")
         if self.btb_entries % self.btb_assoc != 0:
@@ -193,8 +193,6 @@ class ThreadUnitConfig:
     branch: BranchPredictorConfig = field(default_factory=BranchPredictorConfig)
     #: Fully-associative speculative memory buffer entries (§4.1).
     mem_buffer_entries: int = 128
-    #: Load/store ports into the L1D.
-    mem_ports: int = 2
 
     def __post_init__(self) -> None:
         if self.issue_width < 1:
@@ -205,8 +203,6 @@ class ThreadUnitConfig:
             raise ConfigError("LSQ must have at least one entry")
         if self.mem_buffer_entries < 1:
             raise ConfigError("memory buffer must have at least one entry")
-        if self.mem_ports < 1:
-            raise ConfigError("need at least one memory port")
 
 
 @dataclass(frozen=True)

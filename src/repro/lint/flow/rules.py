@@ -34,6 +34,8 @@ NS_EQUIV: Dict[str, str] = {
     "repro.mem.mainmem.MainMemory.stats": "mainmem",
     "repro.sim.fast.engine._FastTU.bp": "bp",
     "repro.branch.frontend.BranchUnit.stats": "bp",
+    "repro.sim.fast.engine._FastMachine.bus_c": "bus",
+    "repro.mem.coherence.UpdateBus.stats": "bus",
 }
 
 def _canon_token(ns: Tuple[str, str], name: str) -> str:

@@ -581,9 +581,10 @@ class SweepOutcome:
 # Worker-side execution
 # ---------------------------------------------------------------------------
 
-#: Per-process benchmark-model memo: programs are immutable and shared
-#: across every configuration of a sweep, so each worker builds each
-#: (benchmark, scale) model at most once.
+#: Benchmark models of the running sweep: programs are immutable and
+#: shared across every configuration of a sweep, so each sweep builds
+#: each (benchmark, scale) model at most once.  :func:`run_cells` empties
+#: it when it returns.
 _worker_programs: Dict[Tuple[str, float], Program] = {}
 
 
@@ -840,64 +841,72 @@ def run_cells(
     # (benchmark, scale, wrong-exec flavour) because wrong-path and
     # wrong-thread address streams are separate memo families — warming
     # ``orig`` alone would leave the first ``wp``/``wth`` cell cold.
-    if to_run and (use_parallel or perf_on):
-        warmed = set()
-        for cell, _key in to_run:
-            we = cell.config.wrong_exec
-            wkey = (cell.benchmark, cell.params.scale,
-                    we.wrong_path, we.wrong_thread)
-            if wkey in warmed:
-                continue
-            warmed.add(wkey)
-            try:
-                program = _build_program(cell.benchmark, cell.params.scale)
-                if engine == "fast":
-                    run_program(program, cell.config, cell.params,
-                                engine="fast")
-            # lint: allow(EXC001 warm-up is an optimisation only: a failing cell re-runs in its worker/cell and is reported there)
-            except Exception:
-                pass
-    if perf_on and to_run:
-        # Measurement hygiene: move every object alive at this point
-        # (interpreter, test harness, benchmark models, engine memos)
-        # into the GC's permanent generation.  Without this, full
-        # collections triggered mid-cell scan the whole long-lived heap
-        # and land tens of milliseconds in whichever cell is running —
-        # visible as outlier walls in the perf ledger.  After the
-        # freeze, collections only trace objects allocated by the cells
-        # themselves.  Results are unaffected; frozen objects live
-        # until process exit, which is where sweep processes end anyway.
-        gc.collect()
-        gc.freeze()
-    if use_parallel:
-        stats.jobs_used = min(jobs, len(to_run))
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=stats.jobs_used, mp_context=ctx) as pool:
-            futures = {
-                pool.submit(_execute_cell, cell.benchmark, cell.config,
-                            cell.params, perf_on, engine):
-                (cell, key)
-                for cell, key in to_run
-            }
-            for future in as_completed(futures):
-                cell, key = futures[future]
+    try:
+        if to_run and (use_parallel or perf_on):
+            warmed = set()
+            for cell, _key in to_run:
+                we = cell.config.wrong_exec
+                wkey = (cell.benchmark, cell.params.scale,
+                        we.wrong_path, we.wrong_thread)
+                if wkey in warmed:
+                    continue
+                warmed.add(wkey)
+                try:
+                    program = _build_program(cell.benchmark, cell.params.scale)
+                    if engine == "fast":
+                        run_program(program, cell.config, cell.params,
+                                    engine="fast")
+                # lint: allow(EXC001 warm-up is an optimisation only: a failing cell re-runs in its worker/cell and is reported there)
+                except Exception:
+                    pass
+        if perf_on and to_run:
+            # Measurement hygiene: move every object alive at this point
+            # (interpreter, test harness, benchmark models, engine memos)
+            # into the GC's permanent generation.  Without this, full
+            # collections triggered mid-cell scan the whole long-lived heap
+            # and land tens of milliseconds in whichever cell is running —
+            # visible as outlier walls in the perf ledger.  After the
+            # freeze, collections only trace objects allocated by the cells
+            # themselves.  Results are unaffected.  The freeze hides
+            # objects from the cyclic collector only: the sweep's programs
+            # and their memos form no cycles, so reference counting still
+            # frees them when the sweep ends.
+            gc.collect()
+            gc.freeze()
+        if use_parallel:
+            stats.jobs_used = min(jobs, len(to_run))
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=stats.jobs_used, mp_context=ctx) as pool:
+                futures = {
+                    pool.submit(_execute_cell, cell.benchmark, cell.config,
+                                cell.params, perf_on, engine):
+                    (cell, key)
+                    for cell, key in to_run
+                }
+                for future in as_completed(futures):
+                    cell, key = futures[future]
+                    if progress is not None:
+                        progress(cell.benchmark, cell.label)
+                    try:
+                        payload = future.result()
+                    # lint: allow(EXC001 pool/pickling breakage surfaces as a per-cell failure, not a dead sweep)
+                    except Exception as exc:
+                        payload = ("err", f"{type(exc).__name__}: {exc}",
+                                   traceback.format_exc())
+                    ingest(cell, key, payload)
+        else:
+            stats.jobs_used = 1
+            for cell, key in to_run:
                 if progress is not None:
                     progress(cell.benchmark, cell.label)
-                try:
-                    payload = future.result()
-                # lint: allow(EXC001 pool/pickling breakage surfaces as a per-cell failure, not a dead sweep)
-                except Exception as exc:
-                    payload = ("err", f"{type(exc).__name__}: {exc}",
-                               traceback.format_exc())
-                ingest(cell, key, payload)
-    else:
-        stats.jobs_used = 1
-        for cell, key in to_run:
-            if progress is not None:
-                progress(cell.benchmark, cell.label)
-            ingest(cell, key,
-                   _execute_cell(cell.benchmark, cell.config, cell.params,
-                                 perf_on, engine))
+                ingest(cell, key,
+                       _execute_cell(cell.benchmark, cell.config, cell.params,
+                                     perf_on, engine))
+    finally:
+        # Programs, and the memos they own, live for this sweep only:
+        # forked workers have inherited them by now, and a process that
+        # runs many sweeps must not keep every sweep's traces alive.
+        _worker_programs.clear()
 
     # Deterministic output order: the caller's cell order, not completion
     # order (labels_of/benchmarks_of rely on grid insertion order).

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...common.config import MachineConfig, SidecarKind, SimParams
 from ...common.errors import SimulationError
-from ...branch.predictors import make_predictor
 from ...core.thread_unit import SEQ_SPLIT
 from ...core.timing import STORE_STALL_WEIGHT, CoreTimingModel
 from ...isa.encoding import EV_BRANCH, EV_LOAD, EV_TSTORE
@@ -52,19 +51,19 @@ __all__ = ["run_program_fast"]
 # is the same under every memory-system configuration: wrong-path and
 # wrong-thread loads never touch the predictor or BTB, and the
 # iteration-to-TU schedule depends only on the program and n_tus.  The
-# first run of a sweep grid records, per execute() call, the branch
-# outcomes ``(n_branches, btb_target_misses, mispredicted_indices)``;
-# every later configuration replays them, skipping predictor/BTB
-# simulation entirely.  Streams live in the program's memo
+# first run of a sweep grid resolves each execute() call's branches
+# (_FastTU._resolve) and records the outcomes; every later
+# configuration replays them, skipping predictor/BTB simulation
+# entirely.  Streams live in the program's memo
 # (``ProgramMemo.branch_streams``) and are freed with the program.
 #
 # One record per execute() call: ``[n_branches, btb_target_misses,
 # mispredicted_indices, wp_events, mem_events]``.  The last two slots
-# cache the replayed event lists (lazily filled on first use): the
-# execute order of a run is deterministic, so record ``i`` always
-# replays the same path content under every configuration — wp_events
-# keeps loads/stores plus only the mispredicted branch events,
-# mem_events drops branch events entirely.
+# cache the event lists replays run (lazily filled by the first
+# replay): the execute order of a run is deterministic, so record ``i``
+# always replays the same path content under every configuration —
+# wp_events keeps loads/stores plus only the mispredicted branch
+# events, mem_events drops branch events entirely.
 _BranchStream = List[list]
 
 
@@ -182,7 +181,7 @@ class _FastTU:
         "l1i_rid", "l1i_warm_n",
         "side", "side_cap", "load_hit_mask",
         "mb_stores", "mb_upstream", "mb_arrived", "mb_cap",
-        "predictor", "bp_table", "bp_mask",
+        "bp_table", "bp_mask",
         "btb_sets", "btb_nsets", "btb_assoc",
         "penalty", "wrong_path", "wrong_fill_charge",
         "late_near", "late_far",
@@ -224,16 +223,9 @@ class _FastTU:
         self.mb_upstream: set = set()
         self.mb_arrived: set = set()
         self.mb_cap = tu.mem_buffer_entries
-        if tu.branch.kind == "bimodal":
-            # Inlined in execute(): a bimodal predictor is one table of
-            # 2-bit saturating counters, cheap to keep as a flat list.
-            self.predictor = None
-            self.bp_table = [2] * (1 << tu.branch.table_bits)
-            self.bp_mask = (1 << tu.branch.table_bits) - 1
-        else:
-            self.predictor = make_predictor(tu.branch)
-            self.bp_table = None
-            self.bp_mask = 0
+        # The bimodal predictor: one flat list of 2-bit counters.
+        self.bp_table = [2] * (1 << tu.branch.table_bits)
+        self.bp_mask = (1 << tu.branch.table_bits) - 1
         self.btb_nsets = tu.branch.btb_entries // tu.branch.btb_assoc
         self.btb_assoc = tu.branch.btb_assoc
         self.btb_sets: Dict[int, Dict[int, int]] = defaultdict(dict)
@@ -871,32 +863,67 @@ class _FastTU:
     # -- branch resolve ------------------------------------------------
 
     # parity: repro.branch.frontend.BranchUnit.resolve
-    def _resolve(self, pc: int, taken: bool) -> bool:
-        bp = self.bp
-        bp["branches"] += 1
-        predicted_taken = self.predictor.predict(pc)
-        mispredicted = predicted_taken != taken
-        if predicted_taken:
-            s = self.btb_sets[(pc >> 2) % self.btb_nsets]
-            target = s.get(pc)
-            if target is None:
-                if not mispredicted:
-                    mispredicted = True
-                    bp["btb_target_misses"] += 1
-            else:
-                del s[pc]
-                s[pc] = target
-        self.predictor.update(pc, taken)
-        if taken:
-            s = self.btb_sets[(pc >> 2) % self.btb_nsets]
-            if pc in s:
-                del s[pc]
-            elif len(s) >= self.btb_assoc:
-                del s[next(iter(s))]
-            s[pc] = pc + 8
-        if mispredicted:
-            bp["mispredicts"] += 1
-        return mispredicted
+    def _resolve(self, path) -> list:
+        """Resolve the path's branches in order; returns their record.
+
+        Only branches touch the predictor and BTB, so resolving all of
+        an execute's branches ahead of its memory events leaves both in
+        the state the oracle's interleaved resolves do.  The counters
+        are bumped once per execute, in the oracle's order.
+        """
+        bp_slots, btb_sis = self.eng.branch_aux(
+            path, self.bp_mask, self.btb_nsets
+        )
+        bp_table = self.bp_table
+        btb = self.btb_sets
+        btb_assoc = self.btb_assoc
+        branch_pcs = path.branch_pcs
+        btb_tm_n = 0
+        mis_list = []
+        for idx, taken in enumerate(path.branch_taken):
+            slot = bp_slots[idx]
+            c = bp_table[slot]
+            predicted_taken = c >= 2
+            mispredicted = predicted_taken != taken
+            if predicted_taken:
+                bs = btb[btb_sis[idx]]
+                pc = branch_pcs[idx]
+                target = bs.get(pc)
+                if target is None:
+                    if not mispredicted:
+                        mispredicted = True
+                        btb_tm_n += 1
+                else:
+                    del bs[pc]
+                    bs[pc] = target
+            if taken:
+                if c < 3:
+                    bp_table[slot] = c + 1
+                bs = btb[btb_sis[idx]]
+                pc = branch_pcs[idx]
+                if pc in bs:
+                    del bs[pc]
+                elif len(bs) >= btb_assoc:
+                    del bs[next(iter(bs))]
+                bs[pc] = pc + 8
+            elif c > 0:
+                bp_table[slot] = c - 1
+            if mispredicted:
+                mis_list.append(idx)
+        rec = [len(branch_pcs), btb_tm_n, tuple(mis_list), None, None]
+        self._count_branches(rec)
+        return rec
+
+    def _count_branches(self, rec: list) -> None:
+        """Bump the branch counters for one execute's record, in bulk."""
+        n_branches, btb_tm_n, mis_idxs = rec[0], rec[1], rec[2]
+        if n_branches:
+            bp = self.bp
+            bp["branches"] += n_branches
+            if btb_tm_n:
+                bp["btb_target_misses"] += btb_tm_n
+            if mis_idxs:
+                bp["mispredicts"] += len(mis_idxs)
 
     # -- iteration execution -------------------------------------------
 
@@ -966,7 +993,6 @@ class _FastTU:
 
         load_stall = 0.0
         store_stall = 0
-        mispredicts = 0
         wrong_loads = 0
         wrong_fill_lat = 0.0
         future_loads = None
@@ -975,8 +1001,6 @@ class _FastTU:
             future_loads = comp.trace(eng.streams, eng.seed, index + 1).load_addrs
         load_addrs = trace.load_addrs
         store_addrs = trace.store_addrs
-        branch_pcs = path.branch_pcs
-        branch_taken = path.branch_taken
         load_correct = self.load_correct
         store_correct = self.store_correct
         load_wrong = self.load_wrong
@@ -985,49 +1009,41 @@ class _FastTU:
         mb_arrived = self.mb_arrived
         # Hot-loop locals: counter bumps accumulate in ints and flush to
         # the dicts once per execute (dict equality at collect time does
-        # not depend on update order); cache/branch structure lookups
-        # are inlined for the common cases and fall back to the policy
-        # methods/resolve for the rest.
+        # not depend on update order); cache structure lookups are
+        # inlined for the common cases and fall back to the policy
+        # methods for the rest.
         l1d = self.l1d_sets
         l1d_mask = self.l1d_mask
         l1d_bits = self.l1d_bits
         hit_mask = self.load_hit_mask
-        bp_table = self.bp_table
-        btb = self.btb_sets
-        btb_assoc = self.btb_assoc
         loads_n = 0
         hits_n = 0
         stores_n = 0
         buffered_n = 0
-        btb_tm_n = 0
-        n_branches = len(branch_pcs)
-        bp_slots = btb_sis = None
-        mis_list = None
-        replaying = False
-        events = path.events
-        if bp_table is not None and eng.br_replay is not None:
-            # Branch-stream replay: this execute()'s outcomes were
-            # recorded by the sweep's first configuration (the stream is
-            # config-independent, see _BranchStream).  Counters are
-            # bumped in bulk below; the event list shrinks to what the
-            # memory system still needs — every branch event kept is a
-            # recorded mispredict (wrong-path burst site), and without
-            # wrong-path execution none are kept at all.
+        # Branch outcomes: resolved live and recorded by the sweep's
+        # first configuration, replayed from its stream by the rest (the
+        # stream is config-independent, see _BranchStream).  A replay
+        # runs a shrunk event list, cached on the record: every branch
+        # event kept is a recorded mispredict (wrong-path burst site),
+        # and without wrong-path execution none are kept at all.
+        if eng.br_replay is None:
+            rec = self._resolve(path)
+            eng.br_record.append(rec)
+            events = path.events
+        else:
             rec = eng.br_replay[eng.br_pos]
             eng.br_pos += 1
-            if rec[0] != n_branches:
+            if rec[0] != len(path.branch_pcs):
                 raise SimulationError(
                     "fast engine: branch-stream replay misaligned "
-                    f"({rec[0]} recorded branches vs {n_branches} in path)"
+                    f"({rec[0]} recorded branches vs "
+                    f"{len(path.branch_pcs)} in path)"
                 )
-            btb_tm_n = rec[1]
-            mis_idxs = rec[2]
-            mispredicts = len(mis_idxs)
-            replaying = True
-            if wrong_path and mis_idxs:
+            self._count_branches(rec)
+            if wrong_path and rec[2]:
                 events = rec[3]
                 if events is None:
-                    mis = frozenset(mis_idxs)
+                    mis = frozenset(rec[2])
                     events = rec[3] = [
                         e for e in path.events
                         if e[0] != EV_BRANCH or e[1] in mis
@@ -1036,12 +1052,8 @@ class _FastTU:
                 events = rec[4]
                 if events is None:
                     events = rec[4] = eng.mem_events(path)
-        else:
-            if bp_table is not None and eng.br_record is not None:
-                mis_list = []
-            bp_slots, btb_sis = eng.branch_aux(
-                path, self.bp_mask, self.btb_nsets
-            )
+        mis_idxs = rec[2]
+        bursts = mis_idxs if wrong_path else ()
         for kind, idx in events:
             if kind == EV_LOAD:
                 value = load_addrs[idx]
@@ -1065,65 +1077,16 @@ class _FastTU:
                 else:
                     load_stall += load_correct(value) - 1
             elif kind == EV_BRANCH:
-                if replaying:
-                    # Every surviving branch event is a recorded
-                    # mispredict; inject its wrong-path load burst at
-                    # the same event position the live resolve would.
+                if idx in bursts:
+                    # A mispredict under wrong-path execution: inject
+                    # its wrong-path load burst at the branch's position.
                     burst = 0
                     for a in comp.wrong_path_addrs(
-                        eng.streams, eng.seed, trace, idx, index,
-                        future_loads,
+                        eng.streams, eng.seed, trace, idx, index, future_loads
                     ):
                         wrong_fill_lat += load_wrong(a) - 1
                         burst += 1
                     wrong_loads += burst
-                    continue
-                if bp_table is None:
-                    mispredicted = self._resolve(
-                        branch_pcs[idx], branch_taken[idx]
-                    )
-                else:
-                    # Inlined BranchUnit.resolve with a bimodal table.
-                    slot = bp_slots[idx]
-                    c = bp_table[slot]
-                    taken = branch_taken[idx]
-                    predicted_taken = c >= 2
-                    mispredicted = predicted_taken != taken
-                    if predicted_taken:
-                        bs = btb[btb_sis[idx]]
-                        pc = branch_pcs[idx]
-                        target = bs.get(pc)
-                        if target is None:
-                            if not mispredicted:
-                                mispredicted = True
-                                btb_tm_n += 1
-                        else:
-                            del bs[pc]
-                            bs[pc] = target
-                    if taken:
-                        if c < 3:
-                            bp_table[slot] = c + 1
-                        bs = btb[btb_sis[idx]]
-                        pc = branch_pcs[idx]
-                        if pc in bs:
-                            del bs[pc]
-                        elif len(bs) >= btb_assoc:
-                            del bs[next(iter(bs))]
-                        bs[pc] = pc + 8
-                    elif c > 0:
-                        bp_table[slot] = c - 1
-                if mispredicted:
-                    mispredicts += 1
-                    if mis_list is not None:
-                        mis_list.append(idx)
-                    if wrong_path:
-                        burst = 0
-                        for a in comp.wrong_path_addrs(
-                            eng.streams, eng.seed, trace, idx, index, future_loads
-                        ):
-                            wrong_fill_lat += load_wrong(a) - 1
-                            burst += 1
-                        wrong_loads += burst
             else:  # store / target store
                 value = store_addrs[idx]
                 if sequential:
@@ -1178,19 +1141,6 @@ class _FastTU:
             m["l1_hits"] += hits_n
         if buffered_n:
             mb["stores_buffered"] += buffered_n
-        if mis_list is not None:
-            eng.br_record.append(
-                [n_branches, btb_tm_n, tuple(mis_list), None, None]
-            )
-        # The _resolve fallback bumps the bp dict itself; flush only the
-        # inlined-bimodal accumulators (live or replayed).
-        if n_branches and bp_table is not None:
-            bp = self.bp
-            bp["branches"] += n_branches
-            if mispredicts:
-                bp["mispredicts"] += mispredicts
-            if btb_tm_n:
-                bp["btb_target_misses"] += btb_tm_n
 
         core = self.core
         key = "iterations" if not sequential else "chunks"
@@ -1209,7 +1159,7 @@ class _FastTU:
         cont, tsag, comp_c, wb = stages
         mem_stall = float(load_stall) / eng.mlp
         store_w = float(store_stall) * STORE_STALL_WEIGHT / eng.mlp
-        branch_stall = float(mispredicts * self.penalty)
+        branch_stall = float(len(mis_idxs) * self.penalty)
         comp_c += mem_stall + branch_stall + float(ifetch_stall)
         wb += store_w
         return cont, tsag, comp_c, wb
@@ -1271,9 +1221,10 @@ class _FastMachine:
         self.region_info: Dict[int, _RegionInfo] = {}
         self.branch_memo: Dict[int, Tuple[List[int], List[int]]] = {}
         self.mem_memo: Dict[int, List[Tuple[int, int]]] = {}
-        # Branch-stream record/replay (see _BranchStream): at most one
-        # of the two is set.  ``br_pos`` is the replay cursor, advanced
-        # once per execute() call across all TUs.
+        # Branch-stream record/replay (see _BranchStream): exactly one
+        # of the two is set once run_program_fast starts.  ``br_pos`` is
+        # the replay cursor, advanced once per execute() call across
+        # all TUs.
         self.br_record: Optional[_BranchStream] = None
         self.br_replay: Optional[_BranchStream] = None
         self.br_pos = 0
@@ -1322,7 +1273,7 @@ class _FastMachine:
             self.region_info[id(region)] = info
         return info
 
-    # lint: allow(ENG002 inlined bus probe: transcribes two oracle sites (sequential_store + bus_update accounting) whose counters cannot be expressed as one qualname; covered by diff-smoke bit-identity)
+    # parity: repro.mem.coherence.UpdateBus.sequential_store
     def sequential_store(self, writer_tu: int, addr: int) -> None:
         bus_c = self.bus_c
         bus_c["store_broadcasts"] += 1
@@ -1463,17 +1414,13 @@ def run_program_fast(
     memo = program_memo(program)
     eng = _FastMachine(config, params, memo)
     bcfg = config.tu.branch
-    br_key = None
-    if bcfg.kind == "bimodal":
-        br_key = (
-            params.seed, config.n_thread_units,
-            bcfg.table_bits, bcfg.btb_entries, bcfg.btb_assoc,
-        )
-        recorded = memo.branch_streams.get(br_key)
-        if recorded is not None:
-            eng.br_replay = recorded
-        else:
-            eng.br_record = []
+    br_key = (
+        params.seed, config.n_thread_units,
+        bcfg.table_bits, bcfg.btb_entries, bcfg.btb_assoc,
+    )
+    eng.br_replay = memo.branch_streams.get(br_key)
+    if eng.br_replay is None:
+        eng.br_record = []
     total = 0.0
     par_cycles = 0.0
     seq_cycles = 0.0

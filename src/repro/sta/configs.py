@@ -81,7 +81,6 @@ def named_config(
     sidecar_entries: int = 8,
     l1d: Optional[CacheConfig] = None,
     l2: Optional[CacheConfig] = None,
-    issue_width: int = 8,
 ) -> MachineConfig:
     """Build one of the eight §4.3 configurations.
 
@@ -95,7 +94,7 @@ def named_config(
         )
     l1d = l1d or CacheConfig(size=8 * 1024, assoc=1, block_size=64, name="l1d")
     tu = ThreadUnitConfig(
-        issue_width=issue_width,
+        issue_width=8,
         rob_size=64,
         lsq_size=64,
         func_units=FuncUnitMix(int_alu=8, int_mult=4, fp_alu=8, fp_mult=4),

@@ -1,4 +1,4 @@
-"""Tests for branch predictors, BTB, RAS and the front-end unit."""
+"""Tests for the bimodal predictor, the BTB and the front-end unit."""
 
 from __future__ import annotations
 
@@ -7,25 +7,19 @@ import pytest
 
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.frontend import BranchUnit
-from repro.branch.predictors import (
-    BimodalPredictor,
-    CombiningPredictor,
-    GsharePredictor,
-    TwoLevelPredictor,
-    make_predictor,
-)
+from repro.branch.predictors import BimodalPredictor
 from repro.common.config import BranchPredictorConfig
 from repro.common.errors import ConfigError
 
-ALL_PREDICTORS = [
+#: The bimodal predictor at a mid-size table and at the smallest table
+#: ``BranchPredictorConfig`` accepts (4 bits).
+PREDICTORS = [
     lambda: BimodalPredictor(10),
-    lambda: GsharePredictor(10),
-    lambda: TwoLevelPredictor(10),
-    lambda: CombiningPredictor(10),
+    lambda: BimodalPredictor(4),
 ]
 
 
-@pytest.mark.parametrize("factory", ALL_PREDICTORS)
+@pytest.mark.parametrize("factory", PREDICTORS)
 class TestPredictorsCommon:
     def test_learns_always_taken(self, factory):
         p = factory()
@@ -73,8 +67,6 @@ class TestPredictorsCommon:
 
 def test_bimodal_independent_pcs():
     # Per-PC counters: adjacent non-aliasing PCs train independently.
-    # (gshare deliberately lacks this property — its index folds in the
-    # global history, so it is excluded here.)
     p = BimodalPredictor(10)
     for _ in range(8):
         p.update(0x100, True)
@@ -83,45 +75,24 @@ def test_bimodal_independent_pcs():
     assert p.predict(0x104) is False
 
 
-class TestTwoLevelSpecifics:
-    def test_learns_alternating_pattern(self):
-        # Local history captures period-2 patterns bimodal cannot.
-        p = TwoLevelPredictor(10, history_bits=8)
-        pc = 0x1234
-        outcomes = [bool(i % 2) for i in range(400)]
-        correct = 0
-        for t in outcomes:
-            if p.predict(pc) == t:
-                correct += 1
-            p.update(pc, t)
-        assert correct / len(outcomes) > 0.9
-
-    def test_bimodal_fails_alternating(self):
-        p = BimodalPredictor(10)
-        pc = 0x1234
-        correct = 0
-        for i in range(400):
-            t = bool(i % 2)
-            if p.predict(pc) == t:
-                correct += 1
-            p.update(pc, t)
-        assert correct / 400 < 0.7
+def test_bimodal_fails_alternating():
+    # A period-2 pattern defeats per-PC counters: no history bits.
+    p = BimodalPredictor(10)
+    pc = 0x1234
+    correct = 0
+    for i in range(400):
+        t = bool(i % 2)
+        if p.predict(pc) == t:
+            correct += 1
+        p.update(pc, t)
+    assert correct / 400 < 0.7
 
 
-class TestMakePredictor:
-    @pytest.mark.parametrize("kind", ["bimodal", "gshare", "twolevel", "combining"])
-    def test_all_kinds(self, kind):
-        p = make_predictor(BranchPredictorConfig(kind=kind))
-        p.update(0x10, True)
-        assert isinstance(p.predict(0x10), bool)
-
-    def test_table_bits_range(self):
-        with pytest.raises(ConfigError):
-            BimodalPredictor(0)
-        with pytest.raises(ConfigError):
-            GsharePredictor(30)
-        with pytest.raises(ConfigError):
-            TwoLevelPredictor(10, history_bits=0)
+def test_bimodal_table_bits_range():
+    with pytest.raises(ConfigError):
+        BimodalPredictor(0)
+    with pytest.raises(ConfigError):
+        BimodalPredictor(25)
 
 
 class TestBTB:
@@ -169,7 +140,7 @@ class TestBTB:
 
 class TestBranchUnit:
     def test_counts_branches_and_mispredicts(self):
-        bu = BranchUnit(BranchPredictorConfig(kind="bimodal"))
+        bu = BranchUnit(BranchPredictorConfig())
         rng = np.random.default_rng(0)
         for _ in range(500):
             bu.resolve(0x100, bool(rng.random() < 0.95))
@@ -177,7 +148,7 @@ class TestBranchUnit:
         assert 0.0 < bu.mispredict_rate() < 0.2
 
     def test_btb_target_miss_counts_as_mispredict(self):
-        bu = BranchUnit(BranchPredictorConfig(kind="bimodal"))
+        bu = BranchUnit(BranchPredictorConfig())
         # Train taken so the direction is predicted taken, then clear
         # the BTB: correct direction + unknown target = redirect.
         for _ in range(4):
@@ -199,7 +170,7 @@ class TestBranchUnit:
         assert bu.stats["branches"] == 0
 
     def test_perfectly_biased_branch_low_mispredicts(self):
-        bu = BranchUnit(BranchPredictorConfig(kind="bimodal"))
+        bu = BranchUnit(BranchPredictorConfig())
         for _ in range(100):
             bu.resolve(0x200, True)
         # After warm-up, all predictions correct (taken, BTB warm).

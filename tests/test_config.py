@@ -84,7 +84,6 @@ class TestBranchPredictorConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(kind="neural"),
             dict(table_bits=2),
             dict(table_bits=30),
             dict(btb_entries=1000, btb_assoc=3),
@@ -122,7 +121,6 @@ class TestThreadUnitConfig:
             dict(issue_width=16, rob_size=8),
             dict(lsq_size=0),
             dict(mem_buffer_entries=0),
-            dict(mem_ports=0),
         ],
     )
     def test_invalid(self, kwargs):

@@ -12,7 +12,9 @@ Covers the three load-bearing guarantees:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.sim.executor import (
     run_cell,
     run_cells,
 )
+from repro.sim.fast.compile import program_memo
 from repro.sim.results import SimResult
 from repro.sim.sweep import benchmarks_of, labels_of, run_grid
 
@@ -74,7 +77,13 @@ class TestFingerprints:
                 ),
             ),
             dataclasses.replace(
-                base, tu=dataclasses.replace(base.tu, mem_ports=4)
+                base,
+                tu=dataclasses.replace(
+                    base.tu,
+                    branch=dataclasses.replace(
+                        base.tu.branch, mispredict_penalty=9
+                    ),
+                ),
             ),
             dataclasses.replace(base, fork_delay=9),
         ]
@@ -287,6 +296,31 @@ class TestRunCell:
         b = run_cell("175.vpr", named_config("vc"), TINY, cache_dir=tmp_path)
         assert a == b
         assert len(DiskCache(tmp_path)) == 1
+
+
+class TestProgramLifetime:
+    """A sweep's benchmark models, and the memos they own, die with it."""
+
+    @pytest.mark.parametrize("perf", [False, True])
+    def test_sweep_frees_its_programs(self, monkeypatch, tmp_path, perf):
+        built = []
+        build = executor.build_benchmark
+
+        def tracking(*args, **kwargs):
+            program = build(*args, **kwargs)
+            built.append((weakref.ref(program),
+                          weakref.ref(program_memo(program))))
+            return program
+
+        monkeypatch.setattr(executor, "build_benchmark", tracking)
+        outcome = run_cells(make_cells(benches=["175.vpr"],
+                                       labels=["orig", "vc"]),
+                            cache=False, engine="fast", perf=perf,
+                            perf_dir=tmp_path)
+        assert outcome.stats.executed == 2
+        assert len(built) == 1  # one model per (benchmark, scale)
+        gc.collect()
+        assert [ref() for ref in built[0]] == [None, None]
 
 
 class TestCacheAtomicity:

@@ -3,8 +3,9 @@
 The fast engine (:mod:`repro.sim.fast`) must be *bit-identical* to the
 oracle interpreter on every ``SimResult`` field — not statistically
 close, equal.  The tests here enforce that contract across the paper's
-eight configurations and several seeds, compare compiled traces with
-the oracle's trace generator address by address, check that a
+eight configurations and several seeds, on runs that record their
+branch streams and on runs that replay them, compare compiled traces
+with the oracle's trace generator address by address, check that a
 program's memo dies with the program, pin down the engine-selection
 rules in the driver, and cover the coherence hook (``bus_update``)
 under every sidecar policy on both engines.
@@ -37,7 +38,7 @@ from repro.sim import executor
 from repro.sim.driver import run_simulation
 from repro.sim.executor import SweepCell, default_engine, run_cells
 from repro.sim.fast.compile import CompiledRegion, program_memo
-from repro.sim.fast.engine import _FastMachine
+from repro.sim.fast.engine import _FastMachine, _FastTU
 from repro.sim.fast.streams import FastStreamFactory
 from repro.sta.configs import CONFIG_NAMES, named_config
 from repro.workloads import BENCHMARK_NAMES
@@ -106,12 +107,54 @@ class TestBitIdentity:
         fast = run_simulation(program, cfg, params, engine="fast")
         assert fast.to_dict() == oracle.to_dict()
 
+    @pytest.mark.parametrize("config_name", CONFIG_NAMES)
+    def test_recording_run_bit_identical(self, config_name):
+        # A fresh program per configuration, so the fast run resolves
+        # and records its branch stream; on the shared ``mcf_program``
+        # only the first configuration records and the rest replay.
+        program = build_benchmark("181.mcf", scale=SCALE)
+        cfg = named_config(config_name)
+        params = SimParams(seed=2003, scale=SCALE)
+        fast = run_simulation(program, cfg, params, engine="fast")
+        assert len(program_memo(program).branch_streams) == 1
+        oracle = run_simulation(program, cfg, params, engine="oracle")
+        assert fast.to_dict() == oracle.to_dict()
+
     def test_repeat_runs_deterministic(self, mcf_program):
         cfg = named_config("wth-wp-wec")
         params = SimParams(seed=42, scale=SCALE)
         first = run_simulation(mcf_program, cfg, params, engine="fast")
         second = run_simulation(mcf_program, cfg, params, engine="fast")
         assert first.to_dict() == second.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Branch streams: resolved while recording, replayed afterwards
+# ---------------------------------------------------------------------------
+
+class TestBranchStream:
+    def test_resolve_runs_only_while_recording(self, monkeypatch):
+        calls = []
+        resolve = _FastTU._resolve
+
+        def counting(tu, path):
+            calls.append(tu.tu_id)
+            return resolve(tu, path)
+
+        monkeypatch.setattr(_FastTU, "_resolve", counting)
+        program = build_benchmark("181.mcf", scale=SCALE)
+        params = SimParams(seed=7, scale=SCALE)
+        recording = run_simulation(program, named_config("orig"), params,
+                                   engine="fast")
+        n_executes = len(calls)
+        assert n_executes > 0
+        (stream,) = program_memo(program).branch_streams.values()
+        assert len(stream) == n_executes  # one record per execute
+        replaying = run_simulation(program, named_config("wth-wp-wec"),
+                                   params, engine="fast")
+        assert len(calls) == n_executes
+        assert (replaying.branches, replaying.mispredicts) == (
+            recording.branches, recording.mispredicts)
 
 
 # ---------------------------------------------------------------------------
