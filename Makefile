@@ -35,13 +35,12 @@
 #   make bench-test   the repository benchmark's own tests (bench/):
 #                     they fail when a layer the traced run wraps, or a
 #                     memo it reads, no longer matches src/
-#   make calibrate    calibration dashboard (cached, parallel)
 
 PY ?= python
 BENCH_JOBS ?= 1
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench-test diff-smoke explain-smoke perf-gate fidelity-smoke calibrate
+.PHONY: test lint bench-smoke bench-test diff-smoke explain-smoke perf-gate fidelity-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -79,6 +78,3 @@ fidelity-smoke:
 	--out FIDELITY_smoke.json --md FIDELITY_smoke.md
 	$(PY) -m repro fidelity check benchmarks/FIDELITY_smoke_baseline.json \
 	--new FIDELITY_smoke.json
-
-calibrate:
-	$(PY) tools/calibrate.py --jobs 2

@@ -4,7 +4,7 @@
 and 15–17: the execution-time-weighted mean speedup of one axis label
 over a baseline label, across every benchmark in a
 :data:`~repro.sim.sweep.ResultGrid`.  The claim registry's
-``avg_speedup`` and ``repro suite`` both go through it.
+``avg_speedup`` and its Figure 11 table's ``average`` row go through it.
 """
 
 from __future__ import annotations

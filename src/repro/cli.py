@@ -6,12 +6,6 @@ Commands
     Show available benchmarks (Table 2 metadata) and configurations.
 ``run``
     Simulate one benchmark on one configuration and print the result.
-``compare``
-    Run one benchmark across several configurations against ``orig``
-    and print a Figure-11-style table.
-``suite``
-    Run every benchmark on one configuration (plus ``orig``) and print
-    per-benchmark speedups with the suite average.
 ``trace``
     Simulate one benchmark/config pair with event tracing on and write
     a Perfetto-loadable Chrome trace (see ``docs/OBSERVABILITY.md``).
@@ -24,12 +18,12 @@ Commands
     The performance observatory: append profiled runs to the persistent
     ledger (``$REPRO_PERF_DIR``, default ``.perf``), compare two record
     sets benchstat-style, and render the recorded trajectory.
-``fidelity run | check | report``
+``fidelity run | check``
     The fidelity observatory (``docs/OBSERVABILITY.md``): run the
-    fig08–fig17 + tables campaign grid and score every paper claim in
-    ``benchmarks/claims.json``, diff a fresh campaign against the
-    committed baseline (exit 1 on a regressed *gate* claim), and render
-    the campaign trajectory.
+    fig08–fig17 + tables campaign grid, score every paper claim in
+    ``benchmarks/claims.json`` and print the per-benchmark figure
+    tables beside the paper's values; diff a fresh campaign against the
+    committed baseline (exit 1 on a regressed *gate* claim).
 ``lint``
     Static determinism/invariant analysis over Python sources (rule
     catalog in ``docs/STATIC_ANALYSIS.md``); exit 1 on findings.
@@ -44,31 +38,30 @@ Examples
 
     python -m repro list
     python -m repro run --benchmark mcf --config wth-wp-wec
-    python -m repro compare --benchmark equake --configs vc,wth-wp,wth-wp-wec,nlp
-    python -m repro suite --config wth-wp-wec --scale 1e-4 --jobs 4
     python -m repro trace 181.mcf wth-wp-wec --out trace.json
     python -m repro explain 181.mcf wth-wp-wec --vs wth-wp --top 5
     python -m repro perf record 181.mcf wth-wp-wec --repeat 4 --label before
     python -m repro perf compare before after --threshold 10%
     python -m repro perf report --json BENCH_smoke.json
     python -m repro fidelity run --scale 2e-4 --jobs 4 --engine fast
+    python -m repro fidelity run --sections fig11 --engine fast
     python -m repro fidelity check benchmarks/FIDELITY_baseline.json
-    python -m repro fidelity report
     python -m repro lint src --baseline lint-baseline.json
     python -m repro cache stats
     python -m repro cache prune --max-mb 256
 
-Sweeps resolve through the persistent result cache (``$REPRO_CACHE_DIR``,
-default ``~/.cache/repro``; bypass with ``--no-cache``) and fan cache
-misses out over ``--jobs`` worker processes; ``--manifest PATH`` writes a
-JSON run manifest with per-cell timing and cache hit/miss counts.
+Simulations resolve through the persistent result cache
+(``$REPRO_CACHE_DIR``, default ``~/.cache/repro``; bypass with
+``--no-cache``); ``fidelity`` fans cache misses out over ``--jobs``
+worker processes.
 
 Simulation commands accept ``--sanitize`` (equivalent to setting
 ``REPRO_SANITIZE=1``): runs execute under the runtime invariant checker
 of :mod:`repro.lint.sanitize`, which raises a structured
 ``SanitizerError`` on any architectural-invariant violation while
-leaving results bit-identical.  Combine with ``--no-cache`` for sweep
-commands — cache hits skip simulation and therefore skip the checks.
+leaving results bit-identical.  Combine with ``--no-cache`` on ``run``
+and ``fidelity`` — cache hits skip simulation and therefore skip the
+checks.
 
 Exit codes follow one convention (shared by ``trace``/``perf``/``lint``
 via one helper): 0 = success, 1 = a failed run, a significant perf
@@ -86,7 +79,6 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from .analysis.speedup import suite_average_speedup_pct
 from .common.config import SimParams
 from .common.errors import (
     AnalysisError,
@@ -107,12 +99,10 @@ from .obs.compare import compare_records, parse_threshold
 from .obs.events import CATEGORIES
 from .obs.fidelity import (
     PERTURBATIONS,
-    append_trend,
     diff_exports,
+    figure_table_cells,
     load_fidelity_export,
-    load_trend,
     render_markdown,
-    render_trend,
     run_campaign,
 )
 from .obs.export import write_chrome_trace, write_jsonl
@@ -131,9 +121,8 @@ from .sim.executor import (
     code_version_token,
     config_fingerprint,
     default_engine,
-    default_jobs,
+    run_cell,
 )
-from .sim.sweep import run_grid
 from .sim.tables import TextTable
 from .sta.configs import CONFIG_NAMES, named_config
 from .workloads.benchmarks import BENCHMARK_NAMES, benchmark_infos, build_benchmark
@@ -153,23 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list benchmarks and configurations")
 
-    def add_common(sp):
+    def add_point(sp):
         sp.add_argument("--scale", type=float, default=2e-4,
                         help="instruction scale vs Table 2 (default 2e-4)")
         sp.add_argument("--seed", type=int, default=2003)
         sp.add_argument("--tus", type=int, default=8,
                         help="number of thread units (default 8)")
-        sp.add_argument("--jobs", type=int, default=default_jobs(),
-                        help="worker processes for the sweep "
-                             "(default $REPRO_JOBS or 1 = serial)")
-        sp.add_argument("--no-cache", action="store_true",
-                        help="bypass the persistent result cache "
-                             "($REPRO_CACHE_DIR, default ~/.cache/repro)")
-        sp.add_argument("--manifest", metavar="PATH", default=None,
-                        help="write a JSON run manifest (per-cell timing, "
-                             "cache hits/misses) to PATH")
-        add_engine(sp)
-        add_sanitize(sp)
 
     def add_engine(sp):
         sp.add_argument("--engine", default=None, choices=ENGINES,
@@ -186,20 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate one benchmark/config pair")
     run_p.add_argument("--benchmark", required=True)
     run_p.add_argument("--config", default="wth-wp-wec", choices=CONFIG_NAMES)
-    add_common(run_p)
-
-    cmp_p = sub.add_parser("compare", help="one benchmark, several configs")
-    cmp_p.add_argument("--benchmark", required=True)
-    cmp_p.add_argument(
-        "--configs",
-        default="vc,wth-wp,wth-wp-wec,nlp",
-        help="comma-separated configuration names (orig is always run)",
-    )
-    add_common(cmp_p)
-
-    suite_p = sub.add_parser("suite", help="all benchmarks, one config vs orig")
-    suite_p.add_argument("--config", default="wth-wp-wec", choices=CONFIG_NAMES)
-    add_common(suite_p)
+    add_point(run_p)
+    run_p.add_argument("--no-cache", action="store_true",
+                       help="bypass the persistent result cache "
+                            "($REPRO_CACHE_DIR, default ~/.cache/repro)")
+    add_engine(run_p)
+    add_sanitize(run_p)
 
     diff_p = sub.add_parser(
         "diff",
@@ -246,11 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--capacity", type=int, default=1 << 20, metavar="N",
                          help="ring-buffer capacity; oldest events are "
                               "overwritten beyond it (default 1Mi)")
-    trace_p.add_argument("--scale", type=float, default=2e-4,
-                         help="instruction scale vs Table 2 (default 2e-4)")
-    trace_p.add_argument("--seed", type=int, default=2003)
-    trace_p.add_argument("--tus", type=int, default=8,
-                         help="number of thread units (default 8)")
+    add_point(trace_p)
     trace_p.add_argument("--attrib", action="store_true",
                          help="attach the provenance-attribution collector "
                               "too: adds attrib_use/attrib_pollute events "
@@ -275,11 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--format", choices=["text", "json"], default="text",
                        help="output format (default text); json dumps the "
                             "raw attribution summaries")
-    exp_p.add_argument("--scale", type=float, default=2e-4,
-                       help="instruction scale vs Table 2 (default 2e-4)")
-    exp_p.add_argument("--seed", type=int, default=2003)
-    exp_p.add_argument("--tus", type=int, default=8,
-                       help="number of thread units (default 8)")
+    add_point(exp_p)
     exp_p.add_argument("--window", type=float, default=4096.0, metavar="N",
                        help="attribution series window in cycles "
                             "(default 4096)")
@@ -363,11 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec_p.add_argument("--dir", default=None, metavar="PATH",
                        help="ledger directory (default $REPRO_PERF_DIR "
                             "or .perf)")
-    rec_p.add_argument("--scale", type=float, default=2e-4,
-                       help="instruction scale vs Table 2 (default 2e-4)")
-    rec_p.add_argument("--seed", type=int, default=2003)
-    rec_p.add_argument("--tus", type=int, default=8,
-                       help="number of thread units (default 8)")
+    add_point(rec_p)
     rec_p.add_argument("--trace", action="store_true",
                        help="attach a full event tracer during the run "
                             "(adds host-side overhead; simulated metrics "
@@ -424,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     fid_sub = fid_p.add_subparsers(dest="fidelity_command", required=True)
 
     def add_fidelity_run_knobs(sp):
-        sp.add_argument("--jobs", type=int, default=default_jobs(),
+        sp.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the campaign grid "
-                             "(default $REPRO_JOBS or 1 = serial)")
+                             "(default 1 = serial)")
         sp.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache")
         sp.add_argument("--claims", default=None, metavar="PATH",
@@ -437,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(gate-proving: 'no-wec' strips the WEC and "
                              "must trip `fidelity check`)")
         sp.add_argument("--dir", default=None, metavar="PATH",
-                        help="perf/trajectory directory (default "
-                             "$REPRO_PERF_DIR or .perf); campaign cells "
-                             "land in its ledger with context=fidelity")
+                        help="perf ledger directory (default "
+                             "$REPRO_PERF_DIR; unset: no ledger); campaign "
+                             "cells land in it with context=fidelity")
         add_engine(sp)
         add_sanitize(sp)
 
@@ -481,14 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "default 10%%")
     add_fidelity_run_knobs(fchk_p)
 
-    frep_p = fid_sub.add_parser(
-        "report",
-        help="render the recorded campaign trajectory",
-    )
-    frep_p.add_argument("--dir", default=None, metavar="PATH",
-                        help="trajectory directory (default "
-                             "$REPRO_PERF_DIR or .perf)")
-
     return p
 
 
@@ -512,15 +462,8 @@ def _cmd_list() -> int:
 def _cmd_run(args) -> int:
     params = SimParams(seed=args.seed, scale=args.scale)
     cfg = named_config(args.config, n_tus=args.tus)
-    grid = run_grid(
-        {args.config: cfg},
-        benchmarks=[args.benchmark],
-        params=params,
-        cache=not args.no_cache,
-        manifest_path=args.manifest,
-        engine=args.engine,
-    )
-    result = grid[(args.benchmark, args.config)]
+    result = run_cell(args.benchmark, cfg, params,
+                      cache=not args.no_cache, engine=args.engine)
     print(f"machine : {cfg.describe()}")
     print(f"result  : {result.total_cycles:.0f} cycles, ipc={result.ipc:.2f}")
     print(f"memory  : {result.effective_misses} effective misses, "
@@ -531,77 +474,6 @@ def _cmd_run(args) -> int:
               f"({result.wrong_thread_loads} from wrong threads), "
               f"{result.useful_wrong_hits} useful hits, "
               f"{result.prefetches} chained prefetches")
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    params = SimParams(seed=args.seed, scale=args.scale)
-    wanted = [c.strip() for c in args.configs.split(",") if c.strip()]
-    unknown = [c for c in wanted if c not in CONFIG_NAMES]
-    if unknown:
-        print(f"unknown configuration(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    configs = {"orig": named_config("orig", n_tus=args.tus)}
-    for name in wanted:
-        configs[name] = named_config(name, n_tus=args.tus)
-    grid = run_grid(
-        configs,
-        benchmarks=[args.benchmark],
-        params=params,
-        jobs=args.jobs,
-        cache=not args.no_cache,
-        manifest_path=args.manifest,
-        engine=args.engine,
-    )
-    base = grid[(args.benchmark, "orig")]
-    t = TextTable(
-        f"{args.benchmark} on {args.tus} TUs (vs orig)",
-        ["config", "speedup", "misses", "miss red.", "traffic"],
-    )
-    t.add_row(["orig", "baseline", base.effective_misses, "-", "-"])
-    for name in wanted:
-        r = grid[(args.benchmark, name)]
-        t.add_row([
-            name,
-            f"{r.relative_speedup_pct_vs(base):+.1f}%",
-            r.effective_misses,
-            f"{r.miss_reduction_pct_vs(base):+.1f}%",
-            f"{r.traffic_increase_pct_vs(base):+.1f}%",
-        ])
-    print(t)
-    return 0
-
-
-def _cmd_suite(args) -> int:
-    params = SimParams(seed=args.seed, scale=args.scale)
-    grid = run_grid(
-        {
-            "orig": named_config("orig", n_tus=args.tus),
-            args.config: named_config(args.config, n_tus=args.tus),
-        },
-        benchmarks=BENCHMARK_NAMES,
-        params=params,
-        jobs=args.jobs,
-        cache=not args.no_cache,
-        manifest_path=args.manifest,
-        engine=args.engine,
-    )
-    t = TextTable(
-        f"suite: {args.config} vs orig ({args.tus} TUs, scale {args.scale:g})",
-        ["benchmark", "orig cycles", f"{args.config} cycles", "speedup"],
-    )
-    for bench in BENCHMARK_NAMES:
-        base = grid[(bench, "orig")]
-        new = grid[(bench, args.config)]
-        t.add_row([
-            bench,
-            f"{base.total_cycles:.0f}",
-            f"{new.total_cycles:.0f}",
-            f"{new.relative_speedup_pct_vs(base):+.1f}%",
-        ])
-    avg = suite_average_speedup_pct(grid, "orig", args.config)
-    t.add_row(["average", "-", "-", f"{avg:+.1f}%"])
-    print(t)
     return 0
 
 
@@ -973,6 +845,7 @@ def _fidelity_campaign(args, scale: float, seed: int,
 
 
 def _print_fidelity_summary(doc: Dict) -> None:
+    """Claim verdicts (failures and skips named), then the figure tables."""
     summary = doc.get("summary", {})
     gate, track = summary.get("gate", {}), summary.get("track", {})
     print(f"fidelity campaign: {doc.get('n_cells', 0)} cells, "
@@ -981,6 +854,9 @@ def _print_fidelity_summary(doc: Dict) -> None:
           f"{gate.get('fail', 0)} fail, {gate.get('skipped', 0)} skipped")
     print(f"  track claims: {track.get('pass', 0)} pass, "
           f"{track.get('fail', 0)} fail, {track.get('skipped', 0)} skipped")
+    ran = set(doc.get("sections", []))
+    unrun = [c["id"] for c in doc.get("claims", [])
+             if not set(c.get("requires", [])) <= ran]
     for claim in doc.get("claims", []):
         if claim["status"] == "fail":
             band = claim.get("band")
@@ -988,8 +864,21 @@ def _print_fidelity_summary(doc: Dict) -> None:
             print(f"  [fail] {claim['id']}: measured "
                   f"{claim.get('measured')}{band_s} (paper: "
                   f"{claim.get('paper') or '-'})")
-        elif claim["status"] == "skipped":
+        elif claim["status"] == "skipped" and claim["id"] not in unrun:
             print(f"  [skip] {claim['id']}: {claim.get('reason')}")
+    if unrun:
+        print(f"  [skip] {len(unrun)} claim(s) need a section this "
+              f"campaign did not run")
+    for table in doc.get("figure_tables", []):
+        print()
+        if table.get("reason"):
+            print(f"{table['id']}: skipped ({table['reason']})")
+            continue
+        header, rows = figure_table_cells(table)
+        text = TextTable(f"{table['source']}: {table['title']}", header)
+        for row in rows:
+            text.add_row(row)
+        print(text)
 
 
 def _cmd_fidelity_run(args) -> int:
@@ -998,8 +887,6 @@ def _cmd_fidelity_run(args) -> int:
         sections = [s.strip() for s in args.sections.split(",") if s.strip()]
     doc = _fidelity_campaign(args, args.scale, args.seed, sections)
     _print_fidelity_summary(doc)
-    trend_path = append_trend(doc, _perf_ledger_dir(args.dir))
-    print(f"trajectory: {trend_path}")
     if args.out:
         out = Path(args.out)
         if out.parent != Path(""):
@@ -1033,11 +920,6 @@ def _cmd_fidelity_check(args) -> int:
     diff = diff_exports(base, new, threshold)
     print(diff.render())
     return 1 if diff.gate_regressions else 0
-
-
-def _cmd_fidelity_report(args) -> int:
-    print(render_trend(load_trend(_perf_ledger_dir(args.dir))))
-    return 0
 
 
 def _cmd_lint(args) -> int:
@@ -1086,10 +968,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_list()
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "suite":
-            return _cmd_suite(args)
         if args.command == "diff":
             return _checked("diff", lambda: _cmd_diff(args))
         if args.command == "trace":
@@ -1117,9 +995,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.fidelity_command == "check":
                 return _checked("fidelity check",
                                 lambda: _cmd_fidelity_check(args))
-            if args.fidelity_command == "report":
-                return _checked("fidelity report",
-                                lambda: _cmd_fidelity_report(args))
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         return 0

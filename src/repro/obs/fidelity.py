@@ -12,34 +12,35 @@ Three pieces:
   anchor (figure/table/section), an extraction expression over the
   campaign result grid, a tolerance band, a drift polarity and a
   severity (``gate`` claims fail the check, ``track`` claims are only
-  reported).  :func:`load_claims` parses and validates it.
+  reported).  :func:`load_claims` parses and validates it; its
+  ``figure_tables`` are each figure's per-benchmark view, with the
+  paper's values beside the measured ones (:func:`load_figure_tables`).
 * **Campaign runner** — :func:`campaign_sections` declares the union
   grid behind Figures 8–17 plus the tables; :func:`run_campaign` runs
   it through :func:`repro.sim.sweep.run_grid`, records every executed
   cell in the perf ledger under ``context="fidelity"``, scores every
-  claim and returns a schema-versioned export document.  Unevaluable
-  claims surface as ``skipped`` with a reason — never silently
+  claim, evaluates the figure tables of the sections it ran and
+  returns a schema-versioned export document.  Unevaluable claims and
+  tables surface as ``skipped`` with a reason — never silently
   unevaluated.
 * **Drift tracking** — :func:`diff_exports` compares two campaign
   documents claim by claim, polarity-aware like
   :mod:`repro.obs.compare`; a regression on any *gate* claim is a
-  failure.  :func:`append_trend`/:func:`load_trend` keep a campaign
-  trajectory next to the perf ledger.
+  failure.
 
 Scoring is pure post-processing over the result grid: a
 fidelity-instrumented run is bit-identical to a plain one (the tests
 enforce the same discipline as for the tracer).
 
-CLI surface: ``repro fidelity run | check | report``; the committed
-artifacts are ``benchmarks/FIDELITY_baseline.json`` and
-``docs/FIDELITY.md`` (refresh procedure: docs/OBSERVABILITY.md).
+CLI surface: ``repro fidelity run | check``; the committed artifacts
+are ``benchmarks/FIDELITY_baseline.json`` and ``docs/FIDELITY.md``
+(refresh procedure: docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -67,18 +68,18 @@ __all__ = [
     "SEVERITIES",
     "STATUSES",
     "ScoredClaim",
-    "append_trend",
     "apply_perturbation",
     "campaign_sections",
     "claims_fingerprint",
     "default_claims_path",
     "diff_exports",
     "evaluate_claims",
+    "evaluate_figure_tables",
+    "figure_table_cells",
     "load_claims",
+    "load_figure_tables",
     "load_fidelity_export",
-    "load_trend",
     "render_markdown",
-    "render_trend",
     "run_campaign",
     "validate_fidelity_export",
 ]
@@ -88,9 +89,6 @@ FIDELITY_SCHEMA_VERSION = 1
 
 #: Marker in exported campaign documents (FIDELITY_baseline.json).
 EXPORT_KIND = "repro-fidelity-export"
-
-#: Campaign trajectory file, next to the perf ledger.
-TREND_FILENAME = "fidelity.jsonl"
 
 SEVERITIES = ("gate", "track")
 CLAIM_KINDS = ("value", "bool")
@@ -177,11 +175,6 @@ class Claim:
         if better not in POLARITIES:
             raise AnalysisError(
                 f"{where}: better {better!r} not in {POLARITIES}")
-        requires = tuple(data.get("requires") or ())
-        unknown = [s for s in requires if s not in SECTION_NAMES]
-        if unknown:
-            raise AnalysisError(
-                f"{where}: unknown section(s) {unknown} in requires")
         band = data.get("band")
         if band is not None:
             if (not isinstance(band, (list, tuple)) or len(band) != 2
@@ -205,7 +198,7 @@ class Claim:
             kind=data["kind"],
             expr=data["expr"],
             severity=data["severity"],
-            requires=requires,
+            requires=_requires(data, where),
             unit=str(data.get("unit", "")),
             paper=str(data.get("paper", "")),
             paper_value=None if paper_value is None else float(paper_value),
@@ -215,8 +208,16 @@ class Claim:
         )
 
 
-def load_claims(path: Union[str, Path, None] = None) -> List[Claim]:
-    """Parse and validate the claim registry."""
+def _requires(data: Dict, where: str) -> Tuple[str, ...]:
+    requires = tuple(data.get("requires") or ())
+    unknown = [s for s in requires if s not in SECTION_NAMES]
+    if unknown:
+        raise AnalysisError(
+            f"{where}: unknown section(s) {unknown} in requires")
+    return requires
+
+
+def _read_registry(path: Union[str, Path, None]) -> Dict:
     path = Path(path) if path is not None else default_claims_path()
     if not path.is_file():
         raise AnalysisError(f"no claim registry at {path}")
@@ -229,9 +230,16 @@ def load_claims(path: Union[str, Path, None] = None) -> List[Claim]:
     if doc.get("schema") != FIDELITY_SCHEMA_VERSION:
         raise AnalysisError(
             f"{path}: unknown claims schema {doc.get('schema')!r}")
-    raw = doc.get("claims")
-    if not isinstance(raw, list) or not raw:
+    if not isinstance(doc.get("claims"), list) or not doc["claims"]:
         raise AnalysisError(f"{path}: claims must be a non-empty list")
+    if not isinstance(doc.get("figure_tables", []), list):
+        raise AnalysisError(f"{path}: figure_tables must be a list")
+    return doc
+
+
+def load_claims(path: Union[str, Path, None] = None) -> List[Claim]:
+    """Parse and validate the claim registry."""
+    raw = _read_registry(path)["claims"]
     claims = [Claim.from_dict(d, i) for i, d in enumerate(raw)]
     seen: Dict[str, int] = {}
     for i, claim in enumerate(claims):
@@ -241,6 +249,51 @@ def load_claims(path: Union[str, Path, None] = None) -> List[Claim]:
                 f"(first at claims[{seen[claim.id]}])")
         seen[claim.id] = i
     return claims
+
+
+def load_figure_tables(path: Union[str, Path, None] = None) -> List[Dict]:
+    """Parse and validate the registry's ``figure_tables`` (may be absent).
+
+    A table is a figure's per-benchmark view: a row per benchmark, a
+    column per ``{name, expr, fmt}`` (``expr`` runs in the claim
+    namespace with ``b`` bound to the row's benchmark; ``fmt`` defaults
+    to the table's), an optional ``average`` row of per-column
+    expressions and the ``paper``'s ``{column: {benchmark: value}}``.
+    Tables are reported, never scored.
+    """
+    tables = _read_registry(path).get("figure_tables", [])
+    for i, table in enumerate(tables):
+        where = f"figure_tables[{i}]"
+        for key in ("id", "source", "title"):
+            if not isinstance(table.get(key), str) or not table[key]:
+                raise AnalysisError(f"{where}: missing or empty {key!r}")
+        table["requires"] = _requires(table, where)
+        columns = table.get("columns")
+        if not columns or not all(isinstance(c, dict) and c.get("name")
+                                  and c.get("expr") for c in columns):
+            raise AnalysisError(
+                f"{where}: columns must be a non-empty list of "
+                "{name, expr} objects")
+        for column in columns:
+            column.setdefault("fmt", table.get("fmt", ".2f"))
+            try:
+                format(0.0, column["fmt"])
+            except (TypeError, ValueError):
+                raise AnalysisError(f"{where}: column {column['name']!r} "
+                                    f"has an invalid fmt") from None
+        names = {column["name"] for column in columns}
+        for part in ("average", "paper"):
+            unknown = sorted(set(table.get(part, {})) - names)
+            if unknown:
+                raise AnalysisError(
+                    f"{where}: {part} key(s) {unknown} name no column")
+        for name, cells in table.get("paper", {}).items():
+            unknown = sorted(set(cells) - set(BENCHMARK_NAMES))
+            if unknown:
+                raise AnalysisError(
+                    f"{where}: paper[{name!r}] names unknown "
+                    f"benchmark(s) {unknown}")
+    return tables
 
 
 def claims_fingerprint(path: Union[str, Path, None] = None) -> str:
@@ -521,6 +574,42 @@ def evaluate_claims(
     return scored
 
 
+def evaluate_figure_tables(
+    tables: Sequence[Dict],
+    grid: ResultGrid,
+    sections_run: Sequence[str],
+) -> List[Dict]:
+    """Every table whose ``requires`` sections all ran, with its ``rows``.
+
+    Tables of sections the campaign did not run are left out.  A table
+    whose expression raises keeps its place with no rows and a
+    ``reason``, like a skipped claim; the campaign goes on.
+    """
+    have = set(sections_run)
+    namespace = _eval_namespace(grid)
+    out = []
+    for table in tables:
+        if not set(table["requires"]) <= have:
+            continue
+        columns, average = table["columns"], table.get("average", {})
+        rows: List[List] = []
+        try:
+            for bench in namespace["benchmarks"]:
+                row_ns = dict(namespace, b=bench)
+                rows.append([bench] + [
+                    round(float(eval(c["expr"], row_ns)), 6)  # noqa: S307
+                    for c in columns])
+            if average:
+                rows.append(["average"] + [
+                    round(float(eval(average[c["name"]], namespace)), 6)  # noqa: S307
+                    if c["name"] in average else None for c in columns])
+            out.append(dict(table, rows=rows, reason=""))
+        except Exception as exc:  # lint: allow(EXC001 table isolation: a broken column expression must not discard the campaign's scored claims)
+            out.append(dict(table, rows=[],
+                            reason=f"{type(exc).__name__}: {exc}"))
+    return out
+
+
 def _summarize(scored: Sequence[ScoredClaim]) -> Dict[str, Dict[str, int]]:
     summary = {sev: {s: 0 for s in STATUSES} for sev in SEVERITIES}
     for item in scored:
@@ -548,10 +637,12 @@ def run_campaign(
     """Run the campaign grid, score every claim, return the export doc.
 
     ``sections`` restricts the grid (default: every section); claims
-    needing an unrun section score ``skipped``.  Executed cells land in
-    the perf ledger under ``perf_dir`` (default ``$REPRO_PERF_DIR``).
+    needing an unrun section score ``skipped``, and figure tables
+    needing one are left out.  Executed cells land in the perf ledger
+    under ``perf_dir`` (default ``$REPRO_PERF_DIR``).
     """
     claims = load_claims(claims_path)
+    tables = load_figure_tables(claims_path)
     all_sections = campaign_sections()
     if sections is None:
         selected = list(SECTION_NAMES)
@@ -606,6 +697,7 @@ def run_campaign(
         },
         "summary": _summarize(scored),
         "claims": [item.to_dict() for item in scored],
+        "figure_tables": evaluate_figure_tables(tables, grid, selected),
     }
 
 
@@ -799,89 +891,6 @@ def diff_exports(base_doc: Dict, new_doc: Dict,
 
 
 # ---------------------------------------------------------------------------
-# Trajectory (fidelity.jsonl next to the perf ledger)
-# ---------------------------------------------------------------------------
-
-
-def append_trend(doc: Dict, perf_dir: Union[str, Path]) -> Path:
-    """Record one campaign in the trajectory file (best effort semantics
-    are the caller's choice — this raises on an unwritable dir)."""
-    root = Path(perf_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / TREND_FILENAME
-    headline = {
-        c["id"]: c.get("measured")
-        for c in doc.get("claims", [])
-        if c.get("paper_value") is not None and c.get("measured") is not None
-    }
-    entry = {
-        "schema": FIDELITY_SCHEMA_VERSION,
-        # lint: allow(DET001 trajectory timestamp: provenance only, never feeds sim state or cache keys)
-        "ts": time.time(),
-        "params": doc.get("params", {}),
-        "sections": doc.get("sections", []),
-        "git_sha": doc.get("provenance", {}).get("git_sha", ""),
-        "summary": doc.get("summary", {}),
-        "headline": headline,
-    }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    return path
-
-
-def load_trend(perf_dir: Union[str, Path]) -> List[Dict]:
-    """All parseable trajectory entries, oldest first."""
-    path = Path(perf_dir) / TREND_FILENAME
-    if not path.is_file():
-        raise AnalysisError(
-            f"no fidelity trajectory at {path}; run `repro fidelity run` "
-            "with the same --dir first")
-    entries: List[Dict] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            continue
-        if entry.get("schema") == FIDELITY_SCHEMA_VERSION:
-            entries.append(entry)
-    if not entries:
-        raise AnalysisError(f"no parseable campaign entries in {path}")
-    return entries
-
-
-def render_trend(entries: Sequence[Dict]) -> str:
-    """The campaign trajectory as a fixed-width table."""
-    if not entries:
-        raise AnalysisError("no campaign entries to render")
-    lines = [
-        f"fidelity trajectory ({len(entries)} campaign(s))",
-        "  #  when (UTC)           scale     gate P/F/S   track P/F/S  "
-        "headline",
-    ]
-    for i, entry in enumerate(entries, 1):
-        ts = entry.get("ts", 0.0)
-        when = time.strftime("%Y-%m-%d %H:%M:%S", time.gmtime(ts))
-        gate = entry.get("summary", {}).get("gate", {})
-        track = entry.get("summary", {}).get("track", {})
-        scale = entry.get("params", {}).get("scale", 0.0)
-        headline = entry.get("headline", {})
-        head = ", ".join(
-            f"{cid.split('.', 1)[-1]}={headline[cid]:+.1f}"
-            for cid in sorted(headline)[:3]
-        )
-        lines.append(
-            f"{i:>3}  {when}  {scale:<8g} "
-            f" {gate.get('pass', 0)}/{gate.get('fail', 0)}"
-            f"/{gate.get('skipped', 0):<8}"
-            f" {track.get('pass', 0)}/{track.get('fail', 0)}"
-            f"/{track.get('skipped', 0):<8} {head}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # Markdown report (docs/FIDELITY.md)
 # ---------------------------------------------------------------------------
 
@@ -900,6 +909,27 @@ def _fmt_band(band: Optional[Sequence[Optional[float]]]) -> str:
     lo_s = "−∞" if lo is None else f"{lo:g}"
     hi_s = "∞" if hi is None else f"{hi:g}"
     return f"[{lo_s}, {hi_s}]"
+
+
+def figure_table_cells(table: Dict) -> Tuple[List[str], List[List[str]]]:
+    """Header and formatted rows of an exported figure table.
+
+    A cell the paper gives a value for shows it in parentheses after
+    the measured one, in the column's format.
+    """
+    columns = table["columns"]
+    paper = table.get("paper", {})
+    rows = []
+    for bench, *values in table["rows"]:
+        cells = [bench]
+        for column, value in zip(columns, values):
+            fmt = column["fmt"]
+            text = "—" if value is None else format(value, fmt)
+            read_off = paper.get(column["name"], {}).get(bench)
+            cells.append(text if read_off is None
+                         else f"{text} ({read_off:{fmt}})")
+        rows.append(cells)
+    return ["benchmark"] + [c["name"] for c in columns], rows
 
 
 def render_markdown(doc: Dict) -> str:
@@ -934,15 +964,20 @@ def render_markdown(doc: Dict) -> str:
         f"{gate.get('skipped', 0) + track.get('skipped', 0)} skipped.**",
         "",
     ]
-    groups: "OrderedDict[str, List[Dict]]" = OrderedDict()
-    for claim in doc["claims"]:
-        groups.setdefault(claim["id"].split(".", 1)[0], []).append(claim)
-    for group, claims in groups.items():
-        lines.append(f"## {claims[0]['source'].split(',')[0].split('—')[0].strip()} (`{group}`)")
+    # Claims and figure tables, grouped by id prefix (their figure).
+    groups: "OrderedDict[str, Tuple[List[Dict], List[Dict]]]" = OrderedDict()
+    for index, key in enumerate(("claims", "figure_tables")):
+        for item in doc.get(key, []):
+            groups.setdefault(item["id"].split(".", 1)[0], ([], []))[index] \
+                .append(item)
+    for group, (claims, tables) in groups.items():
+        source = (claims or tables)[0]["source"]
+        lines.append(f"## {source.split(',')[0].split('—')[0].strip()} (`{group}`)")
         lines.append("")
-        lines.append("| claim | severity | paper | measured | band "
-                     "| Δ vs paper | status |")
-        lines.append("|---|---|---|---|---|---|---|")
+        if claims:
+            lines.append("| claim | severity | paper | measured | band "
+                         "| Δ vs paper | status |")
+            lines.append("|---|---|---|---|---|---|---|")
         for claim in claims:
             measured = claim.get("measured")
             paper_value = claim.get("paper_value")
@@ -965,6 +1000,17 @@ def render_markdown(doc: Dict) -> str:
                 f"| {claim.get('paper') or '—'} | {shown} "
                 f"| {_fmt_band(claim.get('band'))} | {delta} | {mark} |")
         lines.append("")
+        for table in tables:
+            lines.append(f"**{table['title']}**")
+            lines.append("")
+            if table.get("reason"):
+                lines.extend([f"*(skipped: {table['reason']})*", ""])
+                continue
+            header, rows = figure_table_cells(table)
+            lines.append("| " + " | ".join(header) + " |")
+            lines.append("|" + "---|" * len(header))
+            lines.extend("| " + " | ".join(row) + " |" for row in rows)
+            lines.append("")
     lines.append("Refresh: `repro fidelity run --out "
                  "benchmarks/FIDELITY_baseline.json --md docs/FIDELITY.md` "
                  "after any intentional model change, and commit both "

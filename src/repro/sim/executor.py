@@ -28,7 +28,7 @@ from ``params.seed``.  This module exploits that purity twice:
 Observability: :func:`run_cells` returns a :class:`SweepOutcome` whose
 :class:`SweepStats` record per-cell wall-clock, cache hit/miss counts
 and worker failures keyed by the failing ``(benchmark, label)`` cell —
-never a bare traceback — and can be written out as a JSON run manifest.
+never a bare traceback.
 
 Quickstart::
 
@@ -84,7 +84,6 @@ __all__ = [
     "default_cache_root",
     "default_cache_quota_mb",
     "default_engine",
-    "default_jobs",
     "run_cell",
     "run_cells",
 ]
@@ -441,14 +440,6 @@ def _cache_enabled(flag: Optional[bool]) -> bool:
     return os.environ.get("REPRO_NO_CACHE", "").lower() not in ("1", "true", "yes")
 
 
-def default_jobs() -> int:
-    """Worker count from ``$REPRO_JOBS`` (default 1 = serial)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # Cells, per-cell records, sweep statistics
 # ---------------------------------------------------------------------------
@@ -518,55 +509,13 @@ class SweepStats:
     deduped: int = 0
     executed: int = 0
     failed: int = 0
-    wall_s: float = 0.0
     cache_root: Optional[str] = None
-    code_token: str = ""
-    #: The simulation engine every executed cell ran with.
-    engine: str = "oracle"
     #: Why a ``jobs > 1`` request ran serially anyway (``None`` when the
     #: fan-out happened, or when serial execution was requested):
     #: ``"single-cell"``, ``"fork-unavailable"`` or ``"all-cells-cached"``.
     serial_fallback: Optional[str] = None
     records: List[CellRecord] = field(default_factory=list)
     failures: List[CellFailure] = field(default_factory=list)
-
-    def to_manifest(self) -> Dict:
-        """JSON-serializable run manifest."""
-        return {
-            "schema": CACHE_SCHEMA_VERSION,
-            "code_token": self.code_token,
-            "engine": self.engine,
-            "jobs_requested": self.jobs_requested,
-            "jobs_used": self.jobs_used,
-            "serial_fallback": self.serial_fallback,
-            "n_cells": self.n_cells,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "deduped": self.deduped,
-            "executed": self.executed,
-            "failed": self.failed,
-            "wall_s": self.wall_s,
-            "cache_root": self.cache_root,
-            "cells": [dataclasses.asdict(r) for r in self.records],
-            "failures": [dataclasses.asdict(f) for f in self.failures],
-        }
-
-    def write_manifest(self, path: Union[str, Path]) -> None:
-        """Write the JSON run manifest to ``path`` (parents created)."""
-        path = Path(path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_manifest(), fh, indent=2)
-
-    def summary(self) -> str:
-        """One-line human-readable digest."""
-        return (
-            f"{self.n_cells} cells: {self.cache_hits} cached, "
-            f"{self.deduped} deduped, "
-            f"{self.executed} simulated ({self.jobs_used} worker(s)), "
-            f"{self.failed} failed, {self.wall_s:.1f}s"
-        )
 
 
 @dataclass
@@ -667,7 +616,6 @@ def run_cells(
     cache: Optional[bool] = None,
     cache_dir: Union[str, Path, None] = None,
     progress: Optional[Callable[[str, str], None]] = None,
-    manifest_path: Union[str, Path, None] = None,
     strict: bool = True,
     perf: Optional[bool] = None,
     perf_dir: Union[str, Path, None] = None,
@@ -696,8 +644,6 @@ def run_cells(
         share a cache key with an earlier cell (aliased labels) are not
         simulated again; they are reported, and resolved from that
         cell's result with source ``"dedup"``, once it completes.
-    manifest_path:
-        If given, the JSON run manifest is written there.
     strict:
         When ``True`` (default) any cell failure raises
         :class:`~repro.common.errors.SweepError` *after* the whole grid
@@ -724,7 +670,7 @@ def run_cells(
         Deliberately *not* part of the cache key: engines are
         bit-identical on results, so a cached oracle result satisfies a
         fast-engine sweep and vice versa.  The engine used is recorded
-        in the manifest and in each ledger record's provenance.
+        in each ledger record's provenance.
     """
     cells = list(cells)
     if engine is None:
@@ -733,7 +679,6 @@ def run_cells(
         raise ConfigError(
             f"unknown engine {engine!r} (expected one of: {', '.join(ENGINES)})"
         )
-    t_start = time.perf_counter()  # lint: allow(DET001 host wall-clock for sweep stats)
     dcache = DiskCache(cache_dir) if _cache_enabled(cache) else None
 
     perf_root = Path(perf_dir) if perf_dir is not None else default_perf_dir()
@@ -744,8 +689,6 @@ def run_cells(
         jobs_requested=jobs,
         n_cells=len(cells),
         cache_root=str(dcache.root) if dcache is not None else None,
-        code_token=code_version_token(),
-        engine=engine,
     )
     results: Dict[Tuple[str, str], SimResult] = {}
     records: Dict[Tuple[str, str], CellRecord] = {}
@@ -811,7 +754,7 @@ def run_cells(
             followers[key] = []
 
     # Phase 2: execute the misses — fanned out or serial.  A ``jobs > 1``
-    # request that cannot be honoured is recorded in the manifest and
+    # request that cannot be honoured is recorded in the stats and
     # warned about, never silently degraded (a sweep that quietly ignores
     # ``jobs`` looks identical to a parallel one except for wall time).
     serial_reason: Optional[str] = None
@@ -916,14 +859,9 @@ def run_cells(
         if cell.grid_key in results
     }
     stats.records = [records[c.grid_key] for c in cells if c.grid_key in records]
-    stats.wall_s = time.perf_counter() - t_start  # lint: allow(DET001 host wall-clock for sweep stats)
 
     if ledger is not None:
-        _record_perf(ledger, cells, ordered, records, stats, perf_context,
-                     engine)
-
-    if manifest_path is not None:
-        stats.write_manifest(manifest_path)
+        _record_perf(ledger, cells, ordered, records, perf_context, engine)
 
     outcome = SweepOutcome(results=ordered, stats=stats)
     if strict and stats.failures:
@@ -941,7 +879,6 @@ def _record_perf(
     cells: List[SweepCell],
     results: Dict[Tuple[str, str], SimResult],
     records: Dict[Tuple[str, str], CellRecord],
-    stats: SweepStats,
     context: str,
     engine: str = "oracle",
 ) -> None:

@@ -61,7 +61,6 @@ def run_grid(
     jobs: int = 1,
     cache: Optional[bool] = None,
     cache_dir: Union[str, Path, None] = None,
-    manifest_path: Union[str, Path, None] = None,
     perf_context: str = "sweep",
     engine: Optional[str] = None,
     perf_dir: Union[str, Path, None] = None,
@@ -71,9 +70,8 @@ def run_grid(
     ``configs`` maps an axis label (e.g. ``"wth-wp-wec 8"``) to a
     machine configuration.  ``progress`` (if given) is called once per
     cell with ``(benchmark, label)`` — before each run serially, on
-    completion when ``jobs > 1``.  ``jobs``/``cache``/``cache_dir``/
-    ``manifest_path`` are forwarded to
-    :func:`repro.sim.executor.run_cells`; a failing cell raises
+    completion when ``jobs > 1``.  ``jobs``/``cache``/``cache_dir`` are
+    forwarded to :func:`repro.sim.executor.run_cells`; a failing cell raises
     :class:`~repro.common.errors.SweepError` naming its grid key after
     the rest of the grid has been attempted.  When ``perf_dir`` (default
     ``$REPRO_PERF_DIR``) is set, executed cells are appended to the perf
@@ -88,7 +86,6 @@ def run_grid(
         cache=cache,
         cache_dir=cache_dir,
         progress=progress,
-        manifest_path=manifest_path,
         perf_context=perf_context,
         engine=engine,
         perf_dir=perf_dir,

@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment output.
 
-The CLI verbs (``list``, ``compare``, ``suite``) and the examples print
-their results through :class:`TextTable`, so the output is uniform and
+``repro list``, the figure tables ``repro fidelity run`` prints and the
+examples go through :class:`TextTable`, so the output is uniform and
 diffable.
 """
 

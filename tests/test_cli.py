@@ -7,7 +7,9 @@ Exit-code convention (covered below for ``trace``, ``diff`` and ``perf``):
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 
@@ -39,11 +41,13 @@ class TestParser:
                 ["run", "--benchmark", "mcf", "--config", "magic"]
             )
 
-    def test_compare_config_list(self):
-        args = build_parser().parse_args(
-            ["compare", "--benchmark", "vpr", "--configs", "vc,nlp"]
-        )
-        assert args.configs == "vc,nlp"
+    @pytest.mark.parametrize("flag", [["--jobs", "2"],
+                                      ["--manifest", "m.json"]])
+    def test_run_rejects_sweep_knobs(self, flag):
+        # A single run has no sweep to fan out or to write a manifest
+        # for; accepting the flags would silently ignore them.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--benchmark", "mcf"] + flag)
 
 
 class TestCommands:
@@ -66,31 +70,6 @@ class TestCommands:
         main(["run", "--benchmark", "gzip", "--config", "wth-wp-wec",
               "--scale", "2e-5", "--tus", "2"])
         assert "wrong loads" in capsys.readouterr().out
-
-    def test_compare(self, capsys):
-        rc = main(
-            ["compare", "--benchmark", "vpr", "--configs", "vc",
-             "--scale", "2e-5", "--tus", "2"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "baseline" in out and "vc" in out
-
-    def test_compare_unknown_config(self, capsys):
-        rc = main(
-            ["compare", "--benchmark", "vpr", "--configs", "vc,nosuch",
-             "--scale", "2e-5"]
-        )
-        assert rc == 2
-        assert "unknown configuration" in capsys.readouterr().err
-
-    def test_suite(self, capsys):
-        rc = main(["suite", "--config", "vc", "--scale", "1e-5", "--tus", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "average" in out
-        for bench in ("175.vpr", "177.mesa"):
-            assert bench in out
 
 
 class TestTraceExitCodes:
@@ -260,14 +239,18 @@ def fidelity_export(tmp_path_factory):
 
     fig11-only at a tiny scale: enough cells for the fig11/fig17 gate
     claims to evaluate (everything else scores skipped-with-reason).
+    The command's stdout is kept in ``root / "stdout.txt"``.
     """
     root = tmp_path_factory.mktemp("fidelity")
     out = root / "baseline.json"
-    rc = main(["fidelity", "run", "--scale", "2e-6",
-               "--sections", "fig11", "--engine", "fast", "--no-cache",
-               "--dir", str(root / "perf"),
-               "--out", str(out), "--md", str(root / "FIDELITY.md")])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(["fidelity", "run", "--scale", "2e-6",
+                   "--sections", "fig11", "--engine", "fast", "--no-cache",
+                   "--dir", str(root / "perf"),
+                   "--out", str(out), "--md", str(root / "FIDELITY.md")])
     assert rc == 0
+    (root / "stdout.txt").write_text(stdout.getvalue())
     return root, out
 
 
@@ -293,7 +276,25 @@ class TestFidelityCli:
                    for c in doc["claims"])
         md = (root / "FIDELITY.md").read_text()
         assert md.startswith("# Fidelity report")
-        assert (root / "perf" / "fidelity.jsonl").is_file()
+
+    def test_run_prints_tables_and_one_line_for_unrun_sections(
+            self, fidelity_export):
+        root, out = fidelity_export
+        doc = json.loads(out.read_text())
+        printed = (root / "stdout.txt").read_text()
+        unrun = [c for c in doc["claims"]
+                 if not set(c["requires"]) <= set(doc["sections"])]
+        assert unrun
+        assert (f"[skip] {len(unrun)} claim(s) need a section this "
+                f"campaign did not run") in printed
+        assert "campaign did not run section(s)" not in printed
+        # Every table of the fig11 section, calibrate's and suite's
+        # per-benchmark views among them.
+        for title in ("Speedup over orig at 8 TUs",
+                      "Calibration diagnostics",
+                      "L1 traffic increase and miss-count reduction"):
+            assert title in printed
+        assert "181.mcf" in printed and "average" in printed
 
     def test_run_unknown_section_is_usage_error(self, tmp_path, capsys):
         rc = main(["fidelity", "run", "--scale", "2e-6",
@@ -347,13 +348,16 @@ class TestFidelityCli:
                    "--threshold", "lots"])
         assert rc == 2
 
-    def test_report_renders_trajectory(self, fidelity_export, capsys):
-        root, out = fidelity_export
-        rc = main(["fidelity", "report", "--dir", str(root / "perf")])
-        assert rc == 0
-        assert "fidelity trajectory" in capsys.readouterr().out
-
-    def test_report_empty_dir_is_usage_error(self, tmp_path, capsys):
-        rc = main(["fidelity", "report", "--dir", str(tmp_path)])
-        assert rc == 2
-        assert "fidelity report:" in capsys.readouterr().err
+    def test_skip_for_a_broken_expression_keeps_its_own_line(self, capsys):
+        from repro.cli import _print_fidelity_summary
+        doc = {"sections": ["tables", "fig11"], "claims": [
+            {"id": "fig11.broken", "status": "skipped",
+             "requires": ["fig11"], "reason": "NameError: nope"},
+            {"id": "fig13.unrun", "status": "skipped",
+             "requires": ["fig13"], "reason": "campaign did not run"},
+        ]}
+        _print_fidelity_summary(doc)
+        out = capsys.readouterr().out
+        assert "[skip] fig11.broken: NameError: nope" in out
+        assert "[skip] 1 claim(s) need a section" in out
+        assert "fig13.unrun" not in out

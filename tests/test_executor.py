@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import json
 import weakref
 
 import pytest
@@ -195,16 +194,6 @@ class TestPersistentCache:
         assert outcome.stats.cache_root is None
         assert len(DiskCache(tmp_path)) == 0
 
-    def test_manifest(self, tmp_path):
-        manifest_path = tmp_path / "runs" / "manifest.json"
-        run_cells(make_cells(), cache_dir=tmp_path, manifest_path=manifest_path)
-        data = json.loads(manifest_path.read_text())
-        assert data["n_cells"] == len(BENCHES) * len(CONFIG_LABELS)
-        assert data["executed"] == data["n_cells"]
-        assert len(data["cells"]) == data["n_cells"]
-        assert all(c["wall_s"] >= 0 for c in data["cells"])
-        assert data["failures"] == []
-
 
 class TestFailureSurfacing:
     def bad_cells(self):
@@ -254,13 +243,11 @@ class TestDedup:
         assert a == b
         assert progressed == ["orig", "orig@alias"]
         stats = outcome.stats
-        assert (stats.executed, stats.deduped, stats.cache_misses) == (1, 1, 1)
+        assert (stats.executed, stats.deduped, stats.cache_misses,
+                stats.failed) == (1, 1, 1, 0)
         assert [r.source for r in stats.records] == ["run", "dedup"]
         assert (stats.cache_hits + stats.executed + stats.deduped
                 + stats.failed) == stats.n_cells == len(cells)
-        manifest = stats.to_manifest()
-        assert (manifest["executed"], manifest["deduped"],
-                manifest["failed"]) == (1, 1, 0)
 
     def test_fork_path_dedups_and_skips_ledger(self, tmp_path):
         cells = make_cells(benches=["175.vpr"], labels=["orig", "vc"])

@@ -18,7 +18,6 @@ through the same engine plumbing.
 from __future__ import annotations
 
 import gc
-import json
 import tracemalloc
 import weakref
 
@@ -420,17 +419,13 @@ def _two_cells():
 
 
 class TestSerialFallback:
-    def test_fork_unavailable_recorded_and_warned(self, monkeypatch, tmp_path):
+    def test_fork_unavailable_recorded_and_warned(self, monkeypatch):
         monkeypatch.setattr(executor, "_fork_available", lambda: False)
-        manifest_path = tmp_path / "manifest.json"
         with pytest.warns(RuntimeWarning, match="fork-unavailable"):
-            out = run_cells(_two_cells(), jobs=2, cache=False,
-                            manifest_path=manifest_path)
+            out = run_cells(_two_cells(), jobs=2, cache=False)
         assert out.stats.serial_fallback == "fork-unavailable"
-        assert out.stats.jobs_used == 1
+        assert (out.stats.jobs_requested, out.stats.jobs_used) == (2, 1)
         assert len(out.results) == 2
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["serial_fallback"] == "fork-unavailable"
 
     def test_single_cell_fallback_reason(self):
         with pytest.warns(RuntimeWarning, match="single-cell"):

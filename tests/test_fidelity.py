@@ -1,9 +1,9 @@
 """Tests for the fidelity observatory (repro.obs.fidelity).
 
 Covers the claim registry (parsing + validation), claim evaluation over
-a real (tiny) campaign grid, the drift checker's polarity semantics,
-export-document validation, the trajectory file, the markdown renderer
-— and the bit-identity discipline: instrumenting a grid run for a
+a real (tiny) campaign grid, the per-benchmark figure tables, the drift
+checker's polarity semantics, export-document validation, the markdown
+renderer — and the bit-identity discipline: instrumenting a grid run for a
 fidelity campaign must not change a single simulated cycle.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import inspect
 import json
+import math
 import re
 
 import pytest
@@ -21,17 +22,16 @@ from repro.common.errors import AnalysisError
 from repro.obs.fidelity import (
     Claim,
     apply_perturbation,
-    append_trend,
     campaign_sections,
     claims_fingerprint,
     default_claims_path,
     diff_exports,
     evaluate_claims,
+    evaluate_figure_tables,
     load_claims,
     load_fidelity_export,
-    load_trend,
+    load_figure_tables,
     render_markdown,
-    render_trend,
     run_campaign,
     validate_fidelity_export,
     _eval_namespace,
@@ -44,10 +44,12 @@ from repro.workloads import BENCHMARK_NAMES
 TINY = dict(scale=2e-6, seed=2003)
 
 
-def write_claims(tmp_path, claims, schema=1, kind="repro-claims"):
+def write_claims(tmp_path, claims, schema=1, kind="repro-claims",
+                 figure_tables=()):
     path = tmp_path / "claims.json"
     path.write_text(json.dumps(
-        {"kind": kind, "schema": schema, "claims": claims}))
+        {"kind": kind, "schema": schema, "claims": claims,
+         "figure_tables": list(figure_tables)}))
     return path
 
 
@@ -119,6 +121,51 @@ class TestRegistry:
             tmp_path, [minimal_claim(requires=["fig99"])])
         with pytest.raises(AnalysisError, match="fig99"):
             load_claims(path)
+
+
+def minimal_table(**over):
+    data = {
+        "id": "fig11.t", "source": "Figure 11", "title": "t",
+        "requires": ["fig11"], "fmt": "+.1f",
+        "columns": [{"name": "wec", "expr": "speedup(b, 'wth-wp-wec')"}],
+    }
+    data.update(over)
+    return data
+
+
+class TestFigureTableRegistry:
+    def test_committed_tables_load(self):
+        tables = {t["id"]: t for t in load_figure_tables()}
+        assert set(tables) == {"fig08.parallel_speedup", "fig11.speedup",
+                               "fig11.orig_diagnostics",
+                               "fig17.traffic_missred"}
+        # Figure 11's read-offs: wth-wp-wec and nlp, every benchmark.
+        paper = tables["fig11.speedup"]["paper"]
+        assert set(paper) == {"wth-wp-wec", "nlp"}
+        assert all(set(cells) == set(BENCHMARK_NAMES)
+                   for cells in paper.values())
+
+    def test_tables_are_optional(self, tmp_path):
+        path = tmp_path / "claims.json"
+        path.write_text(json.dumps(
+            {"kind": "repro-claims", "schema": 1,
+             "claims": [minimal_claim()]}))
+        assert load_figure_tables(path) == []
+
+    @pytest.mark.parametrize("over, match", [
+        ({"requires": ["fig99"]}, "fig99"),
+        ({"paper": {"wec": {"999.nope": 1.0}}}, "999.nope"),
+        ({"paper": {"nosuch": {"181.mcf": 1.0}}}, "nosuch"),
+        ({"average": {"nosuch": "avg_speedup('wth-wp-wec')"}}, "nosuch"),
+        ({"columns": []}, "non-empty"),
+        ({"columns": [{"name": "wec"}]}, "name, expr"),
+        ({"fmt": "+.1q"}, "invalid fmt"),
+    ])
+    def test_loader_rejects(self, tmp_path, over, match):
+        path = write_claims(tmp_path, [minimal_claim()],
+                            figure_tables=[minimal_table(**over)])
+        with pytest.raises(AnalysisError, match=match):
+            load_figure_tables(path)
 
 
 class TestCampaignGrid:
@@ -247,6 +294,42 @@ class TestEvaluateClaims:
         assert all(s.status != "skipped" or s.reason for s in scored)
 
 
+def load_table(tmp_path, **over):
+    path = write_claims(tmp_path, [minimal_claim()],
+                        figure_tables=[minimal_table(**over)])
+    return load_figure_tables(path)
+
+
+class TestEvaluateFigureTables:
+    def test_rows_bind_b_and_average_fills_its_columns(self, tiny_grid,
+                                                       tmp_path):
+        tables = load_table(tmp_path, columns=[
+            {"name": "wec", "expr": "speedup(b, 'wth-wp-wec')"},
+            {"name": "ipc", "expr": "cell(b, 'orig').ipc"},
+        ], average={"wec": "avg_speedup('wth-wp-wec')"})
+        table, = evaluate_figure_tables(tables, tiny_grid, ["fig11"])
+        assert table["reason"] == ""
+        assert [row[0] for row in table["rows"]] \
+            == ["164.gzip", "181.mcf", "average"]
+        gzip, mcf, average = table["rows"]
+        assert gzip[1] == round(tiny_grid[("164.gzip", "wth-wp-wec")]
+                                .relative_speedup_pct_vs(
+                                    tiny_grid[("164.gzip", "orig")]), 6)
+        assert mcf[2] == round(tiny_grid[("181.mcf", "orig")].ipc, 6)
+        assert average[2] is None
+
+    def test_unrun_section_leaves_the_table_out(self, tiny_grid, tmp_path):
+        tables = load_table(tmp_path, requires=["fig13"])
+        assert evaluate_figure_tables(tables, tiny_grid, ["fig11"]) == []
+
+    def test_broken_expression_skips_with_reason(self, tiny_grid, tmp_path):
+        tables = load_table(tmp_path, columns=[
+            {"name": "x", "expr": "speedup(b, 'nosuch')"}])
+        table, = evaluate_figure_tables(tables, tiny_grid, ["fig11"])
+        assert table["rows"] == []
+        assert "nosuch" in table["reason"]
+
+
 class TestBitIdentity:
     def test_instrumented_grid_identical_to_plain(self, tmp_path):
         """A fidelity-instrumented run must not change a single cycle."""
@@ -284,6 +367,35 @@ class TestRunCampaign:
         records = Ledger(tmp_path).records()
         assert len(records) == doc["n_cells"]
         assert {r.context for r in records} == {"fidelity"}
+
+    def test_tables_cover_exactly_the_sections_run(self):
+        doc = run_campaign(sections=["fig11"], cache=False, engine="fast",
+                           **TINY)
+        tables = {t["id"]: t for t in doc["figure_tables"]}
+        # fig17 reads the fig11 grid; fig08 was not run.
+        assert set(tables) == {"fig11.speedup", "fig11.orig_diagnostics",
+                               "fig17.traffic_missred"}
+        for table in tables.values():
+            assert table["reason"] == ""
+            assert [row[0] for row in table["rows"]][:6] \
+                == list(BENCHMARK_NAMES)
+            values = [v for row in table["rows"] for v in row[1:]
+                      if v is not None]
+            assert values and all(math.isfinite(v) for v in values)
+        assert validate_fidelity_export(doc) == []
+
+    def test_broken_table_keeps_the_scored_claims(self, tmp_path):
+        path = write_claims(tmp_path, [minimal_claim(requires=["fig12"])],
+                            figure_tables=[minimal_table(
+                                requires=["fig12"],
+                                columns=[{"name": "x", "expr": "1 / 0"}])])
+        doc = run_campaign(claims_path=path, sections=["fig12"],
+                           cache=False, engine="fast", **TINY)
+        assert [c["status"] for c in doc["claims"]] == ["pass"]
+        table, = doc["figure_tables"]
+        assert table["rows"] == []
+        assert table["reason"].startswith("ZeroDivisionError")
+        assert "skipped: ZeroDivisionError" in render_markdown(doc)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(AnalysisError, match="unknown section"):
@@ -414,22 +526,14 @@ class TestExportDocs:
         with pytest.raises(AnalysisError, match="not a valid"):
             load_fidelity_export(path)
 
-
-class TestTrend:
-    def test_append_load_render(self, tmp_path):
-        doc = scored_doc([scored_claim(paper_value=9.7)])
-        append_trend(doc, tmp_path)
-        append_trend(doc, tmp_path)
-        entries = load_trend(tmp_path)
-        assert len(entries) == 2
-        assert entries[0]["headline"] == {"fig11.x": 10.0}
-        text = render_trend(entries)
-        assert "2 campaign(s)" in text
-        assert "x=+10.0" in text
-
-    def test_load_trend_missing(self, tmp_path):
-        with pytest.raises(AnalysisError, match="no fidelity trajectory"):
-            load_trend(tmp_path)
+    def test_export_without_tables_loads_checks_and_renders(self):
+        # The committed smoke baseline predates the figure tables.
+        path = default_claims_path().parent / "FIDELITY_smoke_baseline.json"
+        doc = load_fidelity_export(path)
+        assert "figure_tables" not in doc
+        diff = diff_exports(doc, doc)
+        assert not diff.gate_regressions and not diff.track_regressions
+        assert render_markdown(doc).startswith("# Fidelity report")
 
 
 class TestRenderMarkdown:
@@ -447,6 +551,25 @@ class TestRenderMarkdown:
         assert "✅ pass" in text
         assert "*(skipped: campaign did not run it)*" in text
         assert "do not edit by hand" in text
+
+    def test_table_renders_under_its_figure_with_read_offs(self):
+        doc = scored_doc([scored_claim(),
+                          scored_claim(id="fig17.y", source="Figure 17")])
+        doc["figure_tables"] = [{
+            "id": "fig11.speedup", "source": "Figure 11",
+            "title": "Speedup over orig", "reason": "",
+            "columns": [{"name": "wth-wp-wec", "fmt": "+.1f"},
+                        {"name": "nlp", "fmt": "+.1f"}],
+            "rows": [["181.mcf", 20.6123, 0.1], ["average", 9.2, None]],
+            "paper": {"wth-wp-wec": {"181.mcf": 18.5}},
+        }]
+        text = render_markdown(doc)
+        fig11 = text.index("## Figure 11 (`fig11`)")
+        table = text.index("**Speedup over orig**")
+        assert fig11 < table < text.index("## Figure 17 (`fig17`)")
+        assert "| benchmark | wth-wp-wec | nlp |" in text
+        assert "| 181.mcf | +20.6 (+18.5) | +0.1 |" in text
+        assert "| average | +9.2 | — |" in text
 
     def test_rejects_invalid_doc(self):
         with pytest.raises(AnalysisError, match="invalid export"):
