@@ -967,7 +967,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "list":
             return _cmd_list()
         if args.command == "run":
-            return _cmd_run(args)
+            return _checked("run", lambda: _cmd_run(args))
         if args.command == "diff":
             return _checked("diff", lambda: _cmd_diff(args))
         if args.command == "trace":

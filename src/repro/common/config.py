@@ -340,6 +340,10 @@ class SimParams:
     wrong_fill_mshr_fraction: float = 0.75
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            # numpy's SeedSequence takes non-negative entropy only; any
+            # seed from 0 up (2**32 and beyond too) is valid.
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.scale <= 0 or self.scale > 1:
             raise ConfigError("scale must be in (0, 1]")
         if self.mlp_per_16_rob <= 0 or self.mlp_cap < 1:

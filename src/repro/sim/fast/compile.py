@@ -15,9 +15,17 @@ structure:
   iterations, lookahead into the next sequential chunk) free *and* lets
   every configuration of a sweep grid replay the identical workload
   without regenerating it;
-* address binding is vectorized per pattern with numpy (the splitmix64
-  mixer, strided/pointer-chase indexing and the hot/cold split all map
-  to exact uint64/float64 array expressions).
+* binding works per region invocation (:meth:`CompiledRegion.trace_range`):
+  the walk streams of every index the memo misses are seeded in one
+  batch, the indices are grouped by path, and each (path, pattern) pair
+  is bound by one numpy call over a grid of the group's iterations by
+  the pattern's occurrences (the splitmix64 mixer, strided/pointer-chase
+  indexing and the hot/cold split all map to exact uint64/float64 array
+  expressions).  :meth:`CompiledRegion.trace` sends a lone miss through
+  the same binder;
+* the wrong-path bursts of an invocation are seeded in one batch too
+  (:meth:`CompiledRegion.seed_wrong_paths`), once the engine knows
+  which branches mispredict.
 
 Bound addresses are held compactly: a trace's loads and stores are
 ``array('q')`` copies of the binder's int64 buffers, its target stores
@@ -90,7 +98,7 @@ class _CompiledBlock:
 class _BindEntry:
     """Per-pattern scatter plan for one path's memory operations."""
 
-    __slots__ = ("pattern", "occ", "lsel", "lidx", "ssel", "sidx", "scalar")
+    __slots__ = ("pattern", "occ", "lsel", "lidx", "ssel", "sidx")
 
     def __init__(self, pattern, occ, lsel, lidx, ssel, sidx):
         self.pattern = pattern
@@ -99,8 +107,6 @@ class _BindEntry:
         self.lidx = lidx        # -> index into the trace's load array
         self.ssel = ssel        # positions within occ that are stores
         self.sidx = sidx        # -> index into the trace's store array
-        # Vectorization pays for itself only past a handful of elements.
-        self.scalar = len(occ) < 8
 
 
 class PathData:
@@ -204,20 +210,26 @@ class FastTrace:
         self.targets = targets
 
 
-def _vec_addrs(pattern: AddressPattern, iter_idx: int, occ: np.ndarray) -> np.ndarray:
-    """Vectorized, bit-exact evaluation of ``pattern.addr`` over ``occ``."""
+def _vec_addrs(pattern: AddressPattern, iters: np.ndarray,
+               occ: np.ndarray) -> np.ndarray:
+    """Bit-exact ``pattern.addr`` over a grid: one row per iteration.
+
+    ``iters`` is an int64 column (shape ``(n, 1)``), ``occ`` a row of
+    uint64 occurrence indices; the result is the ``(n, len(occ))`` int64
+    array of ``pattern.addr(iters[i], occ[j])``.
+    """
     if isinstance(pattern, (SequentialPattern, StridedPattern)):
-        elem = (iter_idx * pattern.per_iter + occ.astype(np.int64)) % pattern._n_elems
+        elem = (iters * pattern.per_iter + occ.astype(np.int64)) % pattern._n_elems
         return pattern.base + elem * pattern.stride
     if isinstance(pattern, PointerChasePattern):
-        pos = (iter_idx * pattern.per_iter + occ.astype(np.int64)) % pattern.n_nodes
+        pos = (iters * pattern.per_iter + occ.astype(np.int64)) % pattern.n_nodes
         return pattern.base + pattern._order[pos] * pattern.node_size
     if isinstance(pattern, RandomPattern):
-        h = _vec_mix64(iter_idx, occ, pattern.salt)
+        h = _vec_mix64(iters, occ, pattern.salt)
         slot = (h % np.uint64(pattern._n_slots)).astype(np.int64)
         return pattern.base + slot * pattern.granule
     if isinstance(pattern, HotColdPattern):
-        h = _vec_mix64(iter_idx, occ, pattern.salt)
+        h = _vec_mix64(iters, occ, pattern.salt)
         hot = ((h & np.uint64(0xFFFF)).astype(np.float64) / 65536.0) < pattern.p_hot
         hi = (h >> np.uint64(16))
         hot_slot = (hi % np.uint64(pattern._hot_slots)).astype(np.int64)
@@ -229,13 +241,16 @@ def _vec_addrs(pattern: AddressPattern, iter_idx: int, occ: np.ndarray) -> np.nd
         )
     # Unknown pattern subclass: fall back to the exact scalar rule.
     return np.asarray(
-        [pattern.addr(iter_idx, int(o)) for o in occ.tolist()], dtype=np.int64
+        [[pattern.addr(i, o) for o in occ.tolist()] for i in iters[:, 0].tolist()],
+        dtype=np.int64,
+    ).reshape(len(iters), len(occ))
+
+
+def _vec_mix64(iters: np.ndarray, occ: np.ndarray, c: int) -> np.ndarray:
+    """splitmix64 finalizer over (iters[i], occ[j], c), wrapping at 64 bits."""
+    const = iters.astype(np.uint64) * np.uint64(_C1) + np.uint64(
+        ((c * _C3) + _C1) & _M64
     )
-
-
-def _vec_mix64(a: int, occ: np.ndarray, c: int) -> np.ndarray:
-    """splitmix64 finalizer over (a, occ[i], c), wrapping at 64 bits."""
-    const = np.uint64(((a * _C1) + (c * _C3) + _C1) & _M64)
     x = occ * np.uint64(_C2) + const
     x ^= x >> np.uint64(30)
     x *= np.uint64(_C2)
@@ -321,56 +336,78 @@ class CompiledRegion:
                 cur = blk.taken_idx if taken else blk.fall_idx
         return tuple(decisions)
 
-    def _path_for(self, key: Tuple[bool, ...], streams: FastStreamFactory,
-                  name: str) -> PathData:
-        path = self.paths.get(key)
-        if path is None:
-            # Cold path: rerun the oracle's own walker on a second copy
-            # of the same stream, so path structure is exact by
-            # construction rather than by transliteration.
-            walk = self.region.cfg.walk(streams.fresh(name))
-            path = PathData(key, walk, self.region)
-            if len(self.paths) < _MAX_PATHS:
-                self.paths[key] = path
-        return path
-
     # -- traces --------------------------------------------------------
 
     def trace(self, streams: FastStreamFactory, seed: int, index: int) -> FastTrace:
         """The bound trace of iteration/chunk ``index`` (memoized)."""
-        per_seed = self.traces.get(seed)
-        if per_seed is None:
-            per_seed = self.traces[seed] = {}
+        per_seed = self.traces.setdefault(seed, {})
         trace = per_seed.get(index)
-        if trace is not None:
-            return trace
-        name = f"{self._prefix}{self.region.name}:{index}"
-        key = self._walk_key(streams.fresh(name))
-        path = self._path_for(key, streams, name)
-        la = np.empty(path.n_loads, dtype=np.int64)
-        sa = np.empty(path.n_stores, dtype=np.int64)
-        for e in path.bind:
-            if e.scalar:
-                addr = e.pattern.addr
-                occ = e.occ.tolist()
-                for k, j in zip(e.lsel.tolist(), e.lidx.tolist()):
-                    la[j] = addr(index, occ[k])
-                for k, j in zip(e.ssel.tolist(), e.sidx.tolist()):
-                    sa[j] = addr(index, occ[k])
-            else:
-                vec = _vec_addrs(e.pattern, index, e.occ)
-                la[e.lidx] = vec[e.lsel]
-                sa[e.sidx] = vec[e.ssel]
-        store_addrs = array("q", sa.tobytes())
-        trace = FastTrace(
-            path,
-            array("q", la.tobytes()),
-            store_addrs,
-            tuple(store_addrs[i] for i in path.tstore_idx),
-        )
-        if len(per_seed) < _MAX_TRACES:
-            per_seed[index] = trace
+        if trace is None:
+            (trace,) = self._bind(streams, per_seed, [index])
         return trace
+
+    def trace_range(self, streams: FastStreamFactory, seed: int,
+                    lo: int, hi: int) -> List[FastTrace]:
+        """The bound traces of indices ``lo .. hi-1``: one invocation's.
+
+        Every index the memo misses is bound in one batch.
+        """
+        per_seed = self.traces.setdefault(seed, {})
+        get = per_seed.get
+        out = [get(index) for index in range(lo, hi)]
+        missing = [k for k, trace in enumerate(out) if trace is None]
+        if missing:
+            bound = self._bind(streams, per_seed, [lo + k for k in missing])
+            for k, trace in zip(missing, bound):
+                out[k] = trace
+        return out
+
+    def _bind(self, streams: FastStreamFactory, per_seed: Dict[int, FastTrace],
+              indices: List[int]) -> List[FastTrace]:
+        """Walk and bind ``indices``; memoize them while the memo has room.
+
+        The walks' streams are seeded in one batch.  The indices are
+        then grouped by path, and each (path, pattern) pair is bound by
+        one ``_vec_addrs`` call over the group's iterations.
+        """
+        prefix = f"{self._prefix}{self.region.name}:"
+        paths = self.paths
+        groups: Dict[PathData, List[int]] = {}
+        gens = streams.fresh_batch([f"{prefix}{index}" for index in indices])
+        for k, gen in enumerate(gens):
+            key = self._walk_key(gen)
+            path = paths.get(key)
+            if path is None:
+                # Cold path: rerun the oracle's own walker on a second
+                # copy of the same stream, so path structure is exact by
+                # construction rather than by transliteration.
+                walk = self.region.cfg.walk(streams.fresh(f"{prefix}{indices[k]}"))
+                path = PathData(key, walk, self.region)
+                if len(paths) < _MAX_PATHS:
+                    paths[key] = path
+            groups.setdefault(path, []).append(k)
+        out: List[Optional[FastTrace]] = [None] * len(indices)
+        for path, ks in groups.items():
+            iters = np.array([indices[k] for k in ks], dtype=np.int64)[:, None]
+            la = np.empty((len(ks), path.n_loads), dtype=np.int64)
+            sa = np.empty((len(ks), path.n_stores), dtype=np.int64)
+            for e in path.bind:
+                vec = _vec_addrs(e.pattern, iters, e.occ)
+                la[:, e.lidx] = vec[:, e.lsel]
+                sa[:, e.sidx] = vec[:, e.ssel]
+            targets = sa[:, path.tstore_idx].tolist() if path.tstore_idx else None
+            for row, k in enumerate(ks):
+                out[k] = FastTrace(
+                    path,
+                    array("q", la[row].tobytes()),
+                    array("q", sa[row].tobytes()),
+                    tuple(targets[row]) if targets is not None else (),
+                )
+        for index, trace in zip(indices, out):
+            if len(per_seed) >= _MAX_TRACES:
+                break
+            per_seed[index] = trace
+        return out
 
     # -- wrong execution ----------------------------------------------
 
@@ -393,45 +430,81 @@ class CompiledRegion:
         addrs = per_seed.get(memo_key)
         if addrs is not None:
             return addrs
-        region = self.region
-        prof = region.wrong_exec
-        burst: List[int] = []
+        prof = self.region.wrong_exec
+        addrs = ()
         if prof.wp_max_loads != 0 and prof.wp_mean_loads > 0:
-            rng = streams.fresh(f"wp:{region.name}:{index}:{branch_idx}")
-            k = int(rng.geometric(min(1.0, 1.0 / prof.wp_mean_loads)))
-            k = min(k, prof.wp_max_loads)
-            if k > 0:
-                path = trace.path
-                next_load = path.branch_next_load[branch_idx]
-                own_loads = trace.load_addrs
-                n_own = path.n_loads
-                n_ext = n_own + (len(future_loads) if future_loads is not None else 0)
-                pollution = (
-                    region.patterns[region.pollution_pattern]
-                    if region.pollution_pattern is not None
-                    else None
-                )
-                convergent = rng.random() < prof.p_convergent and next_load < n_ext
-                if convergent:
-                    skip = int(rng.integers(0, max(1, prof.wp_lookahead // 4)))
-                    start = next_load + skip
-                    for idx in range(start, min(start + k, n_ext)):
-                        if idx < n_own:
-                            burst.append(own_loads[idx])
-                        else:
-                            burst.append(future_loads[idx - n_own])
-                elif pollution is not None:
-                    for j in range(k):
-                        occ = (1 << 20) + branch_idx * 64 + j
-                        burst.append(pollution.addr(index, occ))
-                elif n_own:
-                    start = min(next_load + prof.wp_lookahead, n_own - 1)
-                    for idx in range(start, min(start + k, n_own)):
-                        burst.append(own_loads[idx])
-        addrs = array("q", burst) if burst else ()
+            rng = streams.fresh(f"wp:{self.region.name}:{index}:{branch_idx}")
+            addrs = self._burst(rng, trace, branch_idx, index, future_loads)
         if len(per_seed) < _MAX_TRACES:
             per_seed[memo_key] = addrs
         return addrs
+
+    def seed_wrong_paths(
+        self,
+        streams: FastStreamFactory,
+        seed: int,
+        sites: List[Tuple[FastTrace, int, int, Optional[Sequence[int]]]],
+    ) -> None:
+        """Memoize the bursts of ``sites`` in one batch.
+
+        Each site is ``(trace, branch_idx, index, future_loads)``, the
+        arguments :meth:`wrong_path_addrs` would get.  The streams of
+        the bursts the memo lacks are seeded together, up to the memo's
+        room; the rest are left to :meth:`wrong_path_addrs`.
+        """
+        prof = self.region.wrong_exec
+        if prof.wp_max_loads == 0 or prof.wp_mean_loads <= 0:
+            return
+        per_seed = self.wp_addrs.setdefault(seed, {})
+        todo = [site for site in sites if (site[2], site[1]) not in per_seed]
+        del todo[max(0, _MAX_TRACES - len(per_seed)):]
+        name = self.region.name
+        gens = streams.fresh_batch(
+            [f"wp:{name}:{index}:{branch_idx}" for _, branch_idx, index, _ in todo]
+        )
+        for (trace, branch_idx, index, future_loads), rng in zip(todo, gens):
+            per_seed[(index, branch_idx)] = self._burst(
+                rng, trace, branch_idx, index, future_loads
+            )
+
+    def _burst(self, rng, trace: FastTrace, branch_idx: int, index: int,
+               future_loads: Optional[Sequence[int]]) -> Sequence[int]:
+        """One wrong-path burst, drawn from its own fresh stream ``rng``."""
+        region = self.region
+        prof = region.wrong_exec
+        k = int(rng.geometric(min(1.0, 1.0 / prof.wp_mean_loads)))
+        k = min(k, prof.wp_max_loads)
+        if k <= 0:
+            return ()
+        burst: List[int] = []
+        path = trace.path
+        next_load = path.branch_next_load[branch_idx]
+        own_loads = trace.load_addrs
+        n_own = path.n_loads
+        n_ext = n_own + (len(future_loads) if future_loads is not None else 0)
+        pollution = (
+            region.patterns[region.pollution_pattern]
+            if region.pollution_pattern is not None
+            else None
+        )
+        convergent = rng.random() < prof.p_convergent and next_load < n_ext
+        if convergent:
+            skip = int(rng.integers(0, max(1, prof.wp_lookahead // 4)))
+            start = next_load + skip
+            for idx in range(start, min(start + k, n_ext)):
+                if idx < n_own:
+                    burst.append(own_loads[idx])
+                else:
+                    burst.append(future_loads[idx - n_own])
+        elif pollution is not None:
+            for j in range(k):
+                occ = (1 << 20) + branch_idx * 64 + j
+                burst.append(pollution.addr(index, occ))
+        elif n_own:
+            start = min(next_load + prof.wp_lookahead, n_own - 1)
+            for idx in range(start, min(start + k, n_own)):
+                burst.append(own_loads[idx])
+        return array("q", burst) if burst else ()
 
     def wrong_thread_addrs(
         self, streams: FastStreamFactory, seed: int, index: int

@@ -51,19 +51,25 @@ __all__ = ["run_program_fast"]
 # is the same under every memory-system configuration: wrong-path and
 # wrong-thread loads never touch the predictor or BTB, and the
 # iteration-to-TU schedule depends only on the program and n_tus.  The
-# first run of a sweep grid resolves each execute() call's branches
-# (_FastTU._resolve) and records the outcomes; every later
-# configuration replays them, skipping predictor/BTB simulation
-# entirely.  Streams live in the program's memo
+# first run of a sweep grid records the outcomes: each region
+# invocation resolves the branches of all its executes up front
+# (_FastTU._resolve, in iteration order), ahead of any of their memory
+# events.  That is exact for the same reason: only branches touch a
+# TU's predictor and BTB, and each TU still resolves its executes in
+# order.  Every later configuration replays the stream, skipping
+# predictor/BTB simulation entirely.  Either way the region loop hands
+# each execute() its record.  Streams live in the program's memo
 # (``ProgramMemo.branch_streams``) and are freed with the program.
 #
 # One record per execute() call: ``[n_branches, btb_target_misses,
 # mispredicted_indices, wp_events, mem_events]``.  The last two slots
-# cache the event lists replays run (lazily filled by the first
-# replay): the execute order of a run is deterministic, so record ``i``
+# cache the shrunk event lists replays run (filled by the first replay
+# that needs one; a recording run's execute walks the path's full
+# list): the execute order of a run is deterministic, so record ``i``
 # always replays the same path content under every configuration —
 # wp_events keeps loads/stores plus only the mispredicted branch
-# events, mem_events drops branch events entirely.
+# events, mem_events drops branch events entirely.  Records with the
+# same path (and mispredicts) share one list.
 _BranchStream = List[list]
 
 
@@ -928,9 +934,15 @@ class _FastTU:
     # -- iteration execution -------------------------------------------
 
     # lint: allow(ENG002 dispatch loop: its counters are per-iteration bookkeeping spread across the oracle pipeline, not a single method transcription; every memory counter fuses under the tagged load/store handlers it calls)
-    def execute(self, info: _RegionInfo, index: int, trace, sequential: bool,
-                upstream_targets: Optional[Sequence[int]]):
-        """Replay one iteration/chunk; returns its four stage cycles."""
+    def execute(self, info: _RegionInfo, index: int, trace, rec: list,
+                sequential: bool, upstream_targets: Optional[Sequence[int]],
+                future_loads: Optional[Sequence[int]]):
+        """Replay one iteration/chunk; returns its four stage cycles.
+
+        ``rec`` is the execute's branch record (see _BranchStream);
+        ``future_loads`` the next chunk's loads, which a sequential
+        chunk's wrong paths may run on into.
+        """
         eng = self.eng
         path = trace.path
         comp = info.compiled
@@ -995,10 +1007,6 @@ class _FastTU:
         store_stall = 0
         wrong_loads = 0
         wrong_fill_lat = 0.0
-        future_loads = None
-        wrong_path = self.wrong_path
-        if wrong_path and sequential:
-            future_loads = comp.trace(eng.streams, eng.seed, index + 1).load_addrs
         load_addrs = trace.load_addrs
         store_addrs = trace.store_addrs
         load_correct = self.load_correct
@@ -1020,39 +1028,14 @@ class _FastTU:
         hits_n = 0
         stores_n = 0
         buffered_n = 0
-        # Branch outcomes: resolved live and recorded by the sweep's
-        # first configuration, replayed from its stream by the rest (the
-        # stream is config-independent, see _BranchStream).  A replay
-        # runs a shrunk event list, cached on the record: every branch
-        # event kept is a recorded mispredict (wrong-path burst site),
-        # and without wrong-path execution none are kept at all.
-        if eng.br_replay is None:
-            rec = self._resolve(path)
-            eng.br_record.append(rec)
-            events = path.events
-        else:
-            rec = eng.br_replay[eng.br_pos]
-            eng.br_pos += 1
-            if rec[0] != len(path.branch_pcs):
-                raise SimulationError(
-                    "fast engine: branch-stream replay misaligned "
-                    f"({rec[0]} recorded branches vs "
-                    f"{len(path.branch_pcs)} in path)"
-                )
-            self._count_branches(rec)
-            if wrong_path and rec[2]:
-                events = rec[3]
-                if events is None:
-                    mis = frozenset(rec[2])
-                    events = rec[3] = [
-                        e for e in path.events
-                        if e[0] != EV_BRANCH or e[1] in mis
-                    ]
-            else:
-                events = rec[4]
-                if events is None:
-                    events = rec[4] = eng.mem_events(path)
+        # Branch outcomes come with the record.  A replayed record also
+        # carries a shrunk event list (see _FastMachine._branch_records):
+        # every branch event it keeps is a wrong-path burst site.
         mis_idxs = rec[2]
+        wrong_path = self.wrong_path
+        events = rec[3] if wrong_path and mis_idxs else rec[4]
+        if events is None:
+            events = path.events
         bursts = mis_idxs if wrong_path else ()
         for kind, idx in events:
             if kind == EV_LOAD:
@@ -1198,7 +1181,8 @@ class _FastMachine:
     __slots__ = (
         "cfg", "params", "memo", "l2", "tus", "bus_c", "head_tu", "n_tus",
         "streams", "seed", "timing", "mlp", "split_memo", "region_info",
-        "branch_memo", "mem_memo", "br_record", "br_replay", "br_pos",
+        "branch_memo", "mem_memo", "wp_memo", "br_record", "br_replay",
+        "br_pos",
     )
 
     def __init__(self, cfg: MachineConfig, params: SimParams,
@@ -1221,10 +1205,11 @@ class _FastMachine:
         self.region_info: Dict[int, _RegionInfo] = {}
         self.branch_memo: Dict[int, Tuple[List[int], List[int]]] = {}
         self.mem_memo: Dict[int, List[Tuple[int, int]]] = {}
+        self.wp_memo: Dict[tuple, List[Tuple[int, int]]] = {}
         # Branch-stream record/replay (see _BranchStream): exactly one
         # of the two is set once run_program_fast starts.  ``br_pos`` is
-        # the replay cursor, advanced once per execute() call across
-        # all TUs.
+        # the replay cursor: the index of the next execute() call's
+        # record, counted across all TUs.
         self.br_record: Optional[_BranchStream] = None
         self.br_replay: Optional[_BranchStream] = None
         self.br_pos = 0
@@ -1260,6 +1245,21 @@ class _FastMachine:
         if evs is None:
             evs = [e for e in path.events if e[0] != EV_BRANCH]
             self.mem_memo[id(path)] = evs
+        return evs
+
+    def wp_events(self, path, mis_idxs: Tuple[int, ...]) -> List[Tuple[int, int]]:
+        """The path's event list keeping only the branches in ``mis_idxs``.
+
+        Used under wrong-path execution: the kept branch events are the
+        wrong-path burst sites.  Keyed by the path object itself, which
+        the memo keeps alive, so no key outlives its path.
+        """
+        key = (path, mis_idxs)
+        evs = self.wp_memo.get(key)
+        if evs is None:
+            keep = frozenset(mis_idxs)
+            evs = [e for e in path.events if e[0] != EV_BRANCH or e[1] in keep]
+            self.wp_memo[key] = evs
         return evs
 
     def _info(self, region) -> _RegionInfo:
@@ -1300,6 +1300,58 @@ class _FastMachine:
 
     # -- regions -------------------------------------------------------
 
+    def _branch_records(self, tus: List[_FastTU], lo: int,
+                        traces: List) -> List[list]:
+        """The branch records of one invocation's executes, in order.
+
+        Execute ``k`` runs on ``tus[(lo + k) % len(tus)]``.  A recording
+        run resolves them all here, ahead of the executes (see
+        _BranchStream); a replay takes them from the stream and gives
+        each the shrunk event list its execute runs.  Either way each
+        TU's branch counters are bumped here, in execute order.
+        """
+        n_tus = len(tus)
+        if self.br_replay is None:
+            recs = [tus[(lo + k) % n_tus]._resolve(trace.path)
+                    for k, trace in enumerate(traces)]
+            self.br_record.extend(recs)
+            return recs
+        pos = self.br_pos
+        recs = self.br_replay[pos:pos + len(traces)]
+        if len(recs) != len(traces):
+            raise SimulationError(
+                "fast engine: branch-stream replay misaligned "
+                f"(stream ends {len(traces) - len(recs)} execute(s) early)"
+            )
+        self.br_pos = pos + len(recs)
+        wrong_path = self.cfg.wrong_exec.wrong_path
+        for k, (rec, trace) in enumerate(zip(recs, traces)):
+            path = trace.path
+            if rec[0] != len(path.branch_pcs):
+                raise SimulationError(
+                    "fast engine: branch-stream replay misaligned "
+                    f"({rec[0]} recorded branches vs "
+                    f"{len(path.branch_pcs)} in path)"
+                )
+            tus[(lo + k) % n_tus]._count_branches(rec)
+            if wrong_path and rec[2]:
+                if rec[3] is None:
+                    rec[3] = self.wp_events(path, rec[2])
+            elif rec[4] is None:
+                rec[4] = self.mem_events(path)
+        return recs
+
+    def _seed_bursts(self, comp: CompiledRegion, lo: int, traces: List,
+                     recs: List[list], futures: List) -> None:
+        """Memoize the invocation's wrong-path bursts in one batch."""
+        sites = [
+            (trace, branch_idx, lo + k, futures[k])
+            for k, (trace, rec) in enumerate(zip(traces, recs))
+            for branch_idx in rec[2]
+        ]
+        if sites:
+            comp.seed_wrong_paths(self.streams, self.seed, sites)
+
     def run_parallel_region(self, region, invocation: int):
         info = self._info(region)
         comp = info.compiled
@@ -1307,6 +1359,11 @@ class _FastMachine:
         lo, hi = region.global_iter_range(invocation)
         if hi <= lo:
             raise SimulationError(f"region {region.name}: empty iteration range")
+        tus = self.tus
+        traces = comp.trace_range(self.streams, self.seed, lo, hi)
+        recs = self._branch_records(tus, lo, traces)
+        if self.cfg.wrong_exec.wrong_path:
+            self._seed_bursts(comp, lo, traces, recs, [None] * len(traces))
         tu_free = [0.0] * n_tus
         prev_cont_end = 0.0
         prev_comp_end = 0.0
@@ -1316,14 +1373,12 @@ class _FastMachine:
         region_end = 0.0
         coupling = info.coupling
         multi_tu = n_tus > 1
-        streams = self.streams
-        seed = self.seed
-        tus = self.tus
-        for i in range(lo, hi):
+        for k, trace in enumerate(traces):
+            i = lo + k
             tu = tus[i % n_tus]
-            trace = comp.trace(streams, seed, i)
             cont, tsag, comp_c, wb = tu.execute(
-                info, i, trace, sequential=False, upstream_targets=prev_targets
+                info, i, trace, recs[k], sequential=False,
+                upstream_targets=prev_targets, future_loads=None,
             )
             first = i == lo
             fork_cost = info.fork_cost if (not first and multi_tu) else 0.0
@@ -1355,13 +1410,21 @@ class _FastMachine:
         comp = info.compiled
         tu = self.tus[self.head_tu]
         lo, hi = region.global_chunk_range(invocation)
-        cycles = 0.0
         streams = self.streams
         seed = self.seed
-        for c in range(lo, hi):
-            trace = comp.trace(streams, seed, c)
+        traces = comp.trace_range(streams, seed, lo, hi)
+        recs = self._branch_records([tu], lo, traces)
+        futures: List[Optional[Sequence[int]]] = [None] * len(traces)
+        if self.cfg.wrong_exec.wrong_path and traces:
+            # A chunk's wrong paths may run on into the next chunk.
+            futures = [trace.load_addrs for trace in traces[1:]]
+            futures.append(comp.trace(streams, seed, hi).load_addrs)
+            self._seed_bursts(comp, lo, traces, recs, futures)
+        cycles = 0.0
+        for k, trace in enumerate(traces):
             cont, tsag, comp_c, wb = tu.execute(
-                info, c, trace, sequential=True, upstream_targets=None
+                info, lo + k, trace, recs[k], sequential=True,
+                upstream_targets=None, future_loads=futures[k],
             )
             cycles += cont + tsag + comp_c + wb
         return cycles, hi - lo

@@ -71,6 +71,15 @@ class TestCommands:
               "--scale", "2e-5", "--tus", "2"])
         assert "wrong loads" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("knob", [["--seed", "-1"], ["--scale", "0"]])
+    def test_run_bad_params_are_usage_errors(self, knob, capsys):
+        rc = main(["run", "--benchmark", "181.mcf", "--config", "orig",
+                   "--scale", "1e-5", "--engine", "fast", "--no-cache"]
+                  + knob)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run: ") and err.count("\n") == 1
+
 
 class TestTraceExitCodes:
     def test_ok_run_returns_0(self, tmp_path, capsys):
@@ -301,6 +310,23 @@ class TestFidelityCli:
                    "--sections", "fig99", "--dir", str(tmp_path)])
         assert rc == 2
         assert "fidelity run:" in capsys.readouterr().err
+
+    def test_run_negative_seed_is_usage_error(self, tmp_path, monkeypatch,
+                                              capsys):
+        # Refused before any cell runs (numpy's SeedSequence would fail
+        # every cell of the campaign instead).
+        from repro.obs import fidelity
+
+        def no_cells(*_args, **_kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(fidelity, "run_grid", no_cells)
+        rc = main(["fidelity", "run", "--sections", "fig11", "--seed", "-1",
+                   "--scale", "1e-5", "--engine", "fast", "--no-cache",
+                   "--dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "fidelity run: seed must be non-negative, got -1\n"
 
     def test_dir_leaves_environment_unchanged(self, tmp_path, monkeypatch):
         # --dir reaches the ledger as an argument; it must not leak into

@@ -190,6 +190,7 @@ class TestSimParams:
             dict(warmup_invocations=-1),
             dict(prefetch_late_cycles=-1),
             dict(prefetch_late_far_cycles=-1),
+            dict(seed=-1),
         ],
     )
     def test_invalid(self, kwargs):

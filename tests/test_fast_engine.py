@@ -5,7 +5,8 @@ oracle interpreter on every ``SimResult`` field — not statistically
 close, equal.  The tests here enforce that contract across the paper's
 eight configurations and several seeds, on runs that record their
 branch streams and on runs that replay them, compare compiled traces
-with the oracle's trace generator address by address, check that a
+with the oracle's trace generator address by address, check the batch
+stream seeding against numpy's ``SeedSequence``, check that a
 program's memo dies with the program, pin down the engine-selection
 rules in the driver, and cover the coherence hook (``bus_update``)
 under every sidecar policy on both engines.
@@ -21,7 +22,11 @@ import gc
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import SeedSequence
 
 from repro.common.config import SidecarKind, SimParams
 from repro.common.errors import ConfigError
@@ -36,6 +41,8 @@ from repro.obs.ledger import WALL_EPSILON_S, PerfRecord
 from repro.sim import executor
 from repro.sim.driver import run_simulation
 from repro.sim.executor import SweepCell, default_engine, run_cells
+from repro.sim.fast import compile as compile_mod
+from repro.sim.fast import streams as streams_mod
 from repro.sim.fast.compile import CompiledRegion, program_memo
 from repro.sim.fast.engine import _FastMachine, _FastTU
 from repro.sim.fast.streams import FastStreamFactory
@@ -119,6 +126,17 @@ class TestBitIdentity:
         oracle = run_simulation(program, cfg, params, engine="oracle")
         assert fast.to_dict() == oracle.to_dict()
 
+    @pytest.mark.parametrize("config_name", ["wth-wp-wec", "nlp"])
+    def test_seed_past_32_bits_bit_identical(self, mcf_program, config_name):
+        # numpy splits such a seed into two entropy words, so the fast
+        # engine's streams take numpy's own pooling, batches included.
+        cfg = named_config(config_name)
+        params = SimParams(seed=2**32 + 2003, scale=SCALE)
+        assert not FastStreamFactory(params.seed)._fast
+        oracle = run_simulation(mcf_program, cfg, params, engine="oracle")
+        fast = run_simulation(mcf_program, cfg, params, engine="fast")
+        assert fast.to_dict() == oracle.to_dict()
+
     def test_repeat_runs_deterministic(self, mcf_program):
         cfg = named_config("wth-wp-wec")
         params = SimParams(seed=42, scale=SCALE)
@@ -155,20 +173,35 @@ class TestBranchStream:
         assert (replaying.branches, replaying.mispredicts) == (
             recording.branches, recording.mispredicts)
 
+    def test_replay_on_invocations_off_the_tu_grid(self):
+        # 81 iterations an invocation: later invocations start off a
+        # multiple of the TU count, so each record must be charged to
+        # the TU of its global iteration, recording and replaying.
+        program = build_microbenchmark("mixed", iters_per_invocation=81,
+                                       n_invocations=3)
+        params = SimParams(seed=7)
+        for config_name in ("orig", "wth-wp-wec"):  # record, then replay
+            cfg = named_config(config_name)
+            fast = run_simulation(program, cfg, params, engine="fast")
+            oracle = run_simulation(program, cfg, params, engine="oracle")
+            assert fast.to_dict() == oracle.to_dict(), config_name
+        assert len(program_memo(program).branch_streams) == 1
+
 
 # ---------------------------------------------------------------------------
 # Compile level: bound traces against the oracle's trace generator
 # ---------------------------------------------------------------------------
 
-#: Iterations/chunks compared per region and seed.
-N_COMPILED = 12
+#: Iterations/chunks bound per region and seed, in one batch: well above
+#: the crossover where the stream pooling switches to numpy.
+N_COMPILED = 64
 
 
 def _strided_region():
     """A small region on a ``StridedPattern``, which no benchmark uses.
 
     The self-looping block makes the per-walk occurrence count of
-    ``col`` vary from 3 (scalar binding) to 9+ (vectorized binding).
+    ``col`` vary from 3 to 9+, so one batch holds several paths.
     """
     cfg = IterationCFG(
         entry="walk",
@@ -204,38 +237,125 @@ class TestCompiledTraces:
 
     @pytest.mark.parametrize("seed", (2003, 7))
     def test_traces_match_trace_generator(self, compile_regions, seed):
+        assert N_COMPILED >= 4 * streams_mod.BATCH_MIN
         gen = TraceGenerator(StreamFactory(seed))
         streams = FastStreamFactory(seed)
-        bind_paths = set()
+        paths_per_batch = []
+        small_groups = 0
         for region in compile_regions:
             comp = CompiledRegion(region)
             sequential = isinstance(region, SequentialRegionSpec)
             oracle = gen.chunk_trace if sequential else gen.iteration_trace
-            for index in range(N_COMPILED):
+            # One range bind, then the next index as a lone miss.
+            traces = comp.trace_range(streams, seed, 0, N_COMPILED)
+            assert sorted(comp.traces[seed]) == list(range(N_COMPILED))
+            traces.append(comp.trace(streams, seed, N_COMPILED))
+            paths_per_batch.append(len({id(t.path) for t in traces}))
+            small_groups += sum(len(e.occ) < 8
+                                for path in comp.paths.values()
+                                for e in path.bind)
+            wants = [oracle(region, index) for index in range(N_COMPILED + 1)]
+            for index, (got, want) in enumerate(zip(traces, wants)):
                 where = f"{region.name}[{index}] seed {seed}"
-                want = oracle(region, index)
-                got = comp.trace(streams, seed, index)
                 assert got.load_addrs.typecode == "q", where
                 assert got.load_addrs.tolist() == want.load_addrs.tolist(), where
                 assert got.store_addrs.tolist() == want.store_addrs.tolist(), where
                 assert isinstance(got.targets, tuple), where
                 assert list(got.targets) == (
                     want.store_addrs[want.tstore_mask].tolist()), where
-                bind_paths.update(e.scalar for e in got.path.bind)
-                future = future_fast = None
-                if sequential:
-                    future = oracle(region, index + 1).load_addrs
-                    future_fast = comp.trace(streams, seed, index + 1).load_addrs
-                for b in range(want.n_branches):
-                    burst = comp.wrong_path_addrs(streams, seed, got, b, index,
-                                                  future_fast)
-                    assert burst == () or burst.typecode == "q", where
-                    assert list(burst) == gen.wrong_path_addrs(
-                        region, want, b, index, future_loads=future), where
                 if not sequential:
                     assert list(comp.wrong_thread_addrs(streams, seed, index)) == (
                         gen.wrong_thread_addrs(region, index).tolist()), where
-        assert bind_paths == {True, False}  # scalar and vectorized binding
+            # Every burst of the batch, seeded together as an invocation
+            # seeds them, against the oracle's one-at-a-time bursts.
+            sites = [
+                (traces[index], b, index,
+                 traces[index + 1].load_addrs if sequential else None)
+                for index in range(N_COMPILED)
+                for b in range(wants[index].n_branches)
+            ]
+            assert sites, region.name
+            comp.seed_wrong_paths(streams, seed, sites)
+            prof = region.wrong_exec
+            if prof.wp_max_loads != 0 and prof.wp_mean_loads > 0:
+                assert len(comp.wp_addrs[seed]) == len(sites), region.name
+            for trace, b, index, future_fast in sites:
+                where = f"{region.name}[{index}] branch {b} seed {seed}"
+                burst = comp.wrong_path_addrs(streams, seed, trace, b, index,
+                                              future_fast)
+                assert burst == () or burst.typecode == "q", where
+                future = wants[index + 1].load_addrs if sequential else None
+                assert list(burst) == gen.wrong_path_addrs(
+                    region, wants[index], b, index, future_loads=future), where
+        # Some batch held several paths, and some path bound a pattern
+        # with only a few occurrences.
+        assert max(paths_per_batch) >= 2
+        assert small_groups > 0
+
+    def test_exact_fallback_binds_the_same_traces(self, compile_regions,
+                                                   monkeypatch):
+        region = compile_regions[0]
+        fast = CompiledRegion(region).trace_range(
+            FastStreamFactory(2003), 2003, 0, N_COMPILED)
+        monkeypatch.setattr(streams_mod, "POOLING_EXACT", False)
+        factory = FastStreamFactory(2003)
+        assert not factory._fast
+        exact = CompiledRegion(region).trace_range(factory, 2003, 0, N_COMPILED)
+        assert [(t.load_addrs, t.store_addrs, t.targets) for t in exact] == [
+            (t.load_addrs, t.store_addrs, t.targets) for t in fast]
+
+    def test_bounded_memos_stay_bit_identical(self, monkeypatch):
+        # Each batch binds and seeds many entries at once; the memos must
+        # still stop at their bound, and results must not change.
+        monkeypatch.setattr(compile_mod, "_MAX_TRACES", 16)
+        program = build_microbenchmark("mixed", iters_per_invocation=80,
+                                       n_invocations=3)
+        cfg = named_config("wth-wp-wec")
+        params = SimParams(seed=7)
+        fast = run_simulation(program, cfg, params, engine="fast")
+        oracle = run_simulation(program, cfg, params, engine="oracle")
+        assert fast.to_dict() == oracle.to_dict()
+        memo = program_memo(program)
+        sizes = [len(per_seed) for comp in memo.regions.values()
+                 for memo_dict in (comp.traces, comp.wp_addrs)
+                 for per_seed in memo_dict.values()]
+        assert sizes and max(sizes) == 16
+
+
+# ---------------------------------------------------------------------------
+# Stream seeding: batch pooling against numpy's SeedSequence
+# ---------------------------------------------------------------------------
+
+class TestStreamSeeding:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           words=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40))
+    def test_batch_pooling_matches_numpy(self, seed, words):
+        got = streams_mod.pooled_state_batch(seed, words)
+        assert got.dtype == np.uint64 and got.shape == (len(words), 4)
+        for word, row in zip(words, got.tolist()):
+            ref = SeedSequence(seed, spawn_key=(word,)).generate_state(
+                4, np.uint64)
+            assert row == ref.tolist()
+
+    def test_fast_seeding_is_live(self):
+        # Canary: a numpy whose pooling or integer promotion we do not
+        # reproduce sends every stream down the exact (numpy) path.
+        # Results stay right, so nothing else fails; only speed is lost.
+        assert streams_mod.POOLING_EXACT
+        assert streams_mod._self_check()
+        assert FastStreamFactory(2003)._fast
+
+    @pytest.mark.parametrize("seed", (2003, 2**32 + 2003))
+    def test_fresh_batch_matches_oracle_streams(self, seed):
+        oracle = StreamFactory(seed)
+        factory = FastStreamFactory(seed)
+        for n in (1, streams_mod.BATCH_MIN - 1, streams_mod.BATCH_MIN,
+                  streams_mod._POOL_ROWS + 3):
+            names = [f"it:r:{i}" for i in range(n)]
+            draws = [g.random(4).tolist() for g in factory.fresh_batch(names)]
+            assert draws == [oracle.fresh(name).random(4).tolist()
+                             for name in names]
 
 
 # ---------------------------------------------------------------------------
