@@ -79,7 +79,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from .common.config import SimParams
+from .common.config import MachineConfig, SimParams
 from .common.errors import (
     AnalysisError,
     ConfigError,
@@ -99,6 +99,7 @@ from .obs.compare import compare_records, parse_threshold
 from .obs.events import CATEGORIES
 from .obs.fidelity import (
     PERTURBATIONS,
+    campaign_axis,
     diff_exports,
     figure_table_cells,
     load_fidelity_export,
@@ -180,10 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     diff_p.add_argument("--benchmarks", default=None, metavar="NAMES",
                         help="comma-separated benchmark names "
                              "(default: the whole Table 2 suite)")
-    diff_p.add_argument("--configs", default=",".join(CONFIG_NAMES),
-                        metavar="NAMES",
-                        help="comma-separated configuration names "
-                             "(default: the paper's eight, %(default)s)")
+    diff_p.add_argument("--configs", default=None, metavar="LABELS",
+                        help="comma-separated campaign labels (default: "
+                             "every distinct configuration the fidelity "
+                             "campaign runs, each once)")
     diff_p.add_argument("--scale", type=float, default=2e-5,
                         help="instruction scale vs Table 2 "
                              "(default 2e-5: smoke size)")
@@ -191,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff_p.add_argument("--seeds", default=None, metavar="LIST",
                         help="comma-separated seeds (overrides --seed; "
                              "every cell is checked under each)")
-    diff_p.add_argument("--tus", type=int, default=8,
-                        help="number of thread units (default 8)")
 
     trace_p = sub.add_parser(
         "trace",
@@ -594,15 +593,24 @@ def _cmd_diff(args) -> int:
         [b.strip() for b in args.benchmarks.split(",") if b.strip()]
         if args.benchmarks else list(BENCHMARK_NAMES)
     )
-    config_names = [c.strip() for c in args.configs.split(",") if c.strip()]
-    unknown = [c for c in config_names if c not in CONFIG_NAMES]
-    if unknown:
-        raise ConfigError(f"unknown configuration(s): {', '.join(unknown)}")
+    axis = campaign_axis()
+    if args.configs:
+        labels = [c.strip() for c in args.configs.split(",") if c.strip()]
+        unknown = [c for c in labels if c not in axis]
+        if unknown:
+            raise ConfigError(
+                f"unknown configuration(s): {', '.join(unknown)}")
+        axis = {label: axis[label] for label in labels}
+    # Each distinct configuration once, under its first label: the
+    # campaign's 51 labels name 45 configurations (``orig@8tu`` is
+    # ``orig``).
+    configs: Dict[MachineConfig, str] = {}
+    for label, cfg in axis.items():
+        configs.setdefault(cfg, label)
     seeds = (
         [int(s) for s in args.seeds.split(",") if s.strip()]
         if args.seeds else [args.seed]
     )
-    configs = [named_config(name, n_tus=args.tus) for name in config_names]
     n_cells = 0
     mismatches = []
     t0 = time.perf_counter()
@@ -614,20 +622,20 @@ def _cmd_diff(args) -> int:
         program = build_benchmark(bench, scale=args.scale)
         for seed in seeds:
             params = SimParams(seed=seed, scale=args.scale)
-            for cfg in configs:
+            for cfg, label in configs.items():
                 oracle = run_program(program, cfg, params, engine="oracle")
                 fast = run_program(program, cfg, params, engine="fast")
                 n_cells += 1
                 diffs = _dict_diff_paths(oracle.to_dict(), fast.to_dict())
                 if diffs:
-                    mismatches.append((bench, cfg.name, seed, diffs))
+                    mismatches.append((bench, label, seed, diffs))
         print(f"{bench}: {len(seeds) * len(configs)} cell(s) checked")
     wall = time.perf_counter() - t0
     if mismatches:
         print(f"\n{len(mismatches)} of {n_cells} cell(s) diverge between "
               f"engines:", file=sys.stderr)
-        for bench, cfg_name, seed, diffs in mismatches:
-            print(f"  {bench}/{cfg_name} seed={seed}:", file=sys.stderr)
+        for bench, label, seed, diffs in mismatches:
+            print(f"  {bench}/{label} seed={seed}:", file=sys.stderr)
             for line in diffs[:8]:
                 print(f"    {line}", file=sys.stderr)
             if len(diffs) > 8:

@@ -69,6 +69,7 @@ __all__ = [
     "STATUSES",
     "ScoredClaim",
     "apply_perturbation",
+    "campaign_axis",
     "campaign_sections",
     "claims_fingerprint",
     "default_claims_path",
@@ -385,6 +386,11 @@ def apply_perturbation(
                         cfg.tu.sidecar, kind=SidecarKind.NONE)))
             out[section][label] = cfg
     return out
+
+
+def campaign_axis() -> Dict[str, MachineConfig]:
+    """Every label of the campaign grid with its configuration."""
+    return _union_axis(campaign_sections())
 
 
 def _union_axis(

@@ -66,6 +66,7 @@ from ..obs.ledger import Ledger, PerfRecord, default_perf_dir
 from ..workloads.benchmarks import build_benchmark
 from ..workloads.program import Program
 from .driver import ENGINES, run_program
+from .fast import compile_program_fast, stream_key
 from .results import SimResult
 
 __all__ = [
@@ -579,6 +580,21 @@ def _execute_cell(
         return ("err", f"{type(exc).__name__}: {exc}", traceback.format_exc())
 
 
+def _warmup_key(cell: SweepCell) -> tuple:
+    """What the fast-engine memos one warm-up fills are keyed by.
+
+    The benchmark model, by benchmark and scale; its traces and bursts,
+    by seed; its branch streams, by seed, TU count and branch geometry
+    (:func:`~repro.sim.fast.stream_key`); and the wrong-execution
+    flags, because wrong-path bursts and wrong-thread traces are
+    separate memo families.
+    """
+    we = cell.config.wrong_exec
+    return (cell.benchmark, cell.params.scale,
+            stream_key(cell.config, cell.params),
+            we.wrong_path, we.wrong_thread)
+
+
 def _fork_available() -> bool:
     # fork is the only start method that is safe without a __main__ guard
     # (spawn re-imports __main__, which would re-run unguarded scripts).
@@ -780,25 +796,24 @@ def run_cells(
     # copy-on-write instead of each rebuilding them.  Serial with perf
     # recording on: the ledger's per-cell walls are meant to measure
     # steady-state engine throughput, so one-time memo construction must
-    # not land in whichever cell happens to run first.  Keyed per
-    # (benchmark, scale, wrong-exec flavour) because wrong-path and
-    # wrong-thread address streams are separate memo families — warming
-    # ``orig`` alone would leave the first ``wp``/``wth`` cell cold.
+    # not land in whichever cell happens to run first.  The fast engine
+    # is warmed by compile_program_fast, which fills the memos as a run
+    # would without simulating, once per _warmup_key: per seed, TU
+    # count, branch geometry and wrong-execution flavour, so no cell
+    # binds a trace, seeds a burst or records a branch stream.
     try:
         if to_run and (use_parallel or perf_on):
             warmed = set()
             for cell, _key in to_run:
-                we = cell.config.wrong_exec
-                wkey = (cell.benchmark, cell.params.scale,
-                        we.wrong_path, we.wrong_thread)
+                wkey = _warmup_key(cell)
                 if wkey in warmed:
                     continue
                 warmed.add(wkey)
                 try:
                     program = _build_program(cell.benchmark, cell.params.scale)
                     if engine == "fast":
-                        run_program(program, cell.config, cell.params,
-                                    engine="fast")
+                        compile_program_fast(program, cell.config,
+                                             cell.params)
                 # lint: allow(EXC001 warm-up is an optimisation only: a failing cell re-runs in its worker/cell and is reported there)
                 except Exception:
                     pass

@@ -6,6 +6,6 @@ See :mod:`repro.sim.fast.engine` for the exactness contract and
 ``docs/ARCHITECTURE.md`` ("Fast engine") for the design.
 """
 
-from .engine import run_program_fast
+from .engine import compile_program_fast, run_program_fast, stream_key
 
-__all__ = ["run_program_fast"]
+__all__ = ["compile_program_fast", "run_program_fast", "stream_key"]

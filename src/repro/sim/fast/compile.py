@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -525,14 +525,17 @@ class ProgramMemo:
     compiled form holds its region, so no other object can take that id
     while the entry lives.  ``branch_streams`` holds the branch-outcome
     streams :func:`repro.sim.fast.engine.run_program_fast` records,
-    keyed by seed and branch geometry.
+    keyed by seed, TU count and branch geometry; ``wp_seeded`` the keys
+    of the streams whose wrong-path bursts a completed run has seeded
+    into the regions' ``wp_addrs``.
     """
 
-    __slots__ = ("regions", "branch_streams", "__weakref__")
+    __slots__ = ("regions", "branch_streams", "wp_seeded", "__weakref__")
 
     def __init__(self) -> None:
         self.regions: Dict[int, CompiledRegion] = {}
         self.branch_streams: Dict[tuple, List[list]] = {}
+        self.wp_seeded: Set[tuple] = set()
 
     def compiled(self, region: RegionSpec) -> CompiledRegion:
         """The (memoized) compiled form of ``region``."""

@@ -3,7 +3,7 @@
 This module re-implements the oracle's hot loop — thread-unit stepping
 and hierarchy lookups, per the hostprof ledger — as flat dict/list state
 machines fed by :mod:`repro.sim.fast.compile`'s memoized traces.  The
-speed comes from four places:
+speed comes from five places:
 
 * trace generation is compiled and memoized per ``(seed, iteration)``
   (shared across every configuration of a sweep grid) with numpy-
@@ -13,15 +13,26 @@ speed comes from four places:
 * the i-fetch loop collapses to its first pass over the code footprint
   (consecutive code blocks occupy distinct L1I sets, so repeat passes
   are hits by construction and contribute zero stall);
-* counters are plain dicts and cache sets are plain insertion-ordered
-  dicts, mutated inline without per-event attribute dispatch.
+* counters are plain dicts, and the L1D and L2 sets are plain
+  insertion-ordered dicts in lists indexed by set, mutated inline
+  without per-event attribute dispatch; a plain hit in a direct-mapped
+  L1D skips the LRU refresh, a no-op in a one-entry set;
+* bookkeeping a whole region invocation shares is settled once per
+  invocation: a sequential invocation's stores reach the update bus
+  once per block, a replayed invocation bumps each TU's branch counters
+  once, and a branch stream's wrong-path bursts are seeded by its first
+  wrong-path run only (``ProgramMemo.wp_seeded``).
+
+:func:`compile_program_fast` runs only the compile step of every
+invocation, so a sweep can fill a program's memo without simulating.
 
 Bit-exactness contract: every counter update, LRU movement and float
 operation below replays the oracle's in the same order with the same
 operand grouping.  The differential suite
-(``tests/test_fast_engine.py``) enforces ``SimResult`` equality across
-the paper's eight configurations; any divergence is a bug in one of the
-two engines, never tolerable noise.
+(``tests/test_fast_engine.py``) enforces ``SimResult`` equality on the
+paper's eight configurations and on random machine configurations, and
+``repro diff`` on every configuration the fidelity campaign runs; any
+divergence is a bug in one of the two engines, never tolerable noise.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from ..results import SimResult
 from .compile import CompiledRegion, ProgramMemo, program_memo
 from .streams import FastStreamFactory
 
-__all__ = ["run_program_fast"]
+__all__ = ["compile_program_fast", "run_program_fast", "stream_key"]
 
 
 # Branch-outcome streams shared across configurations.  For a fixed
@@ -70,6 +81,14 @@ __all__ = ["run_program_fast"]
 # wp_events keeps loads/stores plus only the mispredicted branch
 # events, mem_events drops branch events entirely.  Records with the
 # same path (and mispredicts) share one list.
+#
+# Wrong-path bursts depend on the stream too: which (iteration, branch)
+# sites burst is its mispredicts.  The first wrong-path run over a
+# stream seeds each invocation's bursts in one batch
+# (CompiledRegion.seed_wrong_paths) and, once it completes, adds the
+# stream's key to ``ProgramMemo.wp_seeded``; later replays of that
+# stream skip the seeding.  A burst the memo's bound left out is still
+# drawn on demand by CompiledRegion.wrong_path_addrs.
 _BranchStream = List[list]
 
 
@@ -113,10 +132,7 @@ class _FastL2:
 
     def __init__(self, cfg: MachineConfig) -> None:
         geo = geometry_of(cfg.mem.l2)
-        # Sets materialize lazily: tiny-scale runs touch a small fraction
-        # of 1024 L2 sets, and building empty dicts up front is a
-        # measurable share of per-run wall time.
-        self.sets: Dict[int, Dict[int, int]] = defaultdict(dict)
+        self.sets: List[Dict[int, int]] = [{} for _ in range(geo.n_sets)]
         self.mask = geo.set_mask
         self.assoc = geo.assoc
         self.block_bits = geo.block_bits
@@ -145,9 +161,11 @@ class _FastL2:
         memc = self.memc
         memc["reads"] += 1
         if len(s) >= self.assoc:
-            victim = next(iter(s))
-            vflags = s[victim]
-            del s[victim]
+            # The LRU victim is the set's first key; for/break reads it
+            # without the iter() and next() calls (here and below).
+            for victim in s:
+                break
+            vflags = s.pop(victim)
             if vflags & DIRTY:
                 memc["writes"] += 1
                 c["writebacks_to_memory"] += 1
@@ -166,9 +184,9 @@ class _FastL2:
             s[block] = flags | DIRTY
             return
         if len(s) >= self.assoc:
-            victim = next(iter(s))
-            vflags = s[victim]
-            del s[victim]
+            for victim in s:
+                break
+            vflags = s.pop(victim)
             if vflags & DIRTY:
                 memc = self.memc
                 memc["writes"] += 1
@@ -206,7 +224,7 @@ class _FastTU:
         self.bp: Dict[str, int] = defaultdict(int)
         self.mb: Dict[str, int] = defaultdict(int)
         d = geometry_of(tu.l1d)
-        self.l1d_sets: Dict[int, Dict[int, int]] = defaultdict(dict)
+        self.l1d_sets: List[Dict[int, int]] = [{} for _ in range(d.n_sets)]
         self.l1d_mask = d.set_mask
         self.l1d_assoc = d.assoc
         self.l1d_bits = d.block_bits
@@ -285,9 +303,9 @@ class _FastTU:
             side[block] = flags
             return
         if len(side) >= self.side_cap:
-            victim = next(iter(side))
-            vflags = side[victim]
-            del side[victim]
+            for victim in side:
+                break
+            vflags = side.pop(victim)
             if vflags & DIRTY:
                 self._writeback(victim)
         side[block] = flags
@@ -321,9 +339,9 @@ class _FastTU:
             memc = l2.memc
             memc["reads"] += 1
             if len(s2) >= l2.assoc:
-                v2 = next(iter(s2))
-                vf2 = s2[v2]
-                del s2[v2]
+                for v2 in s2:
+                    break
+                vf2 = s2.pop(v2)
                 if vf2 & DIRTY:
                     memc["writes"] += 1
                     c2["writebacks_to_memory"] += 1
@@ -331,9 +349,9 @@ class _FastTU:
             latency = l2.mem_latency
         s = self.l1d_sets[block & self.l1d_mask]
         if len(s) >= self.l1d_assoc:
-            victim = next(iter(s))
-            vflags = s[victim]
-            del s[victim]
+            for victim in s:
+                break
+            vflags = s.pop(victim)
             if vflags & DIRTY:
                 self.m["writebacks"] += 1
                 l2.writeback(victim << self.l1d_bits)
@@ -360,9 +378,9 @@ class _FastTU:
             memc = l2.memc
             memc["reads"] += 1
             if len(s2) >= l2.assoc:
-                v2 = next(iter(s2))
-                vf2 = s2[v2]
-                del s2[v2]
+                for v2 in s2:
+                    break
+                vf2 = s2.pop(v2)
                 if vf2 & DIRTY:
                     memc["writes"] += 1
                     c2["writebacks_to_memory"] += 1
@@ -370,9 +388,9 @@ class _FastTU:
             latency = l2.mem_latency
         s = self.l1d_sets[block & self.l1d_mask]
         if len(s) >= self.l1d_assoc:
-            victim = next(iter(s))
-            vflags = s[victim]
-            del s[victim]
+            for victim in s:
+                break
+            vflags = s.pop(victim)
             self.m["victims_to_sidecar"] += 1
             self._side_insert(victim, vflags)
         s[block] = flags
@@ -382,9 +400,9 @@ class _FastTU:
         """Sidecar-hit promote: L1D insert, dirty victim → L2."""
         s = self.l1d_sets[block & self.l1d_mask]
         if len(s) >= self.l1d_assoc:
-            victim = next(iter(s))
-            vflags = s[victim]
-            del s[victim]
+            for victim in s:
+                break
+            vflags = s.pop(victim)
             if vflags & DIRTY:
                 self.m["writebacks"] += 1
                 self.l2.writeback(victim << self.l1d_bits)
@@ -394,9 +412,9 @@ class _FastTU:
         """Sidecar-hit promote: L1D insert, victim → sidecar."""
         s = self.l1d_sets[block & self.l1d_mask]
         if len(s) >= self.l1d_assoc:
-            victim = next(iter(s))
-            vflags = s[victim]
-            del s[victim]
+            for victim in s:
+                break
+            vflags = s.pop(victim)
             self.m["victims_to_sidecar"] += 1
             self._side_insert(victim, vflags)
         s[block] = flags
@@ -425,9 +443,9 @@ class _FastTU:
             memc = l2.memc
             memc["reads"] += 1
             if len(s2) >= l2.assoc:
-                v2 = next(iter(s2))
-                vf2 = s2[v2]
-                del s2[v2]
+                for v2 in s2:
+                    break
+                vf2 = s2.pop(v2)
                 if vf2 & DIRTY:
                     memc["writes"] += 1
                     c2["writebacks_to_memory"] += 1
@@ -717,18 +735,18 @@ class _FastTU:
             memc = l2.memc
             memc["reads"] += 1
             if len(s2) >= l2.assoc:
-                v2 = next(iter(s2))
-                vf2 = s2[v2]
-                del s2[v2]
+                for v2 in s2:
+                    break
+                vf2 = s2.pop(v2)
                 if vf2 & DIRTY:
                     memc["writes"] += 1
                     c2["writebacks_to_memory"] += 1
             s2[b2] = 0
             latency = l2.mem_latency
         if len(s) >= self.l1d_assoc:
-            victim = next(iter(s))
-            vflags = s[victim]
-            del s[victim]
+            for victim in s:
+                break
+            vflags = s.pop(victim)
             if vflags & DIRTY:
                 m["writebacks"] += 1
                 l2.writeback(victim << self.l1d_bits)
@@ -767,18 +785,18 @@ class _FastTU:
             memc = l2.memc
             memc["reads"] += 1
             if len(s2) >= l2.assoc:
-                v2 = next(iter(s2))
-                vf2 = s2[v2]
-                del s2[v2]
+                for v2 in s2:
+                    break
+                vf2 = s2.pop(v2)
                 if vf2 & DIRTY:
                     memc["writes"] += 1
                     c2["writebacks_to_memory"] += 1
             s2[b2] = 0
             latency = l2.mem_latency
         if len(s) >= self.l1d_assoc:
-            victim = next(iter(s))
-            vflags = s[victim]
-            del s[victim]
+            for victim in s:
+                break
+            vflags = s.pop(victim)
             if vflags & DIRTY:
                 m["writebacks"] += 1
                 l2.writeback(victim << self.l1d_bits)
@@ -815,18 +833,18 @@ class _FastTU:
             memc = l2.memc
             memc["reads"] += 1
             if len(s2) >= l2.assoc:
-                v2 = next(iter(s2))
-                vf2 = s2[v2]
-                del s2[v2]
+                for v2 in s2:
+                    break
+                vf2 = s2.pop(v2)
                 if vf2 & DIRTY:
                     memc["writes"] += 1
                     c2["writebacks_to_memory"] += 1
             s2[b2] = 0
             latency = l2.mem_latency
         if len(s) >= self.l1d_assoc:
-            victim = next(iter(s))
-            vflags = s[victim]
-            del s[victim]
+            for victim in s:
+                break
+            vflags = s.pop(victim)
             if vflags & DIRTY:
                 m["writebacks"] += 1
                 l2.writeback(victim << self.l1d_bits)
@@ -856,14 +874,18 @@ class _FastTU:
     # -- coherence hook ------------------------------------------------
 
     # parity: repro.mem.hierarchy.TUMemSystem.bus_update
-    def bus_update(self, addr: int) -> bool:
-        block = addr >> self.l1d_bits
+    def bus_update(self, block: int, n: int) -> bool:
+        """Apply ``n`` remote stores to ``block`` if this TU caches it.
+
+        A presence probe: the update protocol keeps remote copies valid,
+        so nothing changes beyond the accounting counter.
+        """
         present = block in self.l1d_sets[block & self.l1d_mask] or (
             self.side is not None and block in self.side
         )
         if present:
             m = self.m
-            m["bus_updates"] += 1
+            m["bus_updates"] += n
         return present
 
     # -- branch resolve ------------------------------------------------
@@ -916,20 +938,19 @@ class _FastTU:
                 bp_table[slot] = c - 1
             if mispredicted:
                 mis_list.append(idx)
-        rec = [len(branch_pcs), btb_tm_n, tuple(mis_list), None, None]
-        self._count_branches(rec)
-        return rec
+        self._count_branches(len(branch_pcs), btb_tm_n, len(mis_list))
+        return [len(branch_pcs), btb_tm_n, tuple(mis_list), None, None]
 
-    def _count_branches(self, rec: list) -> None:
-        """Bump the branch counters for one execute's record, in bulk."""
-        n_branches, btb_tm_n, mis_idxs = rec[0], rec[1], rec[2]
+    def _count_branches(self, n_branches: int, btb_tm_n: int,
+                        n_mispredicts: int) -> None:
+        """Bump the branch counters by the given totals, in bulk."""
         if n_branches:
             bp = self.bp
             bp["branches"] += n_branches
             if btb_tm_n:
                 bp["btb_target_misses"] += btb_tm_n
-            if mis_idxs:
-                bp["mispredicts"] += len(mis_idxs)
+            if n_mispredicts:
+                bp["mispredicts"] += n_mispredicts
 
     # -- iteration execution -------------------------------------------
 
@@ -941,7 +962,9 @@ class _FastTU:
 
         ``rec`` is the execute's branch record (see _BranchStream);
         ``future_loads`` the next chunk's loads, which a sequential
-        chunk's wrong paths may run on into.
+        chunk's wrong paths may run on into.  A sequential chunk counts
+        its stores per block in the machine's ``bus_blocks``, which the
+        region loop settles on the update bus when the invocation ends.
         """
         eng = self.eng
         path = trace.path
@@ -1024,6 +1047,11 @@ class _FastTU:
         l1d_mask = self.l1d_mask
         l1d_bits = self.l1d_bits
         hit_mask = self.load_hit_mask
+        # A direct-mapped set holds one block, so a hit's LRU refresh
+        # (delete, re-insert) leaves it as it was: only an associative
+        # L1D needs it.
+        lru = self.l1d_assoc > 1
+        bus_blocks = eng.bus_blocks
         loads_n = 0
         hits_n = 0
         stores_n = 0
@@ -1053,8 +1081,9 @@ class _FastTU:
                 if f is not None and not f & hit_mask:
                     # Plain hit: refresh + count, 1 cycle — identical
                     # under every policy (flagged hits take the method).
-                    del s[block]
-                    s[block] = f
+                    if lru:
+                        del s[block]
+                        s[block] = f
                     loads_n += 1
                     hits_n += 1
                 else:
@@ -1079,13 +1108,14 @@ class _FastTU:
                     if f is not None:
                         # Store hit: refresh + mark dirty, 1 cycle —
                         # identical under every policy.
-                        del s[block]
+                        if lru:
+                            del s[block]
                         s[block] = f | DIRTY
                         stores_n += 1
                         hits_n += 1
                     else:
                         store_stall += store_correct(value) - 1
-                    eng.sequential_store(self.tu_id, value)
+                    bus_blocks[block] = bus_blocks.get(block, 0) + 1
                 else:
                     if len(mb_stores) >= self.mb_cap and value not in mb_stores:
                         mb["overflows"] += 1
@@ -1099,22 +1129,24 @@ class _FastTU:
             load_stall += wrong_fill_lat * self.wrong_fill_charge
 
         if not sequential:
-            committed = list(mb_stores.items())
+            # Commit the buffered stores in order (the store handlers
+            # never touch the buffer).
             mb["writebacks"] += 1
-            mb_stores.clear()
-            mb_upstream.clear()
-            mb_arrived.clear()
-            for addr, _is_target in committed:
+            for addr in mb_stores:
                 block = addr >> l1d_bits
                 s = l1d[block & l1d_mask]
                 f = s.get(block)
                 if f is not None:
-                    del s[block]
+                    if lru:
+                        del s[block]
                     s[block] = f | DIRTY
                     stores_n += 1
                     hits_n += 1
                 else:
                     store_stall += store_correct(addr) - 1
+            mb_stores.clear()
+            mb_upstream.clear()
+            mb_arrived.clear()
 
         if loads_n:
             m["loads"] += loads_n
@@ -1148,17 +1180,14 @@ class _FastTU:
         return cont, tsag, comp_c, wb
 
     # lint: allow(ENG002 wrong-thread driver: mirrors the oracle's scheduler loop, not one method; its load counters fuse under the tagged _load_wrong_* handlers)
-    def run_wrong_thread(self, comp: CompiledRegion, info: _RegionInfo,
-                         start_iter: int) -> int:
-        eng = self.eng
+    def run_wrong_thread(self, rounds: List[Sequence[int]]) -> int:
+        """Run one wrong thread: the loads of each of its ``rounds``."""
         load_wrong = self.load_wrong
         n = 0
-        n_tus = eng.n_tus
-        for round_ in range(info.wth_max_iters):
-            it = start_iter + round_ * n_tus
-            for addr in comp.wrong_thread_addrs(eng.streams, eng.seed, it):
+        for addrs in rounds:
+            for addr in addrs:
                 load_wrong(addr)
-                n += 1
+            n += len(addrs)
         core = self.core
         if n:
             core["wrong_thread_loads"] += n
@@ -1175,14 +1204,27 @@ class _FastTU:
         return n
 
 
+def stream_key(config: MachineConfig, params: SimParams) -> tuple:
+    """The key of the branch stream a run records or replays.
+
+    Seed, TU count and branch geometry: everything the branch-unit
+    inputs depend on (see _BranchStream).
+    """
+    bcfg = config.tu.branch
+    return (
+        params.seed, config.n_thread_units,
+        bcfg.table_bits, bcfg.btb_entries, bcfg.btb_assoc,
+    )
+
+
 class _FastMachine:
     """All per-run state of one fast simulation."""
 
     __slots__ = (
-        "cfg", "params", "memo", "l2", "tus", "bus_c", "head_tu", "n_tus",
-        "streams", "seed", "timing", "mlp", "split_memo", "region_info",
-        "branch_memo", "mem_memo", "wp_memo", "br_record", "br_replay",
-        "br_pos",
+        "cfg", "params", "memo", "l2", "tus", "bus_c", "bus_blocks",
+        "head_tu", "n_tus", "streams", "seed", "timing", "mlp",
+        "split_memo", "region_info", "branch_memo", "mem_memo", "wp_memo",
+        "br_key", "br_record", "br_replay", "br_pos", "seed_bursts",
     )
 
     def __init__(self, cfg: MachineConfig, params: SimParams,
@@ -1196,6 +1238,9 @@ class _FastMachine:
         self.n_tus = cfg.n_thread_units
         self.tus = [_FastTU(self, i) for i in range(cfg.n_thread_units)]
         self.bus_c: Dict[str, int] = defaultdict(int)
+        # A sequential invocation's stores per L1D block, settled on the
+        # update bus when the invocation ends (sequential_stores).
+        self.bus_blocks: Dict[int, int] = {}
         self.head_tu = 0
         self.streams = FastStreamFactory(params.seed)
         self.seed = params.seed
@@ -1207,12 +1252,46 @@ class _FastMachine:
         self.mem_memo: Dict[int, List[Tuple[int, int]]] = {}
         self.wp_memo: Dict[tuple, List[Tuple[int, int]]] = {}
         # Branch-stream record/replay (see _BranchStream): exactly one
-        # of the two is set once run_program_fast starts.  ``br_pos`` is
-        # the replay cursor: the index of the next execute() call's
-        # record, counted across all TUs.
-        self.br_record: Optional[_BranchStream] = None
-        self.br_replay: Optional[_BranchStream] = None
+        # of the two is set.  ``br_pos`` is the replay cursor: the index
+        # of the next execute() call's record, counted across all TUs.
+        self.br_key = stream_key(cfg, params)
+        self.br_replay: Optional[_BranchStream] = (
+            self.memo.branch_streams.get(self.br_key)
+        )
+        self.br_record: Optional[_BranchStream] = (
+            [] if self.br_replay is None else None
+        )
         self.br_pos = 0
+        # Whether this run seeds its wrong-path bursts: only the first
+        # wrong-path run over a stream needs to.
+        self.seed_bursts = (
+            cfg.wrong_exec.wrong_path and self.br_key not in self.memo.wp_seeded
+        )
+
+    def publish(self) -> None:
+        """Leave in the memo what a completed run adds to it.
+
+        That is its branch stream, if it recorded one, and, under
+        wrong-path execution, that the stream's bursts are seeded.  A
+        run that raised publishes nothing.
+        """
+        if self.br_record is not None:
+            self.memo.branch_streams[self.br_key] = self.br_record
+        if self.seed_bursts:
+            self.memo.wp_seeded.add(self.br_key)
+
+    def release(self) -> None:
+        """Break the machine's reference cycles, so dropping it frees it.
+
+        Each TU points back at the machine and holds its own bound
+        policy methods.  Left as cycles, a finished machine waits for a
+        full garbage collection, which a process whose long-lived heap
+        is large (a sweep's warm memos) seldom runs, so a sweep's dead
+        machines would pile up until it ends.
+        """
+        for tu in self.tus:
+            tu.eng = None
+            tu.load_correct = tu.store_correct = tu.load_wrong = None
 
     def branch_aux(
         self, path, bp_mask: int, btb_nsets: int
@@ -1274,27 +1353,23 @@ class _FastMachine:
         return info
 
     # parity: repro.mem.coherence.UpdateBus.sequential_store
-    def sequential_store(self, writer_tu: int, addr: int) -> None:
+    def sequential_stores(self, writer_tu: int, blocks: Dict[int, int]) -> None:
+        """Settle one sequential invocation's stores on the update bus.
+
+        ``blocks`` counts the invocation's stores per L1D block.  Only
+        the writer runs during a sequential region, so no other TU's
+        L1D or sidecar changes before the invocation ends: probing each
+        other TU once per block then, for all of the block's stores,
+        counts what the oracle's per-store broadcasts count.
+        """
         bus_c = self.bus_c
-        bus_c["store_broadcasts"] += 1
+        bus_c["store_broadcasts"] += sum(blocks.values())
+        others = [tu for tu in self.tus if tu.tu_id != writer_tu]
         updated = 0
-        # Inlined tu.bus_update(addr) — a presence probe, no state
-        # change beyond the accounting counter.  All TUs share one cache
-        # geometry, so the block/set math hoists out of the probe loop;
-        # ``sets.get`` keeps the probe from materializing empty sets in
-        # the lazy defaultdict.
-        tus = self.tus
-        block = addr >> tus[0].l1d_bits
-        si = block & tus[0].l1d_mask
-        for tu in tus:
-            if tu.tu_id == writer_tu:
-                continue
-            s = tu.l1d_sets.get(si)
-            if (s is not None and block in s) or (
-                tu.side is not None and block in tu.side
-            ):
-                tu.m["bus_updates"] += 1
-                updated += 1
+        for block, n in blocks.items():
+            for tu in others:
+                if tu.bus_update(block, n):
+                    updated += n
         if updated:
             bus_c["updates_delivered"] += updated
 
@@ -1306,9 +1381,10 @@ class _FastMachine:
 
         Execute ``k`` runs on ``tus[(lo + k) % len(tus)]``.  A recording
         run resolves them all here, ahead of the executes (see
-        _BranchStream); a replay takes them from the stream and gives
-        each the shrunk event list its execute runs.  Either way each
-        TU's branch counters are bumped here, in execute order.
+        _BranchStream), and each resolve bumps its TU's branch
+        counters.  A replay takes them from the stream, gives each the
+        shrunk event list its execute runs, and bumps each TU's
+        counters once for the whole invocation.
         """
         n_tus = len(tus)
         if self.br_replay is None:
@@ -1325,6 +1401,9 @@ class _FastMachine:
             )
         self.br_pos = pos + len(recs)
         wrong_path = self.cfg.wrong_exec.wrong_path
+        branches = [0] * n_tus
+        btb_misses = [0] * n_tus
+        mispredicts = [0] * n_tus
         for k, (rec, trace) in enumerate(zip(recs, traces)):
             path = trace.path
             if rec[0] != len(path.branch_pcs):
@@ -1333,12 +1412,19 @@ class _FastMachine:
                     f"({rec[0]} recorded branches vs "
                     f"{len(path.branch_pcs)} in path)"
                 )
-            tus[(lo + k) % n_tus]._count_branches(rec)
+            j = k % n_tus
+            branches[j] += rec[0]
+            btb_misses[j] += rec[1]
+            mispredicts[j] += len(rec[2])
             if wrong_path and rec[2]:
                 if rec[3] is None:
                     rec[3] = self.wp_events(path, rec[2])
             elif rec[4] is None:
                 rec[4] = self.mem_events(path)
+        for j in range(min(n_tus, len(recs))):
+            tus[(lo + j) % n_tus]._count_branches(
+                branches[j], btb_misses[j], mispredicts[j]
+            )
         return recs
 
     def _seed_bursts(self, comp: CompiledRegion, lo: int, traces: List,
@@ -1352,18 +1438,68 @@ class _FastMachine:
         if sites:
             comp.seed_wrong_paths(self.streams, self.seed, sites)
 
-    def run_parallel_region(self, region, invocation: int):
+    def _compile(self, region, invocation: int):
+        """One region invocation's compile step.
+
+        Binds the invocation's traces, takes its branch records, binds
+        the next chunk's trace that a sequential invocation's wrong
+        paths may run on into, seeds the wrong-path bursts (see
+        _BranchStream) and takes the loads of a parallel invocation's
+        wrong threads.  The region loops run what it returns, and
+        :func:`compile_program_fast` runs it alone.  Returns ``(info,
+        lo, hi, traces, recs, futures, wrong_threads)``: ``futures[k]``
+        is execute ``k``'s ``future_loads``, and ``wrong_threads[k]``
+        the per-round loads of the wrong thread that starts at
+        iteration ``hi + k``.
+        """
         info = self._info(region)
         comp = info.compiled
+        streams = self.streams
+        seed = self.seed
         n_tus = self.n_tus
-        lo, hi = region.global_iter_range(invocation)
-        if hi <= lo:
-            raise SimulationError(f"region {region.name}: empty iteration range")
-        tus = self.tus
-        traces = comp.trace_range(self.streams, self.seed, lo, hi)
+        wrong_exec = self.cfg.wrong_exec
+        if comp.is_parallel:
+            lo, hi = region.global_iter_range(invocation)
+            if hi <= lo:
+                raise SimulationError(
+                    f"region {region.name}: empty iteration range"
+                )
+            tus = self.tus
+        else:
+            lo, hi = region.global_chunk_range(invocation)
+            tus = [self.tus[self.head_tu]]
+        traces = comp.trace_range(streams, seed, lo, hi)
         recs = self._branch_records(tus, lo, traces)
-        if self.cfg.wrong_exec.wrong_path:
-            self._seed_bursts(comp, lo, traces, recs, [None] * len(traces))
+        futures: List[Optional[Sequence[int]]] = [None] * len(traces)
+        if wrong_exec.wrong_path and traces:
+            if not comp.is_parallel:
+                # A chunk's wrong paths may run on into the next chunk.
+                futures = [trace.load_addrs for trace in traces[1:]]
+                futures.append(comp.trace(streams, seed, hi).load_addrs)
+            if self.seed_bursts:
+                self._seed_bursts(comp, lo, traces, recs, futures)
+        wrong_threads: List[List[Sequence[int]]] = []
+        if comp.is_parallel:
+            if wrong_exec.wrong_thread and n_tus > 1:
+                # Wrong thread k runs the iterations its TU would take
+                # next: hi + k, then every n_tus-th one after.
+                wrong_threads = [
+                    [comp.wrong_thread_addrs(streams, seed,
+                                             hi + k + round_ * n_tus)
+                     for round_ in range(info.wth_max_iters)]
+                    for k in range(n_tus - 1)
+                ]
+            # The next sequential region runs on the TU of this
+            # invocation's last iteration.
+            self.head_tu = (hi - 1) % n_tus
+        return info, lo, hi, traces, recs, futures, wrong_threads
+
+    def run_parallel_region(self, region, invocation: int):
+        info, lo, hi, traces, recs, _, wrong_threads = self._compile(
+            region, invocation
+        )
+        n_tus = self.n_tus
+        tus = self.tus
         tu_free = [0.0] * n_tus
         prev_cont_end = 0.0
         prev_comp_end = 0.0
@@ -1396,30 +1532,15 @@ class _FastMachine:
                 region_end = wb_end
             prev_targets = trace.targets
         wrong_loads = 0
-        if self.cfg.wrong_exec.wrong_thread and multi_tu:
-            for k in range(n_tus - 1):
-                wrong_iter = hi + k
-                wrong_loads += tus[wrong_iter % n_tus].run_wrong_thread(
-                    comp, info, wrong_iter
-                )
-        self.head_tu = (hi - 1) % n_tus
+        for k, rounds in enumerate(wrong_threads):
+            wrong_loads += tus[(hi + k) % n_tus].run_wrong_thread(rounds)
         return region_end, hi - lo, wrong_loads
 
     def run_sequential_region(self, region, invocation: int):
-        info = self._info(region)
-        comp = info.compiled
         tu = self.tus[self.head_tu]
-        lo, hi = region.global_chunk_range(invocation)
-        streams = self.streams
-        seed = self.seed
-        traces = comp.trace_range(streams, seed, lo, hi)
-        recs = self._branch_records([tu], lo, traces)
-        futures: List[Optional[Sequence[int]]] = [None] * len(traces)
-        if self.cfg.wrong_exec.wrong_path and traces:
-            # A chunk's wrong paths may run on into the next chunk.
-            futures = [trace.load_addrs for trace in traces[1:]]
-            futures.append(comp.trace(streams, seed, hi).load_addrs)
-            self._seed_bursts(comp, lo, traces, recs, futures)
+        info, lo, hi, traces, recs, futures, _ = self._compile(
+            region, invocation
+        )
         cycles = 0.0
         for k, trace in enumerate(traces):
             cont, tsag, comp_c, wb = tu.execute(
@@ -1427,6 +1548,10 @@ class _FastMachine:
                 upstream_targets=None, future_loads=futures[k],
             )
             cycles += cont + tsag + comp_c + wb
+        bus_blocks = self.bus_blocks
+        if bus_blocks:
+            self.sequential_stores(tu.tu_id, bus_blocks)
+            bus_blocks.clear()
         return cycles, hi - lo
 
     # -- statistics ----------------------------------------------------
@@ -1463,6 +1588,30 @@ class _FastMachine:
         return sum(tu.m.get(name, 0) for tu in self.tus)
 
 
+def compile_program_fast(
+    program: Program,
+    config: MachineConfig,
+    params: SimParams = SimParams(),
+) -> None:
+    """Fill ``program``'s memo as :func:`run_program_fast` would.
+
+    Runs only the compile step of every region invocation, in schedule
+    order: traces, branch records (recorded, or replayed from the
+    stream), wrong-path bursts, the sequential lookahead and the wrong
+    threads' traces, then publishes the branch stream.  Nothing is
+    simulated, so a sweep can warm a program's memo for a configuration
+    at the cost of compiling it; the memo is left exactly as a full run
+    of ``config`` leaves it.
+    """
+    eng = _FastMachine(config, params, program_memo(program))
+    try:
+        for invocation, region in program.schedule():
+            eng._compile(region, invocation)
+        eng.publish()
+    finally:
+        eng.release()
+
+
 def run_program_fast(
     program: Program,
     config: MachineConfig,
@@ -1474,16 +1623,16 @@ def run_program_fast(
     oracle's event-level replay (the driver enforces this).  The result
     is bit-identical to the oracle's for any program and configuration.
     """
-    memo = program_memo(program)
-    eng = _FastMachine(config, params, memo)
-    bcfg = config.tu.branch
-    br_key = (
-        params.seed, config.n_thread_units,
-        bcfg.table_bits, bcfg.btb_entries, bcfg.btb_assoc,
-    )
-    eng.br_replay = memo.branch_streams.get(br_key)
-    if eng.br_replay is None:
-        eng.br_record = []
+    eng = _FastMachine(config, params, program_memo(program))
+    try:
+        return _simulate(eng, program, config, params)
+    finally:
+        eng.release()
+
+
+def _simulate(eng: _FastMachine, program: Program, config: MachineConfig,
+              params: SimParams) -> SimResult:
+    """Run ``program`` on ``eng`` and assemble its result."""
     total = 0.0
     par_cycles = 0.0
     seq_cycles = 0.0
@@ -1519,10 +1668,9 @@ def run_program_fast(
                     "iterations": iterations,
                 }
             )
-    if eng.br_record is not None:
-        # Only a completed run publishes its stream (a raised exception
-        # above leaves the memo untouched).
-        memo.branch_streams[br_key] = eng.br_record
+    # Only a completed run publishes (a raised exception above leaves
+    # the memo's streams untouched).
+    eng.publish()
     counters = eng.collect_stats()
     instructions = sum(tu.core.get("instructions", 0) for tu in eng.tus)
     return SimResult(

@@ -10,8 +10,9 @@ relative speedup (Figures 9–12, 15, 16), normalized execution time
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..common.errors import AnalysisError
@@ -166,8 +167,22 @@ class SimResult:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict:
-        """Plain-dict form (JSON-serializable)."""
-        return asdict(self)
+        """Plain-dict form (JSON-serializable), fields in declaration order.
+
+        Equal to ``dataclasses.asdict(self)`` without its recursive deep
+        copy of every field: the scalars are immutable, ``counters`` and
+        each ``region_cycles`` record hold only scalars, so shallow
+        copies suffice; the nested ``interval_series`` and
+        ``attribution`` are deep-copied when set.
+        """
+        out = {name: getattr(self, name) for name in _FIELD_NAMES}
+        out["counters"] = dict(self.counters)
+        out["region_cycles"] = [dict(r) for r in self.region_cycles]
+        if self.interval_series is not None:
+            out["interval_series"] = copy.deepcopy(self.interval_series)
+        if self.attribution is not None:
+            out["attribution"] = copy.deepcopy(self.attribution)
+        return out
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -182,6 +197,10 @@ class SimResult:
             f"{self.total_cycles:.0f} cycles, ipc={self.ipc:.2f}, "
             f"misses={self.effective_misses})"
         )
+
+
+#: ``SimResult``'s field names in declaration order (``to_dict``'s keys).
+_FIELD_NAMES = tuple(f.name for f in fields(SimResult))
 
 
 def require_same_workload(a: SimResult, b: SimResult) -> None:

@@ -111,10 +111,52 @@ class TestDiffCli:
         # The fast engine refuses the sanitizer; diff pins both engines.
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
-    def test_default_configs_are_the_papers_eight(self):
-        from repro.sta.configs import CONFIG_NAMES
-        args = build_parser().parse_args(["diff"])
-        assert args.configs.split(",") == list(CONFIG_NAMES)
+    @staticmethod
+    def _record_configs(monkeypatch):
+        """Stub both engines with one fixed result; list the configs run."""
+        import repro.cli as cli
+        from repro.sim.results import SimResult
+
+        seen = []
+
+        def fake(program, cfg, params, engine=None):
+            seen.append((engine, cfg))
+            return SimResult(benchmark=program.name, config=cfg.name,
+                             n_tus=cfg.n_thread_units, total_cycles=1.0,
+                             parallel_cycles=0.0, sequential_cycles=1.0,
+                             instructions=1)
+
+        monkeypatch.setattr(cli, "run_program", fake)
+        return seen
+
+    def test_default_grid_is_every_distinct_campaign_config(
+            self, monkeypatch, capsys):
+        from repro.obs.fidelity import campaign_axis
+        seen = self._record_configs(monkeypatch)
+        assert main(["diff", "--benchmarks", "164.gzip",
+                     "--scale", "1e-5"]) == 0
+        distinct = set(campaign_axis().values())
+        assert len(distinct) == 45
+        for engine in ("oracle", "fast"):
+            configs = [cfg for eng, cfg in seen if eng == engine]
+            assert len(configs) == len(set(configs)) == len(distinct)
+            assert set(configs) == distinct
+        out = capsys.readouterr().out
+        assert "diff: 45 cell(s) bit-identical across engines" in out
+
+    def test_configs_take_campaign_labels(self, monkeypatch, capsys):
+        seen = self._record_configs(monkeypatch)
+        # orig@8tu is orig: one cell for the pair.
+        assert main(["diff", "--benchmarks", "164.gzip", "--scale", "1e-5",
+                     "--configs", "orig,orig@8tu,wec@4tu,orig@4w"]) == 0
+        assert [(cfg.n_thread_units, cfg.tu.l1d.assoc)
+                for eng, cfg in seen if eng == "fast"] == [(8, 1), (4, 1),
+                                                           (8, 4)]
+        assert "diff: 3 cell(s)" in capsys.readouterr().out
+
+    def test_tus_option_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["diff", "--tus", "4"])
 
     def test_identical_engines_return_0(self, capsys):
         assert main(DIFF_ARGS) == 0

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.common.config import SimParams
 from repro.common.errors import AnalysisError
+from repro.obs.attrib import AttributionCollector
+from repro.obs.tracer import IntervalMetrics
 from repro.sim.driver import run_program, run_simulation
 from repro.sim.results import SimResult, require_same_workload
 from repro.sim.sweep import (
@@ -128,6 +132,55 @@ class TestSimResultMath:
     def test_nonpositive_cycles_rejected(self):
         with pytest.raises(AnalysisError):
             SimResult("b", "c", 1, 0.0, 0.0, 0.0, 10)
+
+
+class TestToDict:
+    """``to_dict`` builds its dict field by field; it must equal asdict()."""
+
+    @staticmethod
+    def _check(result):
+        got = result.to_dict()
+        want = dataclasses.asdict(result)
+        assert got == want
+        assert list(got) == list(want)
+        # Copies, never views into the result.
+        assert got["counters"] is not result.counters
+        assert got["region_cycles"] is not result.region_cycles
+        for copy, orig in zip(got["region_cycles"], result.region_cycles):
+            assert copy is not orig
+        for name in ("interval_series", "attribution"):
+            value = getattr(result, name)
+            if value is not None:
+                assert got[name] is not value
+        return got
+
+    def test_fast_engine_result(self):
+        result = run_simulation("181.mcf", named_config("wth-wp-wec"),
+                                PARAMS, engine="fast")
+        got = self._check(result)
+        assert got["interval_series"] is None and got["attribution"] is None
+
+    def test_oracle_result_with_attribution_and_interval_series(self):
+        result = run_simulation(
+            "181.mcf", named_config("wth-wp-wec"),
+            SimParams(seed=9, scale=1e-5),
+            tracer=IntervalMetrics(window=500.0),
+            attrib=AttributionCollector(),
+        )
+        assert result.interval_series and result.attribution
+        got = self._check(result)
+        nested = next(iter(got["attribution"]["per_source"].values()))
+        assert nested is not next(
+            iter(result.attribution["per_source"].values()))
+
+    def test_result_with_record_regions(self):
+        result = run_simulation(
+            "175.vpr", named_config("orig"),
+            SimParams(seed=9, scale=SCALE, record_regions=True),
+            engine="fast",
+        )
+        assert result.region_cycles
+        self._check(result)
 
 
 class TestSweep:

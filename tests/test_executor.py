@@ -310,6 +310,67 @@ class TestProgramLifetime:
         assert [ref() for ref in built[0]] == [None, None]
 
 
+class TestWarmup:
+    """The fast engine's warm-up compiles once per memo key, and leaves
+    no compile work inside any cell's wall."""
+
+    def test_two_seed_sweep_warms_each_key_once(self, monkeypatch, tmp_path):
+        from repro.sim.fast.compile import CompiledRegion
+        from repro.sim.fast.engine import _FastTU
+
+        warmed = []
+        compile_only = executor.compile_program_fast
+
+        def counting(program, config, params):
+            warmed.append((program.name, config.name, params.seed))
+            return compile_only(program, config, params)
+
+        monkeypatch.setattr(executor, "compile_program_fast", counting)
+        running = []
+        compiled_in_cells = []
+        for cls, name in ((CompiledRegion, "_bind"),
+                          (CompiledRegion, "_burst"),
+                          (_FastTU, "_resolve")):
+            def wrapper(*args, _real=getattr(cls, name), _name=name,
+                        **kwargs):
+                if running:
+                    compiled_in_cells.append((running[-1], _name))
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
+        execute = executor._execute_cell
+
+        def tracking(benchmark, config, params, *args, **kwargs):
+            running.append((config.name, params.seed))
+            try:
+                return execute(benchmark, config, params, *args, **kwargs)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(executor, "_execute_cell", tracking)
+        cells = [
+            SweepCell("181.mcf", f"{label}/{seed}",
+                      named_config(name, n_tus=n_tus),
+                      SimParams(seed=seed, scale=2e-5))
+            for seed in (2003, 7)
+            for label, name, n_tus in (("orig", "orig", 8),
+                                       ("vc", "vc", 8),
+                                       ("wec", "wth-wp-wec", 8),
+                                       ("wec@2tu", "wth-wp-wec", 2),
+                                       ("wp", "wp", 8))
+        ]
+        outcome = run_cells(cells, cache=False, engine="fast", perf=True,
+                            perf_dir=tmp_path)
+        assert outcome.stats.executed == len(cells)
+        # orig and vc share a key (no wrong execution, 8 TUs); so do
+        # nothing else: 4 keys per seed.
+        assert warmed == [
+            ("181.mcf", name, seed)
+            for seed in (2003, 7)
+            for name in ("orig", "wth-wp-wec", "wth-wp-wec", "wp")
+        ]
+        assert compiled_in_cells == []
+
+
 class TestCacheAtomicity:
     """Crash/concurrency safety of ``DiskCache.put`` (tempfile + replace)."""
 

@@ -28,7 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import SeedSequence
 
-from repro.common.config import SidecarKind, SimParams
+from repro.common.config import (
+    CacheConfig,
+    MachineConfig,
+    MemorySystemConfig,
+    SidecarConfig,
+    SidecarKind,
+    SimParams,
+    ThreadUnitConfig,
+    WrongExecutionConfig,
+)
 from repro.common.errors import ConfigError
 from repro.common.rng import StreamFactory
 from repro.isa.cfg import BlockSpec, BranchSpec, IterationCFG, MemSlot
@@ -43,13 +52,14 @@ from repro.sim.driver import run_simulation
 from repro.sim.executor import SweepCell, default_engine, run_cells
 from repro.sim.fast import compile as compile_mod
 from repro.sim.fast import streams as streams_mod
+from repro.sim.fast import compile_program_fast, run_program_fast
 from repro.sim.fast.compile import CompiledRegion, program_memo
 from repro.sim.fast.engine import _FastMachine, _FastTU
 from repro.sim.fast.streams import FastStreamFactory
 from repro.sta.configs import CONFIG_NAMES, named_config
 from repro.workloads import BENCHMARK_NAMES
 from repro.workloads.benchmarks import build_benchmark
-from repro.workloads.microbench import build_microbenchmark
+from repro.workloads.microbench import MICROBENCH_NAMES, build_microbenchmark
 from repro.workloads.patterns import StridedPattern
 from repro.workloads.program import (
     ParallelRegionSpec,
@@ -186,6 +196,150 @@ class TestBranchStream:
             oracle = run_simulation(program, cfg, params, engine="oracle")
             assert fast.to_dict() == oracle.to_dict(), config_name
         assert len(program_memo(program).branch_streams) == 1
+
+
+    def test_wrong_path_replays_skip_burst_seeding(self, monkeypatch):
+        # The first wrong-path run over a stream seeds its bursts; later
+        # wrong-path runs over it seed none, and with the memo's bound
+        # cutting the seeding short they draw the rest on demand.
+        seeded = []
+        seed_wrong_paths = CompiledRegion.seed_wrong_paths
+
+        def counting(region, streams, seed, sites):
+            seeded.append(len(sites))
+            return seed_wrong_paths(region, streams, seed, sites)
+
+        monkeypatch.setattr(CompiledRegion, "seed_wrong_paths", counting)
+        monkeypatch.setattr(compile_mod, "_MAX_TRACES", 16)
+        program = build_microbenchmark("mixed", iters_per_invocation=40,
+                                       n_invocations=3)
+        params = SimParams(seed=7)
+        memo = program_memo(program)
+        for config_name in ("wth-wp-wec", "wp", "wth-wp-vc"):
+            cfg = named_config(config_name)
+            fast = run_simulation(program, cfg, params, engine="fast")
+            oracle = run_simulation(program, cfg, params, engine="oracle")
+            assert fast.to_dict() == oracle.to_dict(), config_name
+            assert len(memo.wp_seeded) == 1
+            if config_name == "wth-wp-wec":
+                n_seeding_calls = len(seeded)
+                assert n_seeding_calls > 0
+        assert len(seeded) == n_seeding_calls
+
+
+# ---------------------------------------------------------------------------
+# Random machine configurations: every geometry the campaign varies
+# ---------------------------------------------------------------------------
+
+#: The microbenchmark programs, built once: later examples replay the
+#: branch streams earlier ones recorded.
+_MICRO_PROGRAMS = {}
+
+
+def _micro_program(kind):
+    if kind not in _MICRO_PROGRAMS:
+        # 24 iterations an invocation: with 16 TUs later invocations
+        # start off the TU grid.
+        _MICRO_PROGRAMS[kind] = build_microbenchmark(
+            kind, iters_per_invocation=24, n_invocations=3)
+    return _MICRO_PROGRAMS[kind]
+
+
+@st.composite
+def machine_configs(draw):
+    l1d = CacheConfig(size=draw(st.sampled_from([2, 4, 8, 16, 32])) * 1024,
+                      assoc=draw(st.sampled_from([1, 2, 4])),
+                      block_size=64, name="l1d")
+    l2 = CacheConfig(size=draw(st.sampled_from([128, 256, 512])) * 1024,
+                     assoc=4, block_size=128, hit_latency=12, name="l2")
+    sidecar = SidecarConfig(kind=draw(st.sampled_from(list(SidecarKind))),
+                            entries=draw(st.sampled_from([4, 8, 16, 32])))
+    return MachineConfig(
+        name="drawn",
+        n_thread_units=draw(st.sampled_from([1, 2, 4, 8, 16])),
+        tu=ThreadUnitConfig(l1d=l1d, sidecar=sidecar),
+        mem=MemorySystemConfig(l2=l2),
+        wrong_exec=WrongExecutionConfig(wrong_path=draw(st.booleans()),
+                                        wrong_thread=draw(st.booleans())),
+    )
+
+
+class TestRandomConfigs:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=machine_configs(), kind=st.sampled_from(MICROBENCH_NAMES),
+           seed=st.sampled_from(SEEDS))
+    def test_random_machine_bit_identical(self, cfg, kind, seed):
+        program = _micro_program(kind)
+        params = SimParams(seed=seed)
+        oracle = run_simulation(program, cfg, params, engine="oracle")
+        fast = run_simulation(program, cfg, params, engine="fast")
+        assert fast.to_dict() == oracle.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Compile-only warm-up: the memo a full run leaves, without simulating
+# ---------------------------------------------------------------------------
+
+def _memo_state(program):
+    """Everything a run leaves in the program's memo, comparably."""
+    memo = program_memo(program)
+    regions = {
+        comp.region.name: (
+            {seed: sorted(traces) for seed, traces in comp.traces.items()},
+            {seed: {key: list(burst) for key, burst in bursts.items()}
+             for seed, bursts in comp.wp_addrs.items()},
+            sorted(comp.paths),
+        )
+        for comp in memo.regions.values()
+    }
+    streams = {key: [tuple(rec) for rec in stream]
+               for key, stream in memo.branch_streams.items()}
+    return regions, streams, set(memo.wp_seeded)
+
+
+#: Recording and replaying runs, with and without wrong execution, on
+#: 2, 4 and 8 TUs and a 4-way L1D.
+COMPILE_SEQUENCE = ("orig", "wth-wp-wec", "wec@2tu", "wp", "t3-4tu", "nlp")
+
+
+class TestCompileOnly:
+    def test_leaves_the_memo_as_a_full_run(self):
+        from repro.obs.fidelity import campaign_axis
+        axis = campaign_axis()
+        params = SimParams(seed=42, scale=SCALE)
+        compiled = build_benchmark("181.mcf", scale=SCALE)
+        simulated = build_benchmark("181.mcf", scale=SCALE)
+        for label in COMPILE_SEQUENCE:
+            assert compile_program_fast(compiled, axis[label], params) is None
+            run_program_fast(simulated, axis[label], params)
+            assert _memo_state(compiled) == _memo_state(simulated), label
+        assert len(program_memo(compiled).branch_streams) == 3  # 8, 2, 4 TUs
+        assert len(program_memo(compiled).wp_seeded) == 2
+
+    @pytest.mark.parametrize("config_name", ["orig", "wth-wp-wec", "nlp"])
+    def test_full_run_after_it_compiles_nothing(self, monkeypatch,
+                                                config_name):
+        program = build_benchmark("181.mcf", scale=SCALE)
+        cfg = named_config(config_name)
+        params = SimParams(seed=7, scale=SCALE)
+        compile_program_fast(program, cfg, params)
+        calls = []
+
+        def counting(cls, name):
+            real = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(CompiledRegion, "_bind")      # binds a trace
+        counting(CompiledRegion, "_burst")     # draws a burst
+        counting(_FastTU, "_resolve")          # records a stream
+        fast = run_simulation(program, cfg, params, engine="fast")
+        assert calls == []
+        oracle = run_simulation(program, cfg, params, engine="oracle")
+        assert fast.to_dict() == oracle.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +648,7 @@ class TestBusUpdate:
     @staticmethod
     def _agree(oracle, fast, addr):
         got_o = oracle.bus_update(addr)
-        got_f = fast.bus_update(addr)
+        got_f = fast.bus_update(addr >> fast.l1d_bits, 1)
         assert got_o == got_f
         assert oracle.stats["bus_updates"] == fast.m["bus_updates"]
         return got_o
