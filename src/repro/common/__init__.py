@@ -23,7 +23,6 @@ from .rng import StreamFactory, stable_hash32
 from .stats import (
     Counter,
     CounterGroup,
-    Histogram,
     geometric_mean,
     normalized_time,
     relative_speedup_pct,
@@ -31,9 +30,6 @@ from .stats import (
     weighted_mean_speedup,
 )
 from .units import (
-    align_down,
-    align_up,
-    ceil_div,
     format_size,
     is_pow2,
     log2_exact,
@@ -60,15 +56,11 @@ __all__ = [
     "stable_hash32",
     "Counter",
     "CounterGroup",
-    "Histogram",
     "geometric_mean",
     "normalized_time",
     "relative_speedup_pct",
     "speedup",
     "weighted_mean_speedup",
-    "align_down",
-    "align_up",
-    "ceil_div",
     "format_size",
     "is_pow2",
     "log2_exact",

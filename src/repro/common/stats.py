@@ -12,8 +12,7 @@ geometric mean are provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, Sequence
 
 from .errors import AnalysisError
 
@@ -25,7 +24,6 @@ __all__ = [
     "normalized_time",
     "weighted_mean_speedup",
     "geometric_mean",
-    "Histogram",
 ]
 
 
@@ -96,11 +94,6 @@ class CounterGroup:
             return {f"{self.prefix}.{c.name}": c.value for c in self._counters.values()}
         return {c.name: c.value for c in self._counters.values()}
 
-    def merge_from(self, other: "CounterGroup") -> None:
-        """Accumulate the values of ``other`` into this group (by name)."""
-        for c in other:
-            self.counter(c.name).add(c.value)
-
     def __repr__(self) -> str:
         return f"CounterGroup({self.prefix!r}, {self.as_dict(qualified=False)})"
 
@@ -164,49 +157,3 @@ def geometric_mean(values: Iterable[float]) -> float:
             raise AnalysisError(f"geometric mean requires positive values, got {v}")
         prod *= v
     return prod ** (1.0 / len(vals))
-
-
-@dataclass
-class Histogram:
-    """A tiny fixed-bucket histogram for latency/run-length distributions."""
-
-    edges: List[float] = field(default_factory=lambda: [1, 2, 4, 8, 16, 32, 64, 128, 256])
-    counts: List[int] = field(default_factory=list)
-    overflow: int = 0
-    total: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.counts:
-            self.counts = [0] * len(self.edges)
-        if len(self.counts) != len(self.edges):
-            raise AnalysisError("histogram counts/edges length mismatch")
-
-    def record(self, value: float) -> None:
-        """Record one observation."""
-        self.total += 1
-        for i, edge in enumerate(self.edges):
-            if value <= edge:
-                self.counts[i] += 1
-                return
-        self.overflow += 1
-
-    def fractions(self) -> List[float]:
-        """Per-bucket fraction of the in-range observations.
-
-        Overflow observations are excluded from the denominator as well
-        as the buckets, so the fractions sum to 1 whenever any in-range
-        observation exists.
-        """
-        in_range = self.total - self.overflow
-        if in_range <= 0:
-            return [0.0] * len(self.edges)
-        return [c / in_range for c in self.counts]
-
-    def merge_from(self, other: "Histogram") -> None:
-        """Accumulate another histogram with identical edges."""
-        if other.edges != self.edges:
-            raise AnalysisError("cannot merge histograms with different edges")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.overflow += other.overflow
-        self.total += other.total

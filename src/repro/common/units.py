@@ -18,9 +18,6 @@ __all__ = [
     "format_size",
     "is_pow2",
     "log2_exact",
-    "ceil_div",
-    "align_down",
-    "align_up",
 ]
 
 _SIZE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([KMGkmg]?)(?:[iI]?[bB])?\s*$")
@@ -89,23 +86,3 @@ def log2_exact(n: int) -> int:
         raise ConfigError(f"{n} is not a power of two")
     return n.bit_length() - 1
 
-
-def ceil_div(a: int, b: int) -> int:
-    """Integer ceiling division (``b`` must be positive)."""
-    if b <= 0:
-        raise ConfigError(f"ceil_div divisor must be positive, got {b}")
-    return -(-a // b)
-
-
-def align_down(addr: int, granule: int) -> int:
-    """Round ``addr`` down to a multiple of the power-of-two ``granule``."""
-    if not is_pow2(granule):
-        raise ConfigError(f"alignment granule {granule} is not a power of two")
-    return addr & ~(granule - 1)
-
-
-def align_up(addr: int, granule: int) -> int:
-    """Round ``addr`` up to a multiple of the power-of-two ``granule``."""
-    if not is_pow2(granule):
-        raise ConfigError(f"alignment granule {granule} is not a power of two")
-    return (addr + granule - 1) & ~(granule - 1)

@@ -142,10 +142,6 @@ class IterationCFG:
                 if t is not None and t not in self.blocks:
                     raise WorkloadError(f"block {b.name!r} targets unknown block {t!r}")
 
-    def branch_pc(self, block_name: str) -> int:
-        """The stable PC assigned to ``block_name``'s terminating branch."""
-        return self._branch_pc[block_name]
-
     def walk(self, rng: np.random.Generator) -> WalkResult:
         """Execute the CFG once, producing a dynamic iteration record."""
         pos = 0

@@ -109,10 +109,6 @@ class IterationTrace:
     def n_branches(self) -> int:
         return len(self.branch_pcs)
 
-    @property
-    def n_target_stores(self) -> int:
-        return int(self.tstore_mask.sum())
-
     def merged_events(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Merge loads, stores and branches into one position-ordered stream.
 
@@ -144,17 +140,6 @@ class IterationTrace:
         indices[a:b] = np.arange(self.n_branches)
         order = np.argsort(pos, kind="stable")
         return kinds[order], values[order], indices[order]
-
-    def future_load_addrs(self, from_load_idx: int, window: int) -> np.ndarray:
-        """Correct-path load addresses in ``[from_load_idx, +window)``.
-
-        Used by the wrong-path injector: loads just past a mispredicted
-        branch's reconvergence point are exactly the ones a convergent
-        wrong path would also touch.
-        """
-        if from_load_idx < 0:
-            raise WorkloadError("negative load index")
-        return self.load_addrs[from_load_idx : from_load_idx + window]
 
     @staticmethod
     def empty(n_instr: int = 0) -> "IterationTrace":

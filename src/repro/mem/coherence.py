@@ -32,11 +32,6 @@ class UpdateBus:
         self._systems = list(systems)
         self.stats = CounterGroup("bus")
 
-    @property
-    def n_taps(self) -> int:
-        """Number of cache systems on the bus."""
-        return len(self._systems)
-
     def sequential_store(self, writer_tu: int, addr: int) -> int:
         """Propagate a sequential-region store to all other TUs.
 

@@ -117,11 +117,11 @@ class TUMemSystem:
         self.load_wrong: Callable[[int], int]
         if kind is SidecarKind.WEC:
             self.load_correct = self._load_correct_wec
-            self.store_correct = self._store_correct_wec
+            self.store_correct = self._store_correct_sidecar
             self.load_wrong = self._load_wrong_wec
         elif kind is SidecarKind.VICTIM:
             self.load_correct = self._load_correct_vc
-            self.store_correct = self._store_correct_vc
+            self.store_correct = self._store_correct_sidecar
             self.load_wrong = self._load_wrong_vc
         elif kind is SidecarKind.PREFETCH:
             self.load_correct = self._load_correct_nlp
@@ -155,14 +155,17 @@ class TUMemSystem:
             return
         block, flags = evicted
         self.stats.counter("victims_to_sidecar").add()
+        if self._attrib is not None:
+            self._attrib.on_demote(self.tu_id, block)
+        self._sidecar_insert(block, flags)
+
+    def _sidecar_insert(self, block: int, flags: int) -> None:
+        """Insert into the sidecar; account for the block it bumps."""
         assert self.sidecar is not None
-        att = self._attrib
-        if att is not None:
-            att.on_demote(self.tu_id, block)
         bumped = self.sidecar.insert(block, flags)
         if bumped is not None:
-            if att is not None:
-                att.on_evict(self.tu_id, bumped[0], from_sidecar=True)
+            if self._attrib is not None:
+                self._attrib.on_evict(self.tu_id, bumped[0], from_sidecar=True)
             if bumped[1] & DIRTY:
                 self._writeback(bumped[0])
 
@@ -198,12 +201,7 @@ class TUMemSystem:
         flags = PREFETCHED
         if latency > self.l2.cfg.l2.hit_latency:
             flags |= PF_FAR
-        bumped = self.sidecar.insert(target, flags)
-        if bumped is not None:
-            if att is not None:
-                att.on_evict(self.tu_id, bumped[0], from_sidecar=True)
-            if bumped[1] & DIRTY:
-                self._writeback(bumped[0])
+        self._sidecar_insert(target, flags)
 
     def _count_usefulness(self, block: int, flags: int) -> None:
         """Attribute a correct-path sidecar hit to wrong execution / prefetching."""
@@ -276,7 +274,12 @@ class TUMemSystem:
         self._evict_to_sidecar(evicted)
         return HIT_LATENCY + latency
 
-    def _store_correct_wec(self, addr: int) -> int:
+    def _store_correct_sidecar(self, addr: int) -> int:
+        """Correct store under the WEC and victim-cache policies.
+
+        Both treat a store alike: a sidecar hit is promoted to the L1
+        (dirty), and the L1 victim goes to the sidecar.
+        """
         stats = self.stats
         att = self._attrib
         stats.counter("stores").add()
@@ -328,12 +331,7 @@ class TUMemSystem:
         att = self._attrib
         if att is not None:
             att.on_wrong_fill(self.tu_id, block, latency)
-        bumped = self.sidecar.insert(block, WRONG)
-        if bumped is not None:
-            if att is not None:
-                att.on_evict(self.tu_id, bumped[0], from_sidecar=True)
-            if bumped[1] & DIRTY:
-                self._writeback(bumped[0])
+        self._sidecar_insert(block, WRONG)
         return HIT_LATENCY + latency
 
     # ------------------------------------------------------------------
@@ -375,41 +373,6 @@ class TUMemSystem:
         if att is not None:
             att.on_demand_fill(self.tu_id, block)
         evicted = self.l1d.insert(block, 0)
-        self._evict_to_sidecar(evicted)
-        return HIT_LATENCY + latency
-
-    def _store_correct_vc(self, addr: int) -> int:
-        stats = self.stats
-        att = self._attrib
-        stats.counter("stores").add()
-        block = addr >> self.l1d.block_bits
-        flags = self.l1d.lookup(block)
-        if flags is not None:
-            stats.counter("l1_hits").add()
-            if att is not None:
-                att.on_use(self.tu_id, block)
-            if not flags & DIRTY:
-                self.l1d.or_flags(block, DIRTY)
-            return HIT_LATENCY
-        stats.counter("l1_misses").add()
-        if self._obs is not None:
-            self._obs.emit(L1_MISS, self.tu_id, block, 1)
-        assert self.sidecar is not None
-        sflags = self.sidecar.probe(block)
-        if sflags is not None:
-            stats.counter("sidecar_hits").add()
-            self._count_usefulness(block, sflags)
-            if att is not None:
-                att.on_use(self.tu_id, block)
-            self.sidecar.remove(block)
-            evicted = self.l1d.insert(block, DIRTY)
-            self._evict_to_sidecar(evicted)
-            return HIT_LATENCY
-        stats.counter("demand_fills").add()
-        latency = self._fill_from_l2(block)
-        if att is not None:
-            att.on_demand_fill(self.tu_id, block)
-        evicted = self.l1d.insert(block, DIRTY)
         self._evict_to_sidecar(evicted)
         return HIT_LATENCY + latency
 

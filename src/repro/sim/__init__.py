@@ -15,7 +15,6 @@ from .results import SimResult, require_same_workload
 from .sweep import (
     ResultGrid,
     benchmarks_of,
-    labels_of,
     run_grid,
 )
 from .tables import TextTable
@@ -35,7 +34,6 @@ __all__ = [
     "require_same_workload",
     "ResultGrid",
     "benchmarks_of",
-    "labels_of",
     "run_grid",
     "TextTable",
 ]

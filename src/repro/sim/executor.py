@@ -867,7 +867,7 @@ def run_cells(
         _worker_programs.clear()
 
     # Deterministic output order: the caller's cell order, not completion
-    # order (labels_of/benchmarks_of rely on grid insertion order).
+    # order (benchmarks_of relies on grid insertion order).
     ordered = {
         cell.grid_key: results[cell.grid_key]
         for cell in cells

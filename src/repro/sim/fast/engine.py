@@ -3,7 +3,7 @@
 This module re-implements the oracle's hot loop — thread-unit stepping
 and hierarchy lookups, per the hostprof ledger — as flat dict/list state
 machines fed by :mod:`repro.sim.fast.compile`'s memoized traces.  The
-speed comes from five places:
+speed comes from six places:
 
 * trace generation is compiled and memoized per ``(seed, iteration)``
   (shared across every configuration of a sweep grid) with numpy-
@@ -17,6 +17,9 @@ speed comes from five places:
   insertion-ordered dicts in lists indexed by set, mutated inline
   without per-event attribute dispatch; a plain hit in a direct-mapped
   L1D skips the LRU refresh, a no-op in a one-entry set;
+* unflagged L1D hits run inline in the event loop, and every demand
+  miss is one ``_fill`` frame (the oracle's L2 read → L1D insert →
+  victim chain), which all four memory policies share;
 * bookkeeping a whole region invocation shares is settled once per
   invocation: a sequential invocation's stores reach the update bus
   once per block, a replayed invocation bumps each TU's branch counters
@@ -79,8 +82,10 @@ __all__ = ["compile_program_fast", "run_program_fast", "stream_key"]
 # list): the execute order of a run is deterministic, so record ``i``
 # always replays the same path content under every configuration —
 # wp_events keeps loads/stores plus only the mispredicted branch
-# events, mem_events drops branch events entirely.  Records with the
-# same path (and mispredicts) share one list.
+# events, mem_events drops branch events entirely.  One builder,
+# _FastMachine.wp_events(path, mis_idxs), makes both (mem_events with
+# no mispredicts), and records with the same path (and mispredicts)
+# share one list.
 #
 # Wrong-path bursts depend on the stream too: which (iteration, branch)
 # sites burst is its mispredicts.  The first wrong-path run over a
@@ -310,17 +315,18 @@ class _FastTU:
                 self._writeback(victim)
         side[block] = flags
 
-    # The four fused fill/promote helpers below collapse the oracle's
-    # read → insert → evict call chain into one frame.  Every call site
-    # runs strictly after the L1D probe for ``block`` missed (fill paths
-    # are miss paths, and flagged-hit paths return before filling), so
-    # the inlined insert skips the LRU-refresh branch a general insert
-    # would need.  The inlined L2 read is a literal transcription of
-    # :meth:`_FastL2.read`; state-mutation order matches the unfused
-    # sequence (L2 read first, then the L1 victim's writeback).
+    # One fill path for all four policies: ``_fill`` (demand fill) and
+    # ``_place`` (sidecar promotion).  The L1D victim goes to the sidecar
+    # if ``to_side`` (WEC, VC), else back to the L2 if dirty (nlp,
+    # plain); ``to_side`` is a constant at every call site, which the
+    # flow pass binds for ENG001.  Callers have missed in the L1D, so
+    # the insert needs no LRU refresh.  ``_fill`` is the hot miss path
+    # and stays one frame: its L2 read transcribes :meth:`_FastL2.read`,
+    # ahead of the L1D victim's route, as in the oracle.
 
-    def _fill_evict_l2(self, block: int, flags: int, wrong: bool = False) -> int:
-        """Demand fill: L2 read, L1D insert, dirty victim → L2."""
+    def _fill(self, block: int, flags: int, to_side: bool,
+              wrong: bool = False) -> int:
+        """Demand fill: L2 read, L1D insert, victim → sidecar or L2."""
         l2 = self.l2
         c2 = l2.c
         c2["accesses"] += 1
@@ -352,71 +358,27 @@ class _FastTU:
             for victim in s:
                 break
             vflags = s.pop(victim)
-            if vflags & DIRTY:
+            if to_side:
+                self.m["victims_to_sidecar"] += 1
+                self._side_insert(victim, vflags)
+            elif vflags & DIRTY:
                 self.m["writebacks"] += 1
                 l2.writeback(victim << self.l1d_bits)
         s[block] = flags
         return latency
 
-    def _fill_evict_side(self, block: int, flags: int, wrong: bool = False) -> int:
-        """Demand fill: L2 read, L1D insert, victim → sidecar."""
-        l2 = self.l2
-        c2 = l2.c
-        c2["accesses"] += 1
-        if wrong:
-            c2["wrong_accesses"] += 1
-        b2 = (block << self.l1d_bits) >> l2.block_bits
-        s2 = l2.sets[b2 & l2.mask]
-        f2 = s2.get(b2)
-        if f2 is not None:
-            del s2[b2]
-            s2[b2] = f2
-            c2["hits"] += 1
-            latency = l2.hit_latency
-        else:
-            c2["misses"] += 1
-            memc = l2.memc
-            memc["reads"] += 1
-            if len(s2) >= l2.assoc:
-                for v2 in s2:
-                    break
-                vf2 = s2.pop(v2)
-                if vf2 & DIRTY:
-                    memc["writes"] += 1
-                    c2["writebacks_to_memory"] += 1
-            s2[b2] = 0
-            latency = l2.mem_latency
+    def _place(self, block: int, flags: int, to_side: bool) -> None:
+        """Sidecar promotion: L1D insert, victim → sidecar or L2."""
         s = self.l1d_sets[block & self.l1d_mask]
         if len(s) >= self.l1d_assoc:
             for victim in s:
                 break
             vflags = s.pop(victim)
-            self.m["victims_to_sidecar"] += 1
-            self._side_insert(victim, vflags)
-        s[block] = flags
-        return latency
-
-    def _promote_evict_l2(self, block: int, flags: int) -> None:
-        """Sidecar-hit promote: L1D insert, dirty victim → L2."""
-        s = self.l1d_sets[block & self.l1d_mask]
-        if len(s) >= self.l1d_assoc:
-            for victim in s:
-                break
-            vflags = s.pop(victim)
-            if vflags & DIRTY:
-                self.m["writebacks"] += 1
-                self.l2.writeback(victim << self.l1d_bits)
-        s[block] = flags
-
-    def _promote_evict_side(self, block: int, flags: int) -> None:
-        """Sidecar-hit promote: L1D insert, victim → sidecar."""
-        s = self.l1d_sets[block & self.l1d_mask]
-        if len(s) >= self.l1d_assoc:
-            for victim in s:
-                break
-            vflags = s.pop(victim)
-            self.m["victims_to_sidecar"] += 1
-            self._side_insert(victim, vflags)
+            if to_side:
+                self.m["victims_to_sidecar"] += 1
+                self._side_insert(victim, vflags)
+            elif vflags & DIRTY:
+                self._writeback(victim)
         s[block] = flags
 
     # parity: repro.mem.hierarchy.TUMemSystem._prefetch_next_into_sidecar
@@ -426,35 +388,64 @@ class _FastTU:
             return
         m = self.m
         m["prefetches"] += 1
-        l2 = self.l2
-        c2 = l2.c
-        c2["accesses"] += 1
-        c2["prefetch_accesses"] += 1
-        b2 = (target << self.l1d_bits) >> l2.block_bits
-        s2 = l2.sets[b2 & l2.mask]
-        f2 = s2.get(b2)
-        if f2 is not None:
-            del s2[b2]
-            s2[b2] = f2
-            c2["hits"] += 1
-            latency = l2.hit_latency
-        else:
-            c2["misses"] += 1
-            memc = l2.memc
-            memc["reads"] += 1
-            if len(s2) >= l2.assoc:
-                for v2 in s2:
-                    break
-                vf2 = s2.pop(v2)
-                if vf2 & DIRTY:
-                    memc["writes"] += 1
-                    c2["writebacks_to_memory"] += 1
-            s2[b2] = 0
-            latency = l2.mem_latency
+        latency = self.l2.read(target << self.l1d_bits, prefetch=True)
         flags = PREFETCHED
-        if latency > l2.hit_latency:
+        if latency > self.l2.hit_latency:
             flags |= PF_FAR
         self._side_insert(target, flags)
+
+    # -- bodies shared by two policies ---------------------------------
+
+    def _store(self, addr: int, to_side: bool):
+        """Correct store under WEC and VC (``to_side``) or nlp."""
+        m = self.m
+        m["stores"] += 1
+        block = addr >> self.l1d_bits
+        s = self.l1d_sets[block & self.l1d_mask]
+        flags = s.get(block)
+        if flags is not None:
+            del s[block]
+            s[block] = flags
+            m["l1_hits"] += 1
+            if not flags & DIRTY:
+                s[block] = flags | DIRTY
+            return 1
+        m["l1_misses"] += 1
+        side = self.side
+        sflags = side.get(block)
+        if sflags is not None:
+            m["sidecar_hits"] += 1
+            if sflags & WRONG:
+                m["useful_wrong_hits"] += 1
+            if sflags & PREFETCHED:
+                m["useful_prefetch_hits"] += 1
+            del side[block]
+            self._place(block, DIRTY, to_side)
+            return 1
+        m["demand_fills"] += 1
+        return 1 + self._fill(block, DIRTY, to_side)
+
+    def _load_wrong(self, addr: int, to_side: bool):
+        """Wrong load that fills the L1D: VC (``to_side``) or nlp."""
+        m = self.m
+        m["wrong_loads"] += 1
+        block = addr >> self.l1d_bits
+        s = self.l1d_sets[block & self.l1d_mask]
+        flags = s.get(block)
+        if flags is not None:
+            del s[block]
+            s[block] = flags
+            m["wrong_l1_hits"] += 1
+            return 1
+        side = self.side
+        sflags = side.get(block)
+        if sflags is not None:
+            m["wrong_sidecar_hits"] += 1
+            del side[block]
+            self._place(block, (sflags & DIRTY) | WRONG, to_side)
+            return 1
+        m["wrong_fills"] += 1
+        return 1 + self._fill(block, WRONG, to_side, wrong=True)
 
     # -- WEC policy ----------------------------------------------------
 
@@ -481,7 +472,7 @@ class _FastTU:
             if sflags & PREFETCHED:
                 m["useful_prefetch_hits"] += 1
             del side[block]
-            self._promote_evict_side(block, sflags & DIRTY)
+            self._place(block, sflags & DIRTY, True)
             latency = 1
             if sflags & (WRONG | PREFETCHED):
                 self._prefetch_block(block + 1)
@@ -491,37 +482,11 @@ class _FastTU:
                     )
             return latency
         m["demand_fills"] += 1
-        return 1 + self._fill_evict_side(block, 0)
+        return 1 + self._fill(block, 0, True)
 
-    # parity: repro.mem.hierarchy.TUMemSystem._store_correct_wec, repro.mem.hierarchy.TUMemSystem._store_correct_vc
+    # parity: repro.mem.hierarchy.TUMemSystem._store_correct_sidecar
     def _store_correct_sidecar(self, addr: int):
-        """Store under WEC and VC policies (identical in the oracle)."""
-        m = self.m
-        m["stores"] += 1
-        block = addr >> self.l1d_bits
-        s = self.l1d_sets[block & self.l1d_mask]
-        flags = s.get(block)
-        if flags is not None:
-            del s[block]
-            s[block] = flags
-            m["l1_hits"] += 1
-            if not flags & DIRTY:
-                s[block] = flags | DIRTY
-            return 1
-        m["l1_misses"] += 1
-        side = self.side
-        sflags = side.get(block)
-        if sflags is not None:
-            m["sidecar_hits"] += 1
-            if sflags & WRONG:
-                m["useful_wrong_hits"] += 1
-            if sflags & PREFETCHED:
-                m["useful_prefetch_hits"] += 1
-            del side[block]
-            self._promote_evict_side(block, DIRTY)
-            return 1
-        m["demand_fills"] += 1
-        return 1 + self._fill_evict_side(block, DIRTY)
+        return self._store(addr, True)
 
     # parity: repro.mem.hierarchy.TUMemSystem._load_wrong_wec
     def _load_wrong_wec(self, addr: int):
@@ -575,32 +540,14 @@ class _FastTU:
             if sflags & PREFETCHED:
                 m["useful_prefetch_hits"] += 1
             del side[block]
-            self._promote_evict_side(block, sflags & DIRTY)
+            self._place(block, sflags & DIRTY, True)
             return 1
         m["demand_fills"] += 1
-        return 1 + self._fill_evict_side(block, 0)
+        return 1 + self._fill(block, 0, True)
 
     # parity: repro.mem.hierarchy.TUMemSystem._load_wrong_vc
     def _load_wrong_vc(self, addr: int):
-        m = self.m
-        m["wrong_loads"] += 1
-        block = addr >> self.l1d_bits
-        s = self.l1d_sets[block & self.l1d_mask]
-        flags = s.get(block)
-        if flags is not None:
-            del s[block]
-            s[block] = flags
-            m["wrong_l1_hits"] += 1
-            return 1
-        side = self.side
-        sflags = side.get(block)
-        if sflags is not None:
-            m["wrong_sidecar_hits"] += 1
-            del side[block]
-            self._promote_evict_side(block, (sflags & DIRTY) | WRONG)
-            return 1
-        m["wrong_fills"] += 1
-        return 1 + self._fill_evict_side(block, WRONG, wrong=True)
+        return self._load_wrong(addr, True)
 
     # -- next-line prefetch policy -------------------------------------
 
@@ -637,66 +584,23 @@ class _FastTU:
             if sflags & PREFETCHED:
                 m["useful_prefetch_hits"] += 1
             del side[block]
-            self._promote_evict_l2(block, sflags & DIRTY)
+            self._place(block, sflags & DIRTY, False)
             self._prefetch_block(block + 1)
             if sflags & PREFETCHED:
                 return 1 + (self.late_far if sflags & PF_FAR else self.late_near)
             return 1 + 0.0
         m["demand_fills"] += 1
-        latency = self._fill_evict_l2(block, 0)
+        latency = self._fill(block, 0, False)
         self._prefetch_block(block + 1)
         return 1 + latency
 
     # parity: repro.mem.hierarchy.TUMemSystem._store_correct_nlp
     def _store_correct_nlp(self, addr: int):
-        m = self.m
-        m["stores"] += 1
-        block = addr >> self.l1d_bits
-        s = self.l1d_sets[block & self.l1d_mask]
-        flags = s.get(block)
-        if flags is not None:
-            del s[block]
-            s[block] = flags
-            m["l1_hits"] += 1
-            if not flags & DIRTY:
-                s[block] = flags | DIRTY
-            return 1
-        m["l1_misses"] += 1
-        side = self.side
-        sflags = side.get(block)
-        if sflags is not None:
-            m["sidecar_hits"] += 1
-            if sflags & WRONG:
-                m["useful_wrong_hits"] += 1
-            if sflags & PREFETCHED:
-                m["useful_prefetch_hits"] += 1
-            del side[block]
-            self._promote_evict_l2(block, DIRTY)
-            return 1
-        m["demand_fills"] += 1
-        return 1 + self._fill_evict_l2(block, DIRTY)
+        return self._store(addr, False)
 
     # parity: repro.mem.hierarchy.TUMemSystem._load_wrong_nlp
     def _load_wrong_nlp(self, addr: int):
-        m = self.m
-        m["wrong_loads"] += 1
-        block = addr >> self.l1d_bits
-        s = self.l1d_sets[block & self.l1d_mask]
-        flags = s.get(block)
-        if flags is not None:
-            del s[block]
-            s[block] = flags
-            m["wrong_l1_hits"] += 1
-            return 1
-        side = self.side
-        sflags = side.get(block)
-        if sflags is not None:
-            m["wrong_sidecar_hits"] += 1
-            del side[block]
-            self._promote_evict_l2(block, (sflags & DIRTY) | WRONG)
-            return 1
-        m["wrong_fills"] += 1
-        return 1 + self._fill_evict_l2(block, WRONG, wrong=True)
+        return self._load_wrong(addr, False)
 
     # -- plain policy --------------------------------------------------
 
@@ -717,41 +621,7 @@ class _FastTU:
             return 1
         m["l1_misses"] += 1
         m["demand_fills"] += 1
-        # Fill fused fully inline: the plain policy carries half the
-        # config ladder, so even the one helper frame is worth shaving.
-        l2 = self.l2
-        c2 = l2.c
-        c2["accesses"] += 1
-        b2 = (block << self.l1d_bits) >> l2.block_bits
-        s2 = l2.sets[b2 & l2.mask]
-        f2 = s2.get(b2)
-        if f2 is not None:
-            del s2[b2]
-            s2[b2] = f2
-            c2["hits"] += 1
-            latency = l2.hit_latency
-        else:
-            c2["misses"] += 1
-            memc = l2.memc
-            memc["reads"] += 1
-            if len(s2) >= l2.assoc:
-                for v2 in s2:
-                    break
-                vf2 = s2.pop(v2)
-                if vf2 & DIRTY:
-                    memc["writes"] += 1
-                    c2["writebacks_to_memory"] += 1
-            s2[b2] = 0
-            latency = l2.mem_latency
-        if len(s) >= self.l1d_assoc:
-            for victim in s:
-                break
-            vflags = s.pop(victim)
-            if vflags & DIRTY:
-                m["writebacks"] += 1
-                l2.writeback(victim << self.l1d_bits)
-        s[block] = 0
-        return 1 + latency
+        return 1 + self._fill(block, 0, False)
 
     # parity: repro.mem.hierarchy.TUMemSystem._store_correct_plain
     def _store_correct_plain(self, addr: int):
@@ -769,39 +639,7 @@ class _FastTU:
             return 1
         m["l1_misses"] += 1
         m["demand_fills"] += 1
-        l2 = self.l2
-        c2 = l2.c
-        c2["accesses"] += 1
-        b2 = (block << self.l1d_bits) >> l2.block_bits
-        s2 = l2.sets[b2 & l2.mask]
-        f2 = s2.get(b2)
-        if f2 is not None:
-            del s2[b2]
-            s2[b2] = f2
-            c2["hits"] += 1
-            latency = l2.hit_latency
-        else:
-            c2["misses"] += 1
-            memc = l2.memc
-            memc["reads"] += 1
-            if len(s2) >= l2.assoc:
-                for v2 in s2:
-                    break
-                vf2 = s2.pop(v2)
-                if vf2 & DIRTY:
-                    memc["writes"] += 1
-                    c2["writebacks_to_memory"] += 1
-            s2[b2] = 0
-            latency = l2.mem_latency
-        if len(s) >= self.l1d_assoc:
-            for victim in s:
-                break
-            vflags = s.pop(victim)
-            if vflags & DIRTY:
-                m["writebacks"] += 1
-                l2.writeback(victim << self.l1d_bits)
-        s[block] = DIRTY
-        return 1 + latency
+        return 1 + self._fill(block, DIRTY, False)
 
     # parity: repro.mem.hierarchy.TUMemSystem._load_wrong_plain
     def _load_wrong_plain(self, addr: int):
@@ -816,40 +654,7 @@ class _FastTU:
             m["wrong_l1_hits"] += 1
             return 1
         m["wrong_fills"] += 1
-        l2 = self.l2
-        c2 = l2.c
-        c2["accesses"] += 1
-        c2["wrong_accesses"] += 1
-        b2 = (block << self.l1d_bits) >> l2.block_bits
-        s2 = l2.sets[b2 & l2.mask]
-        f2 = s2.get(b2)
-        if f2 is not None:
-            del s2[b2]
-            s2[b2] = f2
-            c2["hits"] += 1
-            latency = l2.hit_latency
-        else:
-            c2["misses"] += 1
-            memc = l2.memc
-            memc["reads"] += 1
-            if len(s2) >= l2.assoc:
-                for v2 in s2:
-                    break
-                vf2 = s2.pop(v2)
-                if vf2 & DIRTY:
-                    memc["writes"] += 1
-                    c2["writebacks_to_memory"] += 1
-            s2[b2] = 0
-            latency = l2.mem_latency
-        if len(s) >= self.l1d_assoc:
-            for victim in s:
-                break
-            vflags = s.pop(victim)
-            if vflags & DIRTY:
-                m["writebacks"] += 1
-                l2.writeback(victim << self.l1d_bits)
-        s[block] = WRONG
-        return 1 + latency
+        return 1 + self._fill(block, WRONG, False, wrong=True)
 
     # -- instruction fetch ---------------------------------------------
 
@@ -913,6 +718,7 @@ class _FastTU:
             c = bp_table[slot]
             predicted_taken = c >= 2
             mispredicted = predicted_taken != taken
+            btb_hit = False
             if predicted_taken:
                 bs = btb[btb_sis[idx]]
                 pc = branch_pcs[idx]
@@ -924,16 +730,20 @@ class _FastTU:
                 else:
                     del bs[pc]
                     bs[pc] = target
+                    btb_hit = True
             if taken:
                 if c < 3:
                     bp_table[slot] = c + 1
-                bs = btb[btb_sis[idx]]
-                pc = branch_pcs[idx]
-                if pc in bs:
-                    del bs[pc]
-                elif len(bs) >= btb_assoc:
-                    del bs[next(iter(bs))]
-                bs[pc] = pc + 8
+                # Every entry holds pc + 8, so after a hit moved it to
+                # MRU the oracle's taken update rewrites what is there.
+                if not btb_hit:
+                    bs = btb[btb_sis[idx]]
+                    pc = branch_pcs[idx]
+                    if pc in bs:
+                        del bs[pc]
+                    elif len(bs) >= btb_assoc:
+                        del bs[next(iter(bs))]
+                    bs[pc] = pc + 8
             elif c > 0:
                 bp_table[slot] = c - 1
             if mispredicted:
@@ -1223,7 +1033,7 @@ class _FastMachine:
     __slots__ = (
         "cfg", "params", "memo", "l2", "tus", "bus_c", "bus_blocks",
         "head_tu", "n_tus", "streams", "seed", "timing", "mlp",
-        "split_memo", "region_info", "branch_memo", "mem_memo", "wp_memo",
+        "split_memo", "region_info", "branch_memo", "wp_memo",
         "br_key", "br_record", "br_replay", "br_pos", "seed_bursts",
     )
 
@@ -1249,7 +1059,6 @@ class _FastMachine:
         self.split_memo: Dict[int, Tuple[float, float, float, float]] = {}
         self.region_info: Dict[int, _RegionInfo] = {}
         self.branch_memo: Dict[int, Tuple[List[int], List[int]]] = {}
-        self.mem_memo: Dict[int, List[Tuple[int, int]]] = {}
         self.wp_memo: Dict[tuple, List[Tuple[int, int]]] = {}
         # Branch-stream record/replay (see _BranchStream): exactly one
         # of the two is set.  ``br_pos`` is the replay cursor: the index
@@ -1312,26 +1121,15 @@ class _FastMachine:
             self.branch_memo[id(path)] = aux
         return aux
 
-    def mem_events(self, path) -> List[Tuple[int, int]]:
-        """The path's event list with branch events dropped.
-
-        Used by branch-stream replay on configurations without
-        wrong-path execution: with branch outcomes known in bulk, the
-        event loop only needs the loads and stores, whose relative
-        order is all the memory state depends on.
-        """
-        evs = self.mem_memo.get(id(path))
-        if evs is None:
-            evs = [e for e in path.events if e[0] != EV_BRANCH]
-            self.mem_memo[id(path)] = evs
-        return evs
-
     def wp_events(self, path, mis_idxs: Tuple[int, ...]) -> List[Tuple[int, int]]:
         """The path's event list keeping only the branches in ``mis_idxs``.
 
-        Used under wrong-path execution: the kept branch events are the
-        wrong-path burst sites.  Keyed by the path object itself, which
-        the memo keeps alive, so no key outlives its path.
+        With branch outcomes known in bulk, a replay's event loop needs
+        only the loads and stores, whose relative order is all the
+        memory state depends on, plus, under wrong-path execution, the
+        branches that start a burst.  ``mis_idxs=()`` drops every branch
+        event.  Keyed by the path object itself, which the memo keeps
+        alive, so no key outlives its path.
         """
         key = (path, mis_idxs)
         evs = self.wp_memo.get(key)
@@ -1420,7 +1218,7 @@ class _FastMachine:
                 if rec[3] is None:
                     rec[3] = self.wp_events(path, rec[2])
             elif rec[4] is None:
-                rec[4] = self.mem_events(path)
+                rec[4] = self.wp_events(path, ())
         for j in range(min(n_tus, len(recs))):
             tus[(lo + j) % n_tus]._count_branches(
                 branches[j], btb_misses[j], mispredicts[j]

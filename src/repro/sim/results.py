@@ -11,7 +11,6 @@ relative speedup (Figures 9–12, 15, 16), normalized execution time
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
@@ -183,9 +182,6 @@ class SimResult:
         if self.attribution is not None:
             out["attribution"] = copy.deepcopy(self.attribution)
         return out
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SimResult":

@@ -93,15 +93,6 @@ def run_grid(
     return outcome.results
 
 
-def labels_of(grid: ResultGrid) -> List[str]:
-    """Axis labels present in the grid, in first-seen order."""
-    seen: List[str] = []
-    for (_, label) in grid:
-        if label not in seen:
-            seen.append(label)
-    return seen
-
-
 def benchmarks_of(grid: ResultGrid) -> List[str]:
     """Benchmarks present in the grid, in first-seen order."""
     seen: List[str] = []

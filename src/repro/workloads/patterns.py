@@ -77,11 +77,6 @@ class AddressPattern(abc.ABC):
         self.base = base
         self.size = size
 
-    @property
-    def footprint_bytes(self) -> int:
-        """Bytes this pattern can touch."""
-        return self.size
-
     @abc.abstractmethod
     def addr(self, iter_idx: int, occ: int) -> int:
         """Byte address for occurrence ``occ`` within iteration ``iter_idx``."""

@@ -175,7 +175,8 @@ class TestMetricFlow:
 
     def test_serialization_round_trip(self):
         result, _ = attributed_run()
-        clone = type(result).from_dict(json.loads(result.to_json()))
+        clone = type(result).from_dict(
+            json.loads(json.dumps(result.to_dict())))
         assert clone.attribution == result.attribution
 
     def test_attrib_events_and_counter_tracks(self):

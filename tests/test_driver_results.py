@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -14,7 +15,6 @@ from repro.sim.driver import run_program, run_simulation
 from repro.sim.results import SimResult, require_same_workload
 from repro.sim.sweep import (
     benchmarks_of,
-    labels_of,
     run_grid,
 )
 from repro.sta.configs import named_config
@@ -127,7 +127,7 @@ class TestSimResultMath:
         back = SimResult.from_dict(data)
         assert back.total_cycles == mcf_orig.total_cycles
         assert back.counters == mcf_orig.counters
-        assert "181.mcf" in mcf_orig.to_json()
+        assert "181.mcf" in json.dumps(data)
 
     def test_nonpositive_cycles_rejected(self):
         with pytest.raises(AnalysisError):
@@ -192,7 +192,8 @@ class TestSweep:
         )
         assert len(grid) == 4
         assert benchmarks_of(grid) == ["175.vpr", "164.gzip"]
-        assert labels_of(grid) == ["orig", "vc"]
+        assert list(grid) == [("175.vpr", "orig"), ("175.vpr", "vc"),
+                              ("164.gzip", "orig"), ("164.gzip", "vc")]
 
     def test_empty_axis_rejected(self):
         with pytest.raises(AnalysisError):

@@ -32,7 +32,7 @@ from repro.sim.executor import (
 )
 from repro.sim.fast.compile import program_memo
 from repro.sim.results import SimResult
-from repro.sim.sweep import benchmarks_of, labels_of, run_grid
+from repro.sim.sweep import benchmarks_of, run_grid
 
 TINY = SimParams(seed=7, scale=2e-5, warmup_invocations=0)
 
@@ -155,7 +155,8 @@ class TestParallelEqualsSerial:
             jobs=4, cache_dir=tmp_path,
         )
         assert benchmarks_of(grid) == BENCHES
-        assert labels_of(grid) == CONFIG_LABELS
+        assert list(grid) == [(b, label) for b in BENCHES
+                              for label in CONFIG_LABELS]
 
     def test_progress_called_once_per_cell_parallel(self, tmp_path):
         calls = []

@@ -9,7 +9,8 @@ with the oracle's trace generator address by address, check the batch
 stream seeding against numpy's ``SeedSequence``, check that a
 program's memo dies with the program, pin down the engine-selection
 rules in the driver, and cover the coherence hook (``bus_update``)
-under every sidecar policy on both engines.
+and each memory policy handler, call by call, under every sidecar
+policy on both engines.
 
 Executor fallback and perf-ledger clamping tests (the satellite fixes
 that shipped with the engine) live here too since they are exercised
@@ -19,6 +20,7 @@ through the same engine plumbing.
 from __future__ import annotations
 
 import gc
+import random
 import tracemalloc
 import weakref
 
@@ -678,6 +680,95 @@ class TestBusUpdate:
         oracle, fast = self._pair(config_name)
         assert self._agree(oracle, fast, 0xBEEF00) is False
         assert oracle.stats["bus_updates"] == 0
+
+
+#: The policy handlers a TU's event loop calls.
+HANDLERS = ("load_correct", "store_correct", "load_wrong")
+
+#: 16 L1D blocks over two L1D sets and two L2 sets: eight blocks contend
+#: for each L1D set and four for each two-way L2 set.
+N_BLOCKS = 16
+
+
+class TestPolicyHandlers:
+    """Each policy handler, call by call, on caches small enough that
+    every victim route runs: an L1D victim into the sidecar, a dirty L1D
+    victim to the L2, a dirty sidecar victim to the L2, a dirty L2
+    victim to memory, and a prefetch into a full sidecar."""
+
+    @staticmethod
+    def _pair(kind, assoc):
+        l1d = CacheConfig(size=2 * assoc * 64, assoc=assoc, block_size=64,
+                          name="l1d")
+        l2 = CacheConfig(size=2 * 2 * 128, assoc=2, block_size=128,
+                         hit_latency=12, name="l2")
+        cfg = MachineConfig(
+            name="tiny", n_thread_units=1,
+            tu=ThreadUnitConfig(l1d=l1d,
+                                sidecar=SidecarConfig(kind=kind, entries=2)),
+            mem=MemorySystemConfig(l2=l2),
+        )
+        params = SimParams()
+        oracle = TUMemSystem(
+            0, cfg.tu.l1d, cfg.tu.l1i, cfg.tu.sidecar, SharedL2(cfg.mem),
+            prefetch_late_cycles=params.prefetch_late_cycles,
+            prefetch_late_far_cycles=params.prefetch_late_far_cycles,
+        )
+        fast = _FastMachine(cfg, params).tus[0]
+        return oracle, fast
+
+    @staticmethod
+    def _replay(oracle, fast, ops):
+        for handler, block in ops:
+            addr = block * 64 + 8
+            want = getattr(oracle, handler)(addr)
+            got = getattr(fast, handler)(addr)
+            assert (type(got), got) == (type(want), want), (handler, block)
+        assert dict(fast.m) == oracle.stats.as_dict(qualified=False)
+        assert dict(fast.l2.c) == oracle.l2.stats.as_dict(qualified=False)
+        assert dict(fast.l2.memc) == (
+            oracle.l2.memory.stats.as_dict(qualified=False))
+        # Contents, flags and LRU order: each set LRU first, in set order.
+        assert [item for s in fast.l1d_sets for item in s.items()] == list(
+            oracle.l1d.resident_blocks())
+        assert [item for s in fast.l2.sets for item in s.items()] == list(
+            oracle.l2.cache.resident_blocks())
+        if oracle.sidecar is None:
+            assert fast.side is None
+        else:
+            assert list(fast.side.items()) == list(oracle.sidecar.items())
+
+    @pytest.mark.parametrize("assoc", [1, 2])
+    @pytest.mark.parametrize("kind", list(SidecarKind))
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.tuples(st.sampled_from(HANDLERS),
+                                  st.integers(0, N_BLOCKS - 1)),
+                        max_size=80))
+    def test_handlers_agree(self, kind, assoc, ops):
+        oracle, fast = self._pair(kind, assoc)
+        self._replay(oracle, fast, ops)
+
+    @pytest.mark.parametrize("assoc", [1, 2])
+    @pytest.mark.parametrize("kind", list(SidecarKind))
+    def test_every_victim_route_runs(self, kind, assoc):
+        rng = random.Random(2003)
+        ops = [(rng.choice(HANDLERS), rng.randrange(N_BLOCKS))
+               for _ in range(400)]
+        oracle, fast = self._pair(kind, assoc)
+        self._replay(oracle, fast, ops)
+        m = fast.m
+        # A dirty L1D victim (plain, nlp) or a dirty sidecar victim (WEC,
+        # VC: their L1D victims all go to the sidecar) reaches the L2 ...
+        assert m["writebacks"] > 0
+        # ... and a dirty L2 victim reaches memory.
+        assert fast.l2.c["writebacks_to_memory"] > 0
+        if kind in (SidecarKind.WEC, SidecarKind.VICTIM):
+            assert m["victims_to_sidecar"] > 0
+        if kind is SidecarKind.PREFETCH:
+            # Only prefetches fill an nlp sidecar, so every block it lost
+            # other than by promotion was bumped by a prefetch.
+            promoted = m["sidecar_hits"] + m["wrong_sidecar_hits"]
+            assert m["prefetches"] - promoted > len(fast.side)
 
 
 # ---------------------------------------------------------------------------

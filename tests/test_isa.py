@@ -158,7 +158,6 @@ class TestCFGWalk:
         cfg = _simple_cfg()
         pcs = {cfg.walk(np.random.default_rng(i)).branches[0][1] for i in range(10)}
         assert len(pcs) == 1
-        assert next(iter(pcs)) == cfg.branch_pc("a")
 
     def test_taken_frequency_tracks_probability(self):
         cfg = _simple_cfg()
@@ -217,7 +216,6 @@ class TestIterationTrace:
     def test_counts(self):
         t = _trace()
         assert t.n_loads == 2 and t.n_stores == 2 and t.n_branches == 1
-        assert t.n_target_stores == 1
 
     def test_branch_next_load(self):
         t = _trace()
@@ -246,13 +244,6 @@ class TestIterationTrace:
                 branch_pos=np.array([], dtype=np.int64),
                 branch_taken=np.array([], dtype=bool),
             )
-
-    def test_future_load_addrs(self):
-        t = _trace()
-        fut = t.future_load_addrs(1, 5)
-        assert list(fut) == [0x200]
-        with pytest.raises(WorkloadError):
-            t.future_load_addrs(-1, 5)
 
     def test_empty(self):
         t = IterationTrace.empty(7)

@@ -107,7 +107,6 @@ class TestMachine:
         machine, _ = make(n_tus=4)
         assert machine.n_tus == 4
         assert len(machine.tus) == 4
-        assert machine.bus.n_taps == 4
 
     def test_round_robin_assignment(self):
         machine, _ = make(n_tus=4)

@@ -77,9 +77,6 @@ class TestCommonProperties:
                 a = pat.addr(it, occ)
                 assert pat.base <= a < pat.base + pat.size
 
-    def test_footprint(self, pat):
-        assert pat.footprint_bytes == pat.size
-
     def test_repr(self, pat):
         assert pat.name in repr(pat)
 

@@ -10,7 +10,6 @@ from repro.common.errors import AnalysisError
 from repro.common.stats import (
     Counter,
     CounterGroup,
-    Histogram,
     geometric_mean,
     normalized_time,
     relative_speedup_pct,
@@ -52,14 +51,6 @@ class TestCounterGroup:
         g.counter("hits").add(2)
         assert g.as_dict() == {"tu0.hits": 2}
         assert g.as_dict(qualified=False) == {"hits": 2}
-
-    def test_merge_from(self):
-        a, b = CounterGroup("a"), CounterGroup("b")
-        a.counter("x").add(1)
-        b.counter("x").add(2)
-        b.counter("y").add(3)
-        a.merge_from(b)
-        assert a["x"] == 3 and a["y"] == 3
 
     def test_reset(self):
         g = CounterGroup("g")
@@ -135,53 +126,3 @@ class TestMeans:
             geometric_mean([])
         with pytest.raises(AnalysisError):
             geometric_mean([1.0, -1.0])
-
-
-class TestHistogram:
-    def test_record_buckets(self):
-        h = Histogram(edges=[1, 10, 100])
-        for v in (0.5, 5, 50, 500):
-            h.record(v)
-        assert h.counts == [1, 1, 1]
-        assert h.overflow == 1
-        assert h.total == 4
-
-    def test_fractions(self):
-        h = Histogram(edges=[1, 10])
-        h.record(0.5)
-        h.record(5)
-        assert h.fractions() == [0.5, 0.5]
-
-    def test_fractions_empty(self):
-        assert Histogram(edges=[1]).fractions() == [0.0]
-
-    def test_fractions_exclude_overflow(self):
-        # Regression: overflow observations must be excluded from the
-        # denominator too, so in-range fractions sum to 1.
-        h = Histogram(edges=[1, 10])
-        h.record(0.5)
-        h.record(5)
-        h.record(500)  # overflow
-        assert h.fractions() == [0.5, 0.5]
-        assert sum(h.fractions()) == pytest.approx(1.0)
-
-    def test_fractions_all_overflow(self):
-        h = Histogram(edges=[1])
-        h.record(100)
-        assert h.fractions() == [0.0]
-
-    def test_merge(self):
-        a = Histogram(edges=[1, 10])
-        b = Histogram(edges=[1, 10])
-        a.record(0.5)
-        b.record(5)
-        a.merge_from(b)
-        assert a.counts == [1, 1] and a.total == 2
-
-    def test_merge_mismatched_edges(self):
-        with pytest.raises(AnalysisError):
-            Histogram(edges=[1]).merge_from(Histogram(edges=[2]))
-
-    def test_bad_counts_length(self):
-        with pytest.raises(AnalysisError):
-            Histogram(edges=[1, 2], counts=[0])

@@ -1,4 +1,4 @@
-"""Unit tests for size parsing, alignment and power-of-two helpers."""
+"""Unit tests for size parsing and power-of-two helpers."""
 
 from __future__ import annotations
 
@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
 from repro.common.units import (
-    align_down,
-    align_up,
-    ceil_div,
     format_size,
     is_pow2,
     log2_exact,
@@ -90,42 +87,3 @@ class TestPow2:
     @given(st.integers(min_value=0, max_value=62))
     def test_log2_roundtrip(self, e):
         assert log2_exact(1 << e) == e
-
-
-class TestAlign:
-    def test_align_down(self):
-        assert align_down(130, 64) == 128
-        assert align_down(128, 64) == 128
-        assert align_down(63, 64) == 0
-
-    def test_align_up(self):
-        assert align_up(130, 64) == 192
-        assert align_up(128, 64) == 128
-        assert align_up(1, 64) == 64
-
-    def test_bad_granule(self):
-        with pytest.raises(ConfigError):
-            align_down(100, 48)
-        with pytest.raises(ConfigError):
-            align_up(100, 0)
-
-    @given(st.integers(min_value=0, max_value=2**40), st.sampled_from([1, 2, 64, 4096]))
-    def test_align_invariants(self, addr, g):
-        d, u = align_down(addr, g), align_up(addr, g)
-        assert d <= addr <= u
-        assert d % g == 0 and u % g == 0
-        assert u - d in (0, g)
-
-
-class TestCeilDiv:
-    @pytest.mark.parametrize("a,b,expected", [(10, 3, 4), (9, 3, 3), (0, 5, 0), (1, 5, 1)])
-    def test_values(self, a, b, expected):
-        assert ceil_div(a, b) == expected
-
-    def test_nonpositive_divisor(self):
-        with pytest.raises(ConfigError):
-            ceil_div(5, 0)
-
-    @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=10**6))
-    def test_matches_definition(self, a, b):
-        assert ceil_div(a, b) == (a + b - 1) // b

@@ -3,15 +3,19 @@
 
 Prints the cProfile hot spots of a single (benchmark, configuration)
 simulation, so regressions in the replay loop are visible before they
-cost minutes across a figure sweep.
+cost minutes across a figure sweep.  The engine is the one ``repro run``
+uses: ``$REPRO_ENGINE`` (``oracle`` or ``fast``, default ``oracle``).
 
 Usage::
 
-    python tools/profile_run.py [benchmark] [config] [scale]
+    REPRO_ENGINE=fast python tools/profile_run.py [benchmark] [config] [scale]
         [--seed N] [--top N] [--dump FILE] [--trace]
 
 ``--trace`` attaches a full RingBufferTracer, so the profile shows what
-tracing itself costs relative to the untraced hot loop.
+tracing itself costs relative to the untraced hot loop.  Only the
+oracle can be traced: on the fast engine ``--trace`` exits 2 with the
+driver's message, as do an unknown ``$REPRO_ENGINE``, benchmark or
+configuration.
 """
 
 from __future__ import annotations
@@ -19,10 +23,13 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import sys
 import time
 
 from repro import SimParams, build_benchmark, named_config, run_program
+from repro.common.errors import ConfigError, WorkloadError
 from repro.obs.tracer import IntervalMetrics, RingBufferTracer
+from repro.sim.executor import default_engine
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,7 +49,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main() -> int:
     args = build_parser().parse_args()
+    try:
+        return profile(args)
+    except (ConfigError, WorkloadError) as exc:
+        print(f"profile_run: {exc}", file=sys.stderr)
+        return 2
 
+
+def profile(args: argparse.Namespace) -> int:
+    engine = default_engine()
     params = SimParams(seed=args.seed, scale=args.scale)
     program = build_benchmark(args.benchmark, args.scale)
     cfg = named_config(args.config)
@@ -53,12 +68,15 @@ def main() -> int:
     t0 = time.perf_counter()
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run_program(program, cfg, params, tracer=tracer)
-    profiler.disable()
+    try:
+        result = run_program(program, cfg, params, tracer=tracer,
+                             engine=engine)
+    finally:
+        profiler.disable()
     wall = time.perf_counter() - t0
 
     traced = " (traced)" if args.trace else ""
-    print(f"{args.benchmark} on {args.config}{traced}: "
+    print(f"{args.benchmark} on {args.config}, {engine} engine{traced}: "
           f"{result.total_cycles:.0f} simulated cycles, "
           f"{result.instructions} instructions, {wall:.2f}s wall")
     print(f"simulation rate: {result.instructions / wall / 1e3:.0f} "
