@@ -77,11 +77,3 @@ class BranchTargetBuffer:
     def occupancy(self) -> int:
         """Number of valid entries currently held."""
         return sum(len(s) for s in self._sets)
-
-    def reset(self) -> None:
-        """Invalidate all entries and zero statistics."""
-        for s in self._sets:
-            s.clear()
-        self.hits = 0
-        self.misses = 0
-        self.updates = 0

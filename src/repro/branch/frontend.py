@@ -77,14 +77,3 @@ class BranchUnit:
         if self._obs is not None:
             self._obs.emit(BRANCH_RESOLVE, self._obs_tu, pc, int(mispredicted))
         return mispredicted
-
-    def mispredict_rate(self) -> float:
-        """Fraction of resolved branches that mispredicted."""
-        total = self.stats["branches"]
-        return self.stats["mispredicts"] / total if total else 0.0
-
-    def reset(self) -> None:
-        """Clear predictor state and statistics."""
-        self.predictor.reset()
-        self.btb.reset()
-        self.stats.reset()

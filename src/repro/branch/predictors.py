@@ -50,7 +50,3 @@ class BimodalPredictor:
                 self._table[idx] = c + 1
         elif c > 0:
             self._table[idx] = c - 1
-
-    def reset(self) -> None:
-        for i in range(len(self._table)):
-            self._table[i] = _WEAK_TAKEN

@@ -26,7 +26,7 @@ __all__ = ["SpeculativeMemBuffer"]
 class SpeculativeMemBuffer:
     """Per-TU fully-associative speculative store buffer (§4.1: 128 entries)."""
 
-    __slots__ = ("capacity", "stats", "_stores", "_upstream_targets", "_arrived")
+    __slots__ = ("capacity", "stats", "_stores", "_upstream_targets")
 
     def __init__(self, capacity: int = 128, name: str = "membuf") -> None:
         if capacity < 1:
@@ -37,8 +37,6 @@ class SpeculativeMemBuffer:
         self._stores: Dict[int, bool] = {}
         #: Target-store addresses forwarded from upstream threads.
         self._upstream_targets: Set[int] = set()
-        #: Upstream target addresses whose data has already arrived.
-        self._arrived: Set[int] = set()
 
     # -- producer side ------------------------------------------------
 
@@ -56,40 +54,27 @@ class SpeculativeMemBuffer:
         self.stats.counter("stores_buffered").add()
         return True
 
-    def target_addresses(self) -> List[int]:
-        """This thread's target-store addresses (forwarded downstream)."""
-        return [a for a, is_t in self._stores.items() if is_t]
-
     # -- consumer side --------------------------------------------------
 
-    def receive_targets(self, addrs) -> None:
+    def receive_targets(self, addrs: List[int]) -> None:
         """Install target-store addresses forwarded by an upstream thread."""
-        for a in addrs:
-            self._upstream_targets.add(a)
-        self.stats.counter("targets_received").add(len(list(addrs)) if not hasattr(addrs, "__len__") else len(addrs))
+        self._upstream_targets.update(addrs)
+        self.stats.counter("targets_received").add(len(addrs))
 
-    def data_arrived(self, addr: int) -> None:
-        """Mark an upstream target store's data as delivered."""
-        if addr in self._upstream_targets:
-            self._arrived.add(addr)
-
-    def check_load(self, addr: int) -> bool:
+    def check_load(self, addr: int) -> None:
         """Run-time dependence check for a load (§2.2 computation stage).
 
-        Returns True when the load depends on an upstream target store
-        whose data has *not yet* arrived — the load must stall (the core
-        executes independent instructions meanwhile).
+        A load of this thread's own buffered store is forwarded from the
+        buffer.  A load of an upstream target store depends on it and
+        stalls for its data (the core executes independent instructions
+        meanwhile); the stall's cycles are the scheduler's dependence
+        coupling, so here it is only counted.
         """
         if addr in self._stores:
-            # Forwarded from this thread's own buffered store.
             self.stats.counter("local_forwards").add()
-            return False
-        if addr in self._upstream_targets:
+        elif addr in self._upstream_targets:
             self.stats.counter("dependence_hits").add()
-            if addr not in self._arrived:
-                self.stats.counter("dependence_stalls").add()
-                return True
-        return False
+            self.stats.counter("dependence_stalls").add()
 
     # -- commit / abort ---------------------------------------------------
 
@@ -119,7 +104,6 @@ class SpeculativeMemBuffer:
     def _clear(self) -> None:
         self._stores.clear()
         self._upstream_targets.clear()
-        self._arrived.clear()
 
     @property
     def occupancy(self) -> int:

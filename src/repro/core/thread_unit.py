@@ -350,11 +350,3 @@ class ThreadUnit:
     def fork_cost(self, n_forward_values: int) -> float:
         """Cycles to fork a successor thread (§4.1: 4 + 2 per value)."""
         return self.cfg.fork_delay + self.cfg.comm_cycles_per_value * n_forward_values
-
-    def reset(self) -> None:
-        """Clear all microarchitectural state and statistics."""
-        self.mem.reset()
-        self.branch.reset()
-        self.membuf.abort()
-        self.membuf.stats.reset()
-        self.stats.reset()

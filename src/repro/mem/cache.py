@@ -164,14 +164,6 @@ class SetAssocCache:
         for s in self._sets:
             yield from s.items()
 
-    def flush(self) -> List[EvictedBlock]:
-        """Empty the cache, returning all blocks that were resident."""
-        out: List[EvictedBlock] = []
-        for s in self._sets:
-            out.extend(s.items())
-            s.clear()
-        return out
-
     def __contains__(self, block: int) -> bool:
         return block in self._sets[block & (self._n_sets - 1)]
 

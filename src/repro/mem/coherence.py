@@ -15,7 +15,7 @@ it the same way — pure accounting, zero latency.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from ..common.stats import CounterGroup
 from .hierarchy import TUMemSystem
@@ -48,6 +48,3 @@ class UpdateBus:
         if updated:
             self.stats.counter("updates_delivered").add(updated)
         return updated
-
-    def reset(self) -> None:
-        self.stats.reset()

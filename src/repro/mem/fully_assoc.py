@@ -16,7 +16,7 @@ with its provenance; this buffer stays provenance-agnostic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..common.errors import ConfigError
 from ..obs.events import CAT_WEC, WEC_INSERT
@@ -95,12 +95,6 @@ class FullyAssocBuffer:
     def items(self) -> Iterator[Tuple[int, int]]:
         """Iterate over ``(block, flags)``, LRU first."""
         return iter(self._blocks.items())
-
-    def flush(self) -> List[Tuple[int, int]]:
-        """Empty the buffer, returning everything that was resident."""
-        out = list(self._blocks.items())
-        self._blocks.clear()
-        return out
 
     def __repr__(self) -> str:
         return f"FullyAssocBuffer({self.name!r}, {len(self)}/{self._capacity})"

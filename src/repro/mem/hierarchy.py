@@ -639,32 +639,3 @@ class TUMemSystem:
         if present:
             self.stats.counter("bus_updates").add()
         return present
-
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-
-    @property
-    def l1_traffic(self) -> int:
-        """Processor↔L1 data traffic: all loads, stores and wrong loads."""
-        s = self.stats
-        return s["loads"] + s["stores"] + s["wrong_loads"]
-
-    @property
-    def effective_misses(self) -> int:
-        """Correct-path misses that had to be serviced beyond L1+sidecar."""
-        return self.stats["demand_fills"]
-
-    def l1_miss_rate(self) -> float:
-        """Correct-path L1 miss rate."""
-        s = self.stats
-        total = s["loads"] + s["stores"]
-        return s["l1_misses"] / total if total else 0.0
-
-    def reset(self) -> None:
-        """Drop cached state and statistics (the shared L2 is untouched)."""
-        self.l1d.flush()
-        self.l1i.flush()
-        if self.sidecar is not None:
-            self.sidecar.flush()
-        self.stats.reset()

@@ -81,14 +81,3 @@ class SharedL2:
         if evicted is not None and evicted[1] & DIRTY:
             self.memory.write()
             self.stats.counter("writebacks_to_memory").add()
-
-    def miss_rate(self) -> float:
-        """L2 local miss rate over all accesses so far."""
-        total = self.stats["accesses"]
-        return self.stats["misses"] / total if total else 0.0
-
-    def reset(self) -> None:
-        """Drop all cached state and statistics."""
-        self.cache.flush()
-        self.memory.reset()
-        self.stats.reset()

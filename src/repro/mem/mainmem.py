@@ -33,6 +33,3 @@ class MainMemory:
     def write(self) -> None:
         """A write-back of a dirty block (posted; no latency charged)."""
         self.stats.counter("writes").add()
-
-    def reset(self) -> None:
-        self.stats.reset()

@@ -7,13 +7,15 @@ of named section accumulators the simulator components stamp with
 ``time.perf_counter()`` pairs at coarse, already-existing boundaries:
 
 * ``scheduler.parallel`` / ``scheduler.sequential`` — one pair per
-  region invocation, timed by the run driver around the scheduler calls
+  region invocation, timed on both engines by the region loop they
+  share (:func:`repro.sim.results.run_regions`) around each region run
   (these enclose everything below);
 * ``tu.ifetch`` / ``tu.replay`` / ``tu.writeback`` — the cache-hierarchy
   instruction-fetch loop, the dynamic-stream replay (loads, branch
   frontend, wrong-path injection) and the store-commit loop, one pair
-  each per iteration/chunk;
-* ``tu.wrong_thread`` — wrong-thread execution after a loop exit;
+  each per iteration/chunk (oracle only);
+* ``tu.wrong_thread`` — wrong-thread execution after a loop exit
+  (oracle only);
 * ``tracer.emit`` — tracer overhead, measured by wrapping an attached
   tracer in :class:`TracerOverheadProxy` (only when a run is both
   traced *and* profiled).

@@ -7,11 +7,15 @@ This is the main public entry point::
     result = run_simulation("181.mcf", named_config("wth-wp-wec"))
     base = run_simulation("181.mcf", named_config("orig"))
     print(result.relative_speedup_pct_vs(base))
+
+Either engine builds its machine and hands it to the region loop both
+share, :func:`repro.sim.results.run_regions`;
+:meth:`repro.sim.results.SimResult.from_counters` then makes the
+result from the loop's cycles and the machine's counter dump.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Union
 
 from ..common.config import MachineConfig, SimParams
@@ -22,14 +26,10 @@ from ..obs.tracer import IntervalMetrics
 from ..sta.machine import Machine
 from ..sta.scheduler import Scheduler
 from ..workloads.benchmarks import build_benchmark
-from ..workloads.program import (
-    ParallelRegionSpec,
-    Program,
-    SequentialRegionSpec,
-)
+from ..workloads.program import Program
 from ..workloads.tracegen import TraceGenerator
 from .fast import run_program_fast
-from .results import SimResult
+from .results import SimResult, run_regions
 
 __all__ = ["ENGINES", "OBSERVER_POLICY_MSG", "run_simulation", "run_program"]
 
@@ -152,18 +152,9 @@ def run_program(
             raise ConfigError(
                 OBSERVER_POLICY_MSG.format(names=", ".join(blockers))
             )
-        # The host profiler never touches sim state; the fast
-        # engine has no component sections, so the whole run lands
-        # in one bucket.
-        if profiler is not None:
-            t0 = time.perf_counter()  # lint: allow(DET001 host profiling; never feeds sim state)
-            result = run_program_fast(program, config, params)
-            profiler.add(
-                "engine.fast",
-                time.perf_counter() - t0,  # lint: allow(DET001 host profiling; never feeds sim state)
-            )
-            return result
-        return run_program_fast(program, config, params)
+        # The host profiler never touches sim state, so both engines
+        # take it.
+        return run_program_fast(program, config, params, profiler=profiler)
     sanitizer = maybe_sanitizer(sanitizer)
     machine_tracer = tracer
     if profiler is not None and tracer is not None:
@@ -177,91 +168,17 @@ def run_program(
     tracegen = TraceGenerator(StreamFactory(params.seed))
     scheduler = Scheduler(machine, tracegen)
 
-    total = 0.0
-    par_cycles = 0.0
-    seq_cycles = 0.0
-    wrong_thread_loads = 0
-    region_records = []
-
-    warmup = min(params.warmup_invocations, program.n_invocations - 1)
-    stats_live = warmup == 0
-
-    perf_clock = (  # lint: allow(DET001 host profiling; never feeds sim state)
-        time.perf_counter if profiler is not None else None
+    cycles = run_regions(program, params, scheduler, machine,
+                         profiler=profiler, attrib=attrib)
+    result = SimResult.from_counters(
+        program, config, params, cycles, machine.collect_stats()
     )
-
-    for invocation, region in program.schedule():
-        if not stats_live and invocation >= warmup:
-            # Warm-up complete: measure from warmed state.
-            machine.reset_statistics()
-            if attrib is not None:
-                attrib.reset_measurement()
-            stats_live = True
-        t0 = perf_clock() if perf_clock is not None else 0.0
-        if isinstance(region, ParallelRegionSpec):
-            rr = scheduler.run_parallel_region(region, invocation)
-            if perf_clock is not None:
-                profiler.add("scheduler.parallel", perf_clock() - t0)
-            if stats_live:
-                par_cycles += rr.cycles
-                wrong_thread_loads += rr.wrong_thread_loads
-        else:
-            rr = scheduler.run_sequential_region(region, invocation)
-            if perf_clock is not None:
-                profiler.add("scheduler.sequential", perf_clock() - t0)
-            if stats_live:
-                seq_cycles += rr.cycles
-        if not stats_live:
-            continue
-        total += rr.cycles
-        if params.record_regions:
-            region_records.append(
-                {
-                    "name": rr.name,
-                    "kind": rr.kind,
-                    "invocation": rr.invocation,
-                    "cycles": rr.cycles,
-                    "iterations": rr.iterations,
-                }
-            )
-
-    counters = machine.collect_stats()
-    instructions = sum(tu.stats["instructions"] for tu in machine.tus)
-    interval_series = None
     if tracer is not None:
         metrics = getattr(tracer, "metrics", None)
         if metrics is None and isinstance(tracer, IntervalMetrics):
             metrics = tracer
         if metrics is not None:
-            interval_series = metrics.series()
-    return SimResult(
-        benchmark=program.name,
-        config=config.name,
-        n_tus=config.n_thread_units,
-        total_cycles=total,
-        parallel_cycles=par_cycles,
-        sequential_cycles=seq_cycles,
-        instructions=instructions,
-        l1_traffic=machine.l1_traffic,
-        l1_misses=machine.l1_misses,
-        effective_misses=machine.effective_misses,
-        wrong_loads=machine.aggregate("wrong_loads"),
-        wrong_thread_loads=wrong_thread_loads,
-        sidecar_hits=machine.aggregate("sidecar_hits"),
-        prefetches=machine.aggregate("prefetches"),
-        useful_wrong_hits=machine.aggregate("useful_wrong_hits"),
-        useful_prefetch_hits=machine.aggregate("useful_prefetch_hits"),
-        branches=machine.branches,
-        mispredicts=machine.mispredicts,
-        l2_accesses=machine.l2.stats["accesses"],
-        l2_misses=machine.l2.stats["misses"],
-        counters=counters,
-        region_cycles=region_records,
-        seed=params.seed,
-        scale=params.scale,
-        interval_series=interval_series,
-        attribution=(
-            attrib.summary(instructions=instructions)
-            if attrib is not None else None
-        ),
-    )
+            result.interval_series = metrics.series()
+    if attrib is not None:
+        result.attribution = attrib.summary(instructions=result.instructions)
+    return result

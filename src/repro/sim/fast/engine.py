@@ -26,6 +26,11 @@ speed comes from six places:
   once, and a branch stream's wrong-path bursts are seeded by its first
   wrong-path run only (``ProgramMemo.wp_seeded``).
 
+The engine runs regions, not programs: :func:`run_program_fast` hands
+a :class:`_FastMachine` to the region loop the oracle runs too
+(:func:`repro.sim.results.run_regions`, which also times a host
+profiler's region sections), and its result comes from the counter
+dump as the oracle's does (``SimResult.from_counters``).
 :func:`compile_program_fast` runs only the compile step of every
 invocation, so a sweep can fill a program's memo without simulating.
 
@@ -51,8 +56,8 @@ from ...isa.encoding import EV_BRANCH, EV_LOAD, EV_TSTORE
 from ...mem.cache import DIRTY, PF_FAR, PREFETCHED, WRONG
 from ...mem.layout import geometry_of
 from ...sta.scheduler import compose_pipeline_step
-from ...workloads.program import ParallelRegionSpec, Program
-from ..results import SimResult
+from ...workloads.program import Program
+from ..results import SimResult, run_regions
 from .compile import CompiledRegion, ProgramMemo, program_memo
 from .streams import FastStreamFactory
 
@@ -209,7 +214,7 @@ class _FastTU:
         "l1i_sets", "l1i_mask", "l1i_assoc", "l1i_bits",
         "l1i_rid", "l1i_warm_n",
         "side", "side_cap", "load_hit_mask",
-        "mb_stores", "mb_upstream", "mb_arrived", "mb_cap",
+        "mb_stores", "mb_upstream", "mb_cap",
         "bp_table", "bp_mask",
         "btb_sets", "btb_nsets", "btb_assoc",
         "penalty", "wrong_path", "wrong_fill_charge",
@@ -250,7 +255,6 @@ class _FastTU:
         self.side_cap = tu.sidecar.entries
         self.mb_stores: Dict[int, bool] = {}
         self.mb_upstream: set = set()
-        self.mb_arrived: set = set()
         self.mb_cap = tu.mem_buffer_entries
         # The bimodal predictor: one flat list of 2-bit counters.
         self.bp_table = [2] * (1 << tu.branch.table_bits)
@@ -847,7 +851,6 @@ class _FastTU:
         load_wrong = self.load_wrong
         mb_stores = self.mb_stores
         mb_upstream = self.mb_upstream
-        mb_arrived = self.mb_arrived
         # Hot-loop locals: counter bumps accumulate in ints and flush to
         # the dicts once per execute (dict equality at collect time does
         # not depend on update order); cache structure lookups are
@@ -883,8 +886,7 @@ class _FastTU:
                         mb["local_forwards"] += 1
                     elif value in mb_upstream:
                         mb["dependence_hits"] += 1
-                        if value not in mb_arrived:
-                            mb["dependence_stalls"] += 1
+                        mb["dependence_stalls"] += 1
                 block = value >> l1d_bits
                 s = l1d[block & l1d_mask]
                 f = s.get(block)
@@ -956,7 +958,6 @@ class _FastTU:
                     store_stall += store_correct(addr) - 1
             mb_stores.clear()
             mb_upstream.clear()
-            mb_arrived.clear()
 
         if loads_n:
             m["loads"] += loads_n
@@ -1009,7 +1010,6 @@ class _FastTU:
             mb["stores_squashed"] += n_squashed
         self.mb_stores.clear()
         self.mb_upstream.clear()
-        self.mb_arrived.clear()
         core["wrong_threads"] += 1
         return n
 
@@ -1382,9 +1382,6 @@ class _FastMachine:
             for k in group:
                 group[k] = 0
 
-    def aggregate(self, name: str) -> int:
-        return sum(tu.m.get(name, 0) for tu in self.tus)
-
 
 def compile_program_fast(
     program: Program,
@@ -1414,92 +1411,23 @@ def run_program_fast(
     program: Program,
     config: MachineConfig,
     params: SimParams = SimParams(),
+    profiler=None,
 ) -> SimResult:
     """Fast-engine equivalent of :func:`repro.sim.driver.run_program`.
 
-    Takes no tracer/profiler/sanitizer/attrib: observers require the
-    oracle's event-level replay (the driver enforces this).  The result
+    Takes no tracer/sanitizer/attrib: observers require the oracle's
+    event-level replay (the driver enforces this).  A host ``profiler``
+    gets the shared region loop's ``scheduler.*`` sections.  The result
     is bit-identical to the oracle's for any program and configuration.
     """
     eng = _FastMachine(config, params, program_memo(program))
     try:
-        return _simulate(eng, program, config, params)
+        cycles = run_regions(program, params, eng, eng, profiler=profiler)
+        # Only a completed run publishes (a raised exception above
+        # leaves the memo's streams untouched).
+        eng.publish()
+        return SimResult.from_counters(
+            program, config, params, cycles, eng.collect_stats()
+        )
     finally:
         eng.release()
-
-
-def _simulate(eng: _FastMachine, program: Program, config: MachineConfig,
-              params: SimParams) -> SimResult:
-    """Run ``program`` on ``eng`` and assemble its result."""
-    total = 0.0
-    par_cycles = 0.0
-    seq_cycles = 0.0
-    wrong_thread_loads = 0
-    region_records = []
-    warmup = min(params.warmup_invocations, program.n_invocations - 1)
-    stats_live = warmup == 0
-    for invocation, region in program.schedule():
-        if not stats_live and invocation >= warmup:
-            eng.reset_statistics()
-            stats_live = True
-        if isinstance(region, ParallelRegionSpec):
-            kind = "parallel"
-            cycles, iterations, wtl = eng.run_parallel_region(region, invocation)
-            if stats_live:
-                par_cycles += cycles
-                wrong_thread_loads += wtl
-        else:
-            kind = "sequential"
-            cycles, iterations = eng.run_sequential_region(region, invocation)
-            if stats_live:
-                seq_cycles += cycles
-        if not stats_live:
-            continue
-        total += cycles
-        if params.record_regions:
-            region_records.append(
-                {
-                    "name": region.name,
-                    "kind": kind,
-                    "invocation": invocation,
-                    "cycles": cycles,
-                    "iterations": iterations,
-                }
-            )
-    # Only a completed run publishes (a raised exception above leaves
-    # the memo's streams untouched).
-    eng.publish()
-    counters = eng.collect_stats()
-    instructions = sum(tu.core.get("instructions", 0) for tu in eng.tus)
-    return SimResult(
-        benchmark=program.name,
-        config=config.name,
-        n_tus=config.n_thread_units,
-        total_cycles=total,
-        parallel_cycles=par_cycles,
-        sequential_cycles=seq_cycles,
-        instructions=instructions,
-        l1_traffic=sum(
-            tu.m.get("loads", 0) + tu.m.get("stores", 0)
-            + tu.m.get("wrong_loads", 0)
-            for tu in eng.tus
-        ),
-        l1_misses=eng.aggregate("l1_misses"),
-        effective_misses=eng.aggregate("demand_fills"),
-        wrong_loads=eng.aggregate("wrong_loads"),
-        wrong_thread_loads=wrong_thread_loads,
-        sidecar_hits=eng.aggregate("sidecar_hits"),
-        prefetches=eng.aggregate("prefetches"),
-        useful_wrong_hits=eng.aggregate("useful_wrong_hits"),
-        useful_prefetch_hits=eng.aggregate("useful_prefetch_hits"),
-        branches=sum(tu.bp.get("branches", 0) for tu in eng.tus),
-        mispredicts=sum(tu.bp.get("mispredicts", 0) for tu in eng.tus),
-        l2_accesses=eng.l2.c.get("accesses", 0),
-        l2_misses=eng.l2.c.get("misses", 0),
-        counters=counters,
-        region_cycles=region_records,
-        seed=params.seed,
-        scale=params.scale,
-        interval_series=None,
-        attribution=None,
-    )

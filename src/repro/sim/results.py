@@ -6,18 +6,30 @@ and the headline memory-system metrics the paper's figures are built
 from.  Comparison helpers implement the exact quantities plotted:
 relative speedup (Figures 9–12, 15, 16), normalized execution time
 (Figures 13, 14), and the Figure 17 traffic/miss deltas.
+
+Both engines make their results here, in one way: :func:`run_regions`
+is the one region loop (warm-up, cycle sums, region records, host
+profiling), and :meth:`SimResult.from_counters` derives every headline
+number from the counter dump.
 """
 
 from __future__ import annotations
 
 import copy
+import time
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from ..common.config import MachineConfig, SimParams
 from ..common.errors import AnalysisError
 from ..common.stats import normalized_time, relative_speedup_pct, speedup
+from ..workloads.program import ParallelRegionSpec, Program
 
-__all__ = ["SimResult", "require_same_workload"]
+__all__ = ["SimResult", "require_same_workload", "run_regions"]
+
+#: What :func:`run_regions` measures: total, parallel-region and
+#: sequential-region cycles, and the ``record_regions`` records.
+RegionCycles = Tuple[float, float, float, List[Dict]]
 
 
 @dataclass
@@ -64,6 +76,59 @@ class SimResult:
             raise AnalysisError(
                 f"{self.benchmark}/{self.config}: non-positive cycle count"
             )
+
+    @classmethod
+    def from_counters(
+        cls,
+        program: Program,
+        config: MachineConfig,
+        params: SimParams,
+        cycles: RegionCycles,
+        counters: Dict[str, int],
+    ) -> "SimResult":
+        """The result of one run, from its cycles and its counter dump.
+
+        ``cycles`` is what :func:`run_regions` returned and ``counters``
+        the machine's flattened counters.  Every headline number is a
+        sum of counter keys, read directly (``tu{i}.core.*``,
+        ``tu{i}.mem.*``, ``tu{i}.bpred.*`` per thread unit, and
+        ``l2.*``), so both engines derive it in this one place.
+        """
+        n_tus = config.n_thread_units
+
+        def per_tu(key: str) -> int:
+            return sum(counters.get(f"tu{i}.{key}", 0) for i in range(n_tus))
+
+        total, parallel, sequential, records = cycles
+        wrong_loads = per_tu("mem.wrong_loads")
+        return cls(
+            benchmark=program.name,
+            config=config.name,
+            n_tus=n_tus,
+            total_cycles=total,
+            parallel_cycles=parallel,
+            sequential_cycles=sequential,
+            instructions=per_tu("core.instructions"),
+            # Processor↔L1D traffic (Figure 17): wrong loads included.
+            l1_traffic=per_tu("mem.loads") + per_tu("mem.stores") + wrong_loads,
+            l1_misses=per_tu("mem.l1_misses"),
+            # Correct-path misses serviced beyond the L1 and its sidecar.
+            effective_misses=per_tu("mem.demand_fills"),
+            wrong_loads=wrong_loads,
+            wrong_thread_loads=per_tu("core.wrong_thread_loads"),
+            sidecar_hits=per_tu("mem.sidecar_hits"),
+            prefetches=per_tu("mem.prefetches"),
+            useful_wrong_hits=per_tu("mem.useful_wrong_hits"),
+            useful_prefetch_hits=per_tu("mem.useful_prefetch_hits"),
+            branches=per_tu("bpred.branches"),
+            mispredicts=per_tu("bpred.mispredicts"),
+            l2_accesses=counters.get("l2.accesses", 0),
+            l2_misses=counters.get("l2.misses", 0),
+            counters=counters,
+            region_cycles=records,
+            seed=params.seed,
+            scale=params.scale,
+        )
 
     # -- paper metrics ---------------------------------------------------
 
@@ -197,6 +262,75 @@ class SimResult:
 
 #: ``SimResult``'s field names in declaration order (``to_dict``'s keys).
 _FIELD_NAMES = tuple(f.name for f in fields(SimResult))
+
+
+def run_regions(
+    program: Program,
+    params: SimParams,
+    scheduler,
+    machine,
+    profiler=None,
+    attrib=None,
+) -> RegionCycles:
+    """Run ``program``'s region schedule: the region loop of both engines.
+
+    ``scheduler`` runs one region invocation: its
+    ``run_parallel_region`` and ``run_sequential_region`` return a
+    tuple of the invocation's cycles and iteration count.  ``machine``
+    zeroes its counters when the warm-up ends (``reset_statistics``),
+    and so does the oracle's attribution collector ``attrib``.  The
+    oracle passes its scheduler and machine, the fast engine its one
+    machine as both.  A host ``profiler`` times each invocation into
+    ``scheduler.parallel`` or ``scheduler.sequential``.
+
+    Returns the measured cycles (see :data:`RegionCycles`) for
+    :meth:`SimResult.from_counters`.
+    """
+    total = 0.0
+    par_cycles = 0.0
+    seq_cycles = 0.0
+    region_records: List[Dict] = []
+
+    warmup = min(params.warmup_invocations, program.n_invocations - 1)
+    stats_live = warmup == 0
+
+    perf_clock = (  # lint: allow(DET001 host profiling; never feeds sim state)
+        time.perf_counter if profiler is not None else None
+    )
+
+    for invocation, region in program.schedule():
+        if not stats_live and invocation >= warmup:
+            # Warm-up complete: measure from warmed state.
+            machine.reset_statistics()
+            if attrib is not None:
+                attrib.reset_measurement()
+            stats_live = True
+        if isinstance(region, ParallelRegionSpec):
+            kind, run = "parallel", scheduler.run_parallel_region
+        else:
+            kind, run = "sequential", scheduler.run_sequential_region
+        t0 = perf_clock() if perf_clock is not None else 0.0
+        cycles, iterations = run(region, invocation)[:2]
+        if perf_clock is not None:
+            profiler.add(f"scheduler.{kind}", perf_clock() - t0)
+        if not stats_live:
+            continue
+        total += cycles
+        if kind == "parallel":
+            par_cycles += cycles
+        else:
+            seq_cycles += cycles
+        if params.record_regions:
+            region_records.append(
+                {
+                    "name": region.name,
+                    "kind": kind,
+                    "invocation": invocation,
+                    "cycles": cycles,
+                    "iterations": iterations,
+                }
+            )
+    return total, par_cycles, seq_cycles, region_records
 
 
 def require_same_workload(a: SimResult, b: SimResult) -> None:

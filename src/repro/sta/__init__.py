@@ -7,7 +7,7 @@ from .configs import (
     table3_config,
 )
 from .machine import Machine
-from .scheduler import RegionResult, Scheduler
+from .scheduler import Scheduler
 
 __all__ = [
     "CONFIG_NAMES",
@@ -15,6 +15,5 @@ __all__ = [
     "named_config",
     "table3_config",
     "Machine",
-    "RegionResult",
     "Scheduler",
 ]

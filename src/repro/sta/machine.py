@@ -89,33 +89,6 @@ class Machine:
         out.update(self.bus.stats.as_dict())
         return out
 
-    def aggregate(self, counter_name: str) -> int:
-        """Sum one per-TU memory counter across all thread units."""
-        return sum(tu.mem.stats[counter_name] for tu in self.tus)
-
-    @property
-    def l1_traffic(self) -> int:
-        """Total processor↔L1D traffic across TUs (Figure 17 numerator)."""
-        return sum(tu.mem.l1_traffic for tu in self.tus)
-
-    @property
-    def l1_misses(self) -> int:
-        """Correct-path L1D misses across TUs."""
-        return self.aggregate("l1_misses")
-
-    @property
-    def effective_misses(self) -> int:
-        """Correct-path misses serviced beyond L1+sidecar (Figure 17)."""
-        return sum(tu.mem.effective_misses for tu in self.tus)
-
-    @property
-    def mispredicts(self) -> int:
-        return sum(tu.branch.stats["mispredicts"] for tu in self.tus)
-
-    @property
-    def branches(self) -> int:
-        return sum(tu.branch.stats["branches"] for tu in self.tus)
-
     def reset_statistics(self) -> None:
         """Zero all counters while keeping cache/predictor state.
 
@@ -128,16 +101,8 @@ class Machine:
             tu.branch.stats.reset()
             tu.membuf.stats.reset()
         self.l2.stats.reset()
-        self.l2.memory.reset()
+        self.l2.memory.stats.reset()
         self.bus.stats.reset()
-
-    def reset(self) -> None:
-        """Return the machine to power-on state."""
-        for tu in self.tus:
-            tu.reset()
-        self.l2.reset()
-        self.bus.reset()
-        self.head_tu = 0
 
     def __repr__(self) -> str:
         return f"Machine({self.cfg.describe()})"

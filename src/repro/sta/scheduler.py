@@ -26,8 +26,7 @@ add no cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from ..workloads.program import ParallelRegionSpec, SequentialRegionSpec
 from ..workloads.tracegen import TraceGenerator
 from .machine import Machine
 
-__all__ = ["RegionResult", "Scheduler", "compose_pipeline_step"]
+__all__ = ["Scheduler", "compose_pipeline_step"]
 
 
 def compose_pipeline_step(
@@ -93,19 +92,6 @@ def compose_pipeline_step(
     return start, cont_end, comp_end, wb_end
 
 
-@dataclass
-class RegionResult:
-    """Timing outcome of one region execution (one invocation)."""
-
-    name: str
-    kind: str  # "parallel" | "sequential"
-    cycles: float
-    invocation: int
-    iterations: int = 0
-    wrong_thread_loads: int = 0
-    detail: Dict[str, float] = field(default_factory=dict)
-
-
 class Scheduler:
     """Drives a :class:`Machine` through a program's regions."""
 
@@ -140,8 +126,12 @@ class Scheduler:
 
     def run_parallel_region(
         self, region: ParallelRegionSpec, invocation: int
-    ) -> RegionResult:
-        """Execute one invocation of a parallelized loop."""
+    ) -> Tuple[float, int, int]:
+        """Execute one invocation of a parallelized loop.
+
+        Returns its cycles, its iteration count and the loads its wrong
+        threads ran.
+        """
         machine = self.machine
         tracegen = self.tracegen
         n_tus = machine.n_tus
@@ -272,14 +262,7 @@ class Scheduler:
                 tag=region.name, cycle=base + region_end,
             )
 
-        return RegionResult(
-            name=region.name,
-            kind="parallel",
-            cycles=region_end,
-            invocation=invocation,
-            iterations=hi - lo,
-            wrong_thread_loads=wrong_loads,
-        )
+        return region_end, hi - lo, wrong_loads
 
     # ------------------------------------------------------------------
     # sequential regions
@@ -287,8 +270,11 @@ class Scheduler:
 
     def run_sequential_region(
         self, region: SequentialRegionSpec, invocation: int
-    ) -> RegionResult:
-        """Execute one invocation of a sequential section on the head TU."""
+    ) -> Tuple[float, int]:
+        """Execute one invocation of a sequential section on the head TU.
+
+        Returns its cycles and its chunk count.
+        """
         machine = self.machine
         tracegen = self.tracegen
         tu = machine.tus[machine.head_tu]
@@ -334,10 +320,4 @@ class Scheduler:
                 REGION_END, tu.tu_id, invocation, hi - lo, cycles,
                 tag=region.name, cycle=base + cycles,
             )
-        return RegionResult(
-            name=region.name,
-            kind="sequential",
-            cycles=cycles,
-            invocation=invocation,
-            iterations=hi - lo,
-        )
+        return cycles, hi - lo

@@ -49,14 +49,6 @@ class TestPredictorsCommon:
         # Must approach the 90% bias (allow warm-up slack).
         assert correct / n > 0.82
 
-    def test_reset_restores_weak_taken(self, factory):
-        p = factory()
-        pc = 0x3000
-        for _ in range(8):
-            p.update(pc, False)
-        p.reset()
-        assert p.predict(pc) is True  # counters re-initialised weak-taken
-
     def test_smoke_mixed_pcs(self, factory):
         p = factory()
         for _ in range(8):
@@ -129,14 +121,6 @@ class TestBTB:
         with pytest.raises(ConfigError):
             BranchTargetBuffer(0, 1)
 
-    def test_reset(self):
-        btb = BranchTargetBuffer(8, 2)
-        btb.insert(0x40, 1)
-        btb.reset()
-        assert btb.occupancy() == 0
-        assert btb.lookup(0x40) is None
-        assert btb.misses == 1  # the post-reset lookup
-
 
 class TestBranchUnit:
     def test_counts_branches_and_mispredicts(self):
@@ -145,15 +129,15 @@ class TestBranchUnit:
         for _ in range(500):
             bu.resolve(0x100, bool(rng.random() < 0.95))
         assert bu.stats["branches"] == 500
-        assert 0.0 < bu.mispredict_rate() < 0.2
+        assert 0 < bu.stats["mispredicts"] < 0.2 * 500
 
     def test_btb_target_miss_counts_as_mispredict(self):
         bu = BranchUnit(BranchPredictorConfig())
-        # Train taken so the direction is predicted taken, then clear
-        # the BTB: correct direction + unknown target = redirect.
+        # Train taken so the direction is predicted taken, then give it
+        # an empty BTB: correct direction + unknown target = redirect.
         for _ in range(4):
             bu.resolve(0x100, True)
-        bu.btb.reset()
+        bu.btb = BranchTargetBuffer(bu.cfg.btb_entries, bu.cfg.btb_assoc)
         before = bu.stats["mispredicts"]
         assert bu.resolve(0x100, True) is True
         assert bu.stats["btb_target_misses"] >= 1
@@ -162,12 +146,6 @@ class TestBranchUnit:
     def test_mispredict_penalty_exposed(self):
         bu = BranchUnit(BranchPredictorConfig(mispredict_penalty=9))
         assert bu.mispredict_penalty == 9
-
-    def test_reset(self):
-        bu = BranchUnit(BranchPredictorConfig())
-        bu.resolve(0x100, True)
-        bu.reset()
-        assert bu.stats["branches"] == 0
 
     def test_perfectly_biased_branch_low_mispredicts(self):
         bu = BranchUnit(BranchPredictorConfig())

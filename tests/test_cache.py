@@ -105,14 +105,6 @@ class TestInvalidateFlush:
         assert c.invalidate(5) is None
         assert 5 not in c
 
-    def test_flush_returns_all(self):
-        c = make_cache(size=256, assoc=1)
-        for b in range(4):
-            c.insert(b, b % 2)
-        flushed = dict(c.flush())
-        assert flushed == {0: 0, 1: 1, 2: 0, 3: 1}
-        assert c.occupancy() == 0
-
     def test_resident_blocks(self):
         c = make_cache()
         c.insert(1, DIRTY)
@@ -205,13 +197,6 @@ class TestFullyAssocBuffer:
         b = FullyAssocBuffer(2)
         with pytest.raises(ConfigError):
             b.set_flags(9, DIRTY)
-
-    def test_flush(self):
-        b = FullyAssocBuffer(4)
-        b.insert(1, 0)
-        b.insert(2, DIRTY)
-        assert dict(b.flush()) == {1: 0, 2: DIRTY}
-        assert len(b) == 0
 
     def test_items_lru_order(self):
         b = FullyAssocBuffer(3)

@@ -134,6 +134,45 @@ class TestSimResultMath:
             SimResult("b", "c", 1, 0.0, 0.0, 0.0, 10)
 
 
+class TestFromCounters:
+    def test_headline_fields_sum_counter_keys(self):
+        cfg = dataclasses.replace(named_config("wth-wp-wec"), n_thread_units=2)
+        counters = {
+            "tu0.core.instructions": 10, "tu1.core.instructions": 20,
+            "tu0.core.wrong_thread_loads": 3,
+            "tu0.mem.loads": 5, "tu1.mem.loads": 6, "tu1.mem.stores": 2,
+            "tu0.mem.wrong_loads": 4, "tu1.mem.wrong_loads": 1,
+            "tu0.mem.l1_misses": 7, "tu1.mem.demand_fills": 5,
+            "tu1.mem.sidecar_hits": 2, "tu0.mem.prefetches": 8,
+            "tu1.mem.useful_wrong_hits": 1, "tu0.mem.useful_prefetch_hits": 2,
+            "tu0.bpred.branches": 30, "tu1.bpred.mispredicts": 4,
+            "l2.accesses": 9, "l2.misses": 6,
+            # Outside the machine's two TUs, so no headline counts it.
+            "tu2.mem.loads": 100,
+        }
+        records = [{"name": "r", "kind": "parallel", "invocation": 1,
+                    "cycles": 60.0, "iterations": 4}]
+        r = SimResult.from_counters(
+            build_benchmark("181.mcf", SCALE), cfg, PARAMS,
+            (100.0, 60.0, 40.0, records), counters,
+        )
+        assert (r.benchmark, r.config, r.n_tus) == ("181.mcf", cfg.name, 2)
+        assert (r.total_cycles, r.parallel_cycles, r.sequential_cycles) == (
+            100.0, 60.0, 40.0)
+        assert (r.seed, r.scale) == (PARAMS.seed, PARAMS.scale)
+        assert r.region_cycles is records
+        assert r.counters is counters
+        assert r.instructions == 30
+        assert r.l1_traffic == 5 + 6 + 2 + 4 + 1  # wrong loads included
+        assert (r.l1_misses, r.effective_misses, r.sidecar_hits) == (7, 5, 2)
+        assert (r.wrong_loads, r.wrong_thread_loads) == (5, 3)
+        assert (r.prefetches, r.useful_wrong_hits,
+                r.useful_prefetch_hits) == (8, 1, 2)
+        assert (r.branches, r.mispredicts) == (30, 4)
+        assert (r.l2_accesses, r.l2_misses) == (9, 6)
+        assert r.interval_series is None and r.attribution is None
+
+
 class TestToDict:
     """``to_dict`` builds its dict field by field; it must equal asdict()."""
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import random
+import time
 import tracemalloc
 import weakref
 
@@ -50,7 +51,7 @@ from repro.mem.layout import geometry_of
 from repro.obs.hostprof import HostProfiler
 from repro.obs.ledger import WALL_EPSILON_S, PerfRecord
 from repro.sim import executor
-from repro.sim.driver import run_simulation
+from repro.sim.driver import ENGINES, run_simulation
 from repro.sim.executor import SweepCell, default_engine, run_cells
 from repro.sim.fast import compile as compile_mod
 from repro.sim.fast import streams as streams_mod
@@ -69,6 +70,7 @@ from repro.workloads.program import (
     WrongExecProfile,
 )
 from repro.workloads.tracegen import TraceGenerator
+from tests.test_perf_obs import assert_region_profile
 
 SEEDS = (2003, 7, 42)
 SCALE = 1e-5
@@ -148,6 +150,23 @@ class TestBitIdentity:
         oracle = run_simulation(mcf_program, cfg, params, engine="oracle")
         fast = run_simulation(mcf_program, cfg, params, engine="fast")
         assert fast.to_dict() == oracle.to_dict()
+
+    @pytest.mark.parametrize(
+        "params",
+        [SimParams(seed=2003, scale=SCALE, record_regions=True),
+         SimParams(seed=2003, scale=SCALE, warmup_invocations=0)],
+        ids=["record-regions", "no-warmup"],
+    )
+    @pytest.mark.parametrize("config_name", ["orig", "wth-wp-wec", "nlp"])
+    def test_region_loop_options_bit_identical(self, mcf_program,
+                                               config_name, params):
+        # The shared region loop's two optional paths: per-region
+        # records, and measuring from the first invocation.
+        cfg = named_config(config_name)
+        oracle = run_simulation(mcf_program, cfg, params, engine="oracle")
+        fast = run_simulation(mcf_program, cfg, params, engine="fast")
+        assert fast.to_dict() == oracle.to_dict()
+        assert bool(oracle.region_cycles) == params.record_regions
 
     def test_repeat_runs_deterministic(self, mcf_program):
         cfg = named_config("wth-wp-wec")
@@ -595,13 +614,15 @@ class TestEngineSelection:
                            SimParams(scale=SCALE), engine="fast",
                            tracer=object())
 
-    def test_profiler_supported_on_fast(self, mcf_program):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_profiler_region_sections(self, mcf_program, engine):
         profiler = HostProfiler()
+        t0 = time.perf_counter()
         run_simulation(mcf_program, named_config("orig"),
-                       SimParams(scale=SCALE), engine="fast",
+                       SimParams(scale=SCALE), engine=engine,
                        profiler=profiler)
-        snap = profiler.snapshot(1.0)
-        assert "engine.fast" in snap
+        wall_s = time.perf_counter() - t0
+        assert_region_profile(profiler.snapshot(wall_s), wall_s)
 
     def test_default_engine_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)

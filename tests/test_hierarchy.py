@@ -273,35 +273,14 @@ class TestIFetchAndMetrics:
         assert m.ifetch(0x40000000) == HIT_LATENCY
         assert m.stats["l1i_misses"] == 1
 
-    def test_l1_traffic_counts_wrong_loads(self, l2):
-        m = mk(SidecarKind.NONE, l2)
-        m.load_correct(addr(0))
-        m.store_correct(addr(1))
-        m.load_wrong(addr(2))
-        assert m.l1_traffic == 3
-
     def test_effective_misses(self, l2):
+        # An effective miss is a demand fill (SimResult.from_counters).
         m = mk(SidecarKind.WEC, l2)
         m.load_correct(addr(0))       # demand fill
         m.load_correct(addr(4))       # demand fill, victim 0 -> WEC
         m.load_correct(addr(0))       # WEC hit: NOT an effective miss
-        assert m.effective_misses == 2
+        assert m.stats["demand_fills"] == 2
         assert m.stats["l1_misses"] == 3
-
-    def test_miss_rate(self, l2):
-        m = mk(SidecarKind.NONE, l2)
-        m.load_correct(addr(0))
-        m.load_correct(addr(0))
-        assert m.l1_miss_rate() == pytest.approx(0.5)
-
-    def test_reset_clears_state_and_stats(self, l2):
-        m = mk(SidecarKind.WEC, l2)
-        m.load_correct(addr(0))
-        m.load_wrong(addr(9))
-        m.reset()
-        assert m.l1_traffic == 0
-        assert m.l1d.occupancy() == 0
-        assert len(m.sidecar) == 0
 
 
 class TestUpdateBus:

@@ -35,12 +35,6 @@ class TestMainMemory:
         with pytest.raises(ConfigError):
             MainMemory(0)
 
-    def test_reset(self):
-        mem = MainMemory(100)
-        mem.read()
-        mem.reset()
-        assert mem.stats["reads"] == 0
-
 
 class TestSharedL2:
     def test_cold_read_goes_to_memory(self):
@@ -89,17 +83,3 @@ class TestSharedL2:
             l2.read(b * 128, 0)
         assert l2.memory.stats["writes"] == 1
         assert l2.stats["writebacks_to_memory"] == 1
-
-    def test_miss_rate(self):
-        l2 = make_l2()
-        l2.read(0x0, 0)
-        l2.read(0x0, 0)
-        assert l2.miss_rate() == pytest.approx(0.5)
-        l2.reset()
-        assert l2.miss_rate() == 0.0
-
-    def test_reset_drops_contents(self):
-        l2 = make_l2()
-        l2.read(0x0, 0)
-        l2.reset()
-        assert l2.read(0x0, 0) == 200  # cold again

@@ -45,37 +45,29 @@ class TestBuffering:
 
 
 class TestTargetStores:
-    def test_target_addresses(self):
+    def test_upstream_target_load_stalls(self):
         b = SpeculativeMemBuffer(8)
-        b.buffer_store(0x100, is_target=True)
-        b.buffer_store(0x200, is_target=False)
-        assert b.target_addresses() == [0x100]
-
-    def test_dependence_check_stalls_until_arrival(self):
-        b = SpeculativeMemBuffer(8)
-        b.receive_targets([0x500])
-        assert b.check_load(0x500) is True       # data not yet arrived
-        assert b.stats["dependence_hits"] == 1
-        assert b.stats["dependence_stalls"] == 1
-        b.data_arrived(0x500)
-        assert b.check_load(0x500) is False
+        b.receive_targets([0x500, 0x600])
+        assert b.stats["targets_received"] == 2
+        b.check_load(0x500)
+        b.check_load(0x500)
         assert b.stats["dependence_hits"] == 2
-
-    def test_data_arrived_ignores_unknown_address(self):
-        b = SpeculativeMemBuffer(8)
-        b.data_arrived(0x900)  # not an upstream target: no effect
-        assert b.check_load(0x900) is False
+        assert b.stats["dependence_stalls"] == 2
 
     def test_local_forwarding(self):
         b = SpeculativeMemBuffer(8)
         b.buffer_store(0x700)
-        assert b.check_load(0x700) is False
+        b.receive_targets([0x700])
+        b.check_load(0x700)  # the own store wins over the upstream one
         assert b.stats["local_forwards"] == 1
+        assert b.stats["dependence_hits"] == 0
 
     def test_independent_load_no_stall(self):
         b = SpeculativeMemBuffer(8)
         b.receive_targets([0x500])
-        assert b.check_load(0x999) is False
+        b.check_load(0x999)
+        assert b.stats["dependence_stalls"] == 0
+        assert b.stats["local_forwards"] == 0
 
 
 class TestAbort:
@@ -87,8 +79,9 @@ class TestAbort:
         n = b.abort()
         assert n == 2
         assert b.occupancy == 0
-        assert b.writeback() == []          # nothing reaches memory
-        assert b.check_load(0x300) is False  # upstream targets gone
+        assert b.writeback() == []  # nothing reaches memory
+        b.check_load(0x300)         # upstream targets gone
+        assert b.stats["dependence_hits"] == 0
         assert b.stats["stores_squashed"] == 2
 
     def test_wrong_thread_semantics(self):

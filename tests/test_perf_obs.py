@@ -38,8 +38,8 @@ from repro.obs.ledger import (
     write_export,
 )
 from repro.obs.tracer import RingBufferTracer
-from repro.sim.driver import run_program
-from repro.sim.executor import SweepCell, default_engine, run_cells
+from repro.sim.driver import ENGINES, run_program
+from repro.sim.executor import SweepCell, run_cells
 from repro.workloads.benchmarks import build_benchmark
 
 TINY = SimParams(seed=7, scale=2e-5, warmup_invocations=0)
@@ -373,10 +373,27 @@ def _cells(*names):
     return [SweepCell("181.mcf", n, named_config(n), TINY) for n in names]
 
 
+def assert_region_profile(profile, wall_s):
+    """The host-profile contract of both engines.
+
+    The shared region loop times every region invocation into
+    ``scheduler.parallel`` or ``scheduler.sequential``.  Both sections
+    hold time, they never overlap, so together they take no more than
+    the run's wall time, and no engine-wide bucket replaces them.
+    """
+    region_s = [profile[name]["s"]
+                for name in ("scheduler.parallel", "scheduler.sequential")]
+    assert min(region_s) > 0
+    assert sum(region_s) <= wall_s
+    assert "engine.fast" not in profile
+
+
 class TestExecutorRecording:
-    def test_records_executed_cells_with_speedup(self, tmp_path):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_records_executed_cells_with_speedup(self, tmp_path, engine):
         run_cells(_cells("orig", "wth-wp-wec"), cache=False,
-                  perf=True, perf_dir=tmp_path, perf_context="unit")
+                  perf=True, perf_dir=tmp_path, perf_context="unit",
+                  engine=engine)
         records = Ledger(tmp_path).records()
         assert len(records) == 2
         by_config = {r.config: r for r in records}
@@ -386,13 +403,11 @@ class TestExecutorRecording:
         assert rec.context == "unit"
         assert rec.host["wall_s"] > 0
         assert rec.host["events_per_sec"] > 0
-        # The oracle profiles per component; the fast engine reports the
-        # whole run under one section.  Honour $REPRO_ENGINE so the
-        # engine=fast CI leg exercises its own profile shape.
-        section = ("engine.fast" if default_engine() == "fast"
-                   else "tu.replay")
-        assert rec.profile and section in rec.profile
-        assert rec.provenance["engine"] == default_engine()
+        # Both engines profile their regions; only the oracle has the
+        # per-component ``tu.*`` sections.
+        assert_region_profile(rec.profile, rec.host["wall_s"])
+        assert ("tu.replay" in rec.profile) == (engine == "oracle")
+        assert rec.provenance["engine"] == engine
         assert rec.provenance["code_token"]
         assert rec.provenance["config_fp"] != rec.provenance["params_fp"]
 

@@ -85,7 +85,7 @@ def run_region(n_tus: int, dep_coupling: float, iters: int, n_forward: int = 0):
     # Prime: run one invocation to warm the (one-block) footprint and
     # the I-cache, then measure the second invocation.
     sched.run_parallel_region(region, 0)
-    return sched.run_parallel_region(region, 1).cycles
+    return sched.run_parallel_region(region, 1)[0]
 
 
 class TestSingleTU:
@@ -187,7 +187,7 @@ class TestWriteBackOrder:
             **{**region.__dict__, "stage_split": wb_heavy, "name": "math.wb"}
         )
         sched.run_parallel_region(region, 0)
-        cycles = sched.run_parallel_region(region, 1).cycles
+        cycles = sched.run_parallel_region(region, 1)[0]
         # Steady gap = WB stage length = 0.8 × 25 = 20 cycles.
         expected = 7 * 20 + BASE
         assert cycles == pytest.approx(expected)

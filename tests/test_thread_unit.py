@@ -228,12 +228,3 @@ class TestForkCostAndReset:
         tu = make_tu()
         # fork_delay 4 + 2 cycles per forwarded value
         assert tu.fork_cost(3) == 4 + 2 * 3
-
-    def test_reset(self):
-        tu = make_tu(wrong_path=True)
-        region = make_region()
-        tg = TraceGenerator(StreamFactory(5))
-        tu.execute_iteration(region, 0, tg.iteration_trace(region, 0), tg)
-        tu.reset()
-        assert tu.stats["instructions"] == 0
-        assert tu.mem.l1d.occupancy() == 0
