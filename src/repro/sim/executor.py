@@ -533,9 +533,16 @@ class SweepOutcome:
 
 #: Benchmark models of the running sweep: programs are immutable and
 #: shared across every configuration of a sweep, so each sweep builds
-#: each (benchmark, scale) model at most once.  :func:`run_cells` empties
-#: it when it returns.
+#: each (benchmark, scale) model at most once.  A serial sweep drops
+#: each model after its last cell; a parallel one holds every model,
+#: for its workers to inherit, and :func:`run_cells` empties it when it
+#: returns.
 _worker_programs: Dict[Tuple[str, float], Program] = {}
+
+
+def _program_key(cell: SweepCell) -> Tuple[str, float]:
+    """The :data:`_worker_programs` key of the program ``cell`` runs."""
+    return (cell.benchmark, cell.params.scale)
 
 
 def _build_program(benchmark: str, scale: float) -> Program:
@@ -578,6 +585,41 @@ def _execute_cell(
     # lint: allow(EXC001 worker isolation boundary: one bad cell is reported by key, never kills the sweep)
     except Exception as exc:
         return ("err", f"{type(exc).__name__}: {exc}", traceback.format_exc())
+
+
+def _warm_up(cells: List[SweepCell], engine: str, freeze: bool) -> None:
+    """Build the programs of ``cells`` and, on the fast engine, fill their
+    memos as a run would without simulating (``compile_program_fast``),
+    once per :func:`_warmup_key`, so no cell binds a trace, seeds a
+    burst or records a branch stream.
+
+    ``freeze`` adds measurement hygiene for the perf ledger: every object
+    alive at this point (interpreter, test harness, benchmark models,
+    engine memos) moves into the GC's permanent generation.  Without it,
+    full collections triggered mid-cell scan the whole long-lived heap
+    and land tens of milliseconds in whichever cell is running, visible
+    as outlier walls in the ledger.  After the freeze, collections only
+    trace objects allocated since.  Results are unaffected.  The freeze
+    hides objects from the cyclic collector only: programs and their
+    memos form no cycles, so reference counting still frees them after
+    their last cell.
+    """
+    warmed = set()
+    for cell in cells:
+        wkey = _warmup_key(cell)
+        if wkey in warmed:
+            continue
+        warmed.add(wkey)
+        try:
+            program = _build_program(cell.benchmark, cell.params.scale)
+            if engine == "fast":
+                compile_program_fast(program, cell.config, cell.params)
+        # lint: allow(EXC001 warm-up is an optimisation only: a failing cell re-runs in its worker/cell and is reported there)
+        except Exception:
+            pass
+    if freeze:
+        gc.collect()
+        gc.freeze()
 
 
 def _warmup_key(cell: SweepCell) -> tuple:
@@ -790,48 +832,12 @@ def run_cells(
             RuntimeWarning,
             stacklevel=2,
         )
-    # Warm-up pass, two reasons to run it.  Parallel: build each unique
-    # benchmark model (and, with the fast engine, its compile/trace/
-    # branch-stream memos) in the parent so forked workers inherit them
-    # copy-on-write instead of each rebuilding them.  Serial with perf
-    # recording on: the ledger's per-cell walls are meant to measure
-    # steady-state engine throughput, so one-time memo construction must
-    # not land in whichever cell happens to run first.  The fast engine
-    # is warmed by compile_program_fast, which fills the memos as a run
-    # would without simulating, once per _warmup_key: per seed, TU
-    # count, branch geometry and wrong-execution flavour, so no cell
-    # binds a trace, seeds a burst or records a branch stream.
     try:
-        if to_run and (use_parallel or perf_on):
-            warmed = set()
-            for cell, _key in to_run:
-                wkey = _warmup_key(cell)
-                if wkey in warmed:
-                    continue
-                warmed.add(wkey)
-                try:
-                    program = _build_program(cell.benchmark, cell.params.scale)
-                    if engine == "fast":
-                        compile_program_fast(program, cell.config,
-                                             cell.params)
-                # lint: allow(EXC001 warm-up is an optimisation only: a failing cell re-runs in its worker/cell and is reported there)
-                except Exception:
-                    pass
-        if perf_on and to_run:
-            # Measurement hygiene: move every object alive at this point
-            # (interpreter, test harness, benchmark models, engine memos)
-            # into the GC's permanent generation.  Without this, full
-            # collections triggered mid-cell scan the whole long-lived heap
-            # and land tens of milliseconds in whichever cell is running —
-            # visible as outlier walls in the perf ledger.  After the
-            # freeze, collections only trace objects allocated by the cells
-            # themselves.  Results are unaffected.  The freeze hides
-            # objects from the cyclic collector only: the sweep's programs
-            # and their memos form no cycles, so reference counting still
-            # frees them when the sweep ends.
-            gc.collect()
-            gc.freeze()
         if use_parallel:
+            # Build and warm every program in the parent, so forked
+            # workers inherit the models and memos copy-on-write instead
+            # of each rebuilding them.
+            _warm_up([cell for cell, _key in to_run], engine, freeze=perf_on)
             stats.jobs_used = min(jobs, len(to_run))
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=stats.jobs_used, mp_context=ctx) as pool:
@@ -854,16 +860,33 @@ def run_cells(
                     ingest(cell, key, payload)
         else:
             stats.jobs_used = 1
+            # Hold each program only while cells that need it remain: it
+            # is built for its first cell and dropped after its last, and
+            # reference counting then frees it and its memos.  Grids are
+            # benchmark-major, so a grid sweep holds one program at a
+            # time.  With perf recording on, a program is warmed just
+            # before its first cell: the ledger's per-cell walls measure
+            # steady-state engine throughput, so one-time memo
+            # construction must land in no cell's wall.
+            cells_of: Dict[Tuple[str, float], List[SweepCell]] = {}
+            for cell, _key in to_run:
+                cells_of.setdefault(_program_key(cell), []).append(cell)
             for cell, key in to_run:
+                program = _program_key(cell)
+                mine = cells_of[program]
+                if perf_on and cell is mine[0]:
+                    _warm_up(mine, engine, freeze=True)
                 if progress is not None:
                     progress(cell.benchmark, cell.label)
                 ingest(cell, key,
                        _execute_cell(cell.benchmark, cell.config, cell.params,
                                      perf_on, engine))
+                if cell is mine[-1]:
+                    _worker_programs.pop(program, None)
     finally:
-        # Programs, and the memos they own, live for this sweep only:
-        # forked workers have inherited them by now, and a process that
-        # runs many sweeps must not keep every sweep's traces alive.
+        # Forked workers have inherited the programs by now, and a
+        # process that runs many sweeps must not keep every sweep's
+        # traces alive.
         _worker_programs.clear()
 
     # Deterministic output order: the caller's cell order, not completion

@@ -1329,10 +1329,9 @@ class _FastMachine:
             if wb_end > region_end:
                 region_end = wb_end
             prev_targets = trace.targets
-        wrong_loads = 0
         for k, rounds in enumerate(wrong_threads):
-            wrong_loads += tus[(hi + k) % n_tus].run_wrong_thread(rounds)
-        return region_end, hi - lo, wrong_loads
+            tus[(hi + k) % n_tus].run_wrong_thread(rounds)
+        return region_end, hi - lo
 
     def run_sequential_region(self, region, invocation: int):
         tu = self.tus[self.head_tu]

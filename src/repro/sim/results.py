@@ -275,13 +275,14 @@ def run_regions(
     """Run ``program``'s region schedule: the region loop of both engines.
 
     ``scheduler`` runs one region invocation: its
-    ``run_parallel_region`` and ``run_sequential_region`` return a
-    tuple of the invocation's cycles and iteration count.  ``machine``
-    zeroes its counters when the warm-up ends (``reset_statistics``),
-    and so does the oracle's attribution collector ``attrib``.  The
-    oracle passes its scheduler and machine, the fast engine its one
-    machine as both.  A host ``profiler`` times each invocation into
-    ``scheduler.parallel`` or ``scheduler.sequential``.
+    ``run_parallel_region`` and ``run_sequential_region`` both return
+    ``(cycles, iterations)``, the invocation's cycles and its iteration
+    count.  ``machine`` zeroes its counters when the warm-up ends
+    (``reset_statistics``), and so does the oracle's attribution
+    collector ``attrib``.  The oracle passes its scheduler and machine,
+    the fast engine its one machine as both.  A host ``profiler`` times
+    each invocation into ``scheduler.parallel`` or
+    ``scheduler.sequential``.
 
     Returns the measured cycles (see :data:`RegionCycles`) for
     :meth:`SimResult.from_counters`.
@@ -310,7 +311,7 @@ def run_regions(
         else:
             kind, run = "sequential", scheduler.run_sequential_region
         t0 = perf_clock() if perf_clock is not None else 0.0
-        cycles, iterations = run(region, invocation)[:2]
+        cycles, iterations = run(region, invocation)
         if perf_clock is not None:
             profiler.add(f"scheduler.{kind}", perf_clock() - t0)
         if not stats_live:

@@ -31,7 +31,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..common.errors import SimulationError
-from ..core.thread_unit import ThreadUnit
 from ..obs.events import (
     CAT_REGION,
     CAT_RING,
@@ -126,11 +125,10 @@ class Scheduler:
 
     def run_parallel_region(
         self, region: ParallelRegionSpec, invocation: int
-    ) -> Tuple[float, int, int]:
+    ) -> Tuple[float, int]:
         """Execute one invocation of a parallelized loop.
 
-        Returns its cycles, its iteration count and the loads its wrong
-        threads ran.
+        Returns its cycles and its iteration count.
         """
         machine = self.machine
         tracegen = self.tracegen
@@ -239,7 +237,6 @@ class Scheduler:
             prev_targets = trace.store_addrs[trace.tstore_mask]
 
         # Loop exit: the head thread aborts its speculative successors.
-        wrong_loads = 0
         if machine.cfg.wrong_exec.wrong_thread and multi_tu:
             # Successor threads were forked for iterations hi, hi+1, ...;
             # instead of dying they run on as wrong threads (§3.1.2),
@@ -251,7 +248,7 @@ class Scheduler:
             for k in range(n_tus - 1):
                 wrong_iter = hi + k
                 tu = machine.tu_for_iteration(wrong_iter)
-                wrong_loads += tu.run_wrong_thread(region, wrong_iter, tracegen)
+                tu.run_wrong_thread(region, wrong_iter, tracegen)
         machine.set_head((hi - 1) % n_tus)
         self._clock = base + region_end
         if san is not None:
@@ -262,7 +259,7 @@ class Scheduler:
                 tag=region.name, cycle=base + region_end,
             )
 
-        return region_end, hi - lo, wrong_loads
+        return region_end, hi - lo
 
     # ------------------------------------------------------------------
     # sequential regions

@@ -21,7 +21,6 @@ per pattern, so traces are reproducible across runs and machines.
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 import numpy as np
 

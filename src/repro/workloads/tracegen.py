@@ -28,7 +28,7 @@ from ..common.errors import WorkloadError
 from ..common.rng import StreamFactory, stable_hash32
 from ..isa.cfg import WalkResult
 from ..isa.encoding import IterationTrace
-from .program import ParallelRegionSpec, SequentialRegionSpec, WrongExecProfile
+from .program import ParallelRegionSpec, SequentialRegionSpec
 
 __all__ = ["TraceGenerator", "code_base_for"]
 

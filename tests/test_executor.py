@@ -30,7 +30,7 @@ from repro.sim.executor import (
     run_cell,
     run_cells,
 )
-from repro.sim.fast.compile import program_memo
+from repro.sim.fast.compile import _MEMOS as memos, program_memo
 from repro.sim.results import SimResult
 from repro.sim.sweep import benchmarks_of, run_grid
 
@@ -287,43 +287,173 @@ class TestRunCell:
 
 
 class TestProgramLifetime:
-    """A sweep's benchmark models, and the memos they own, die with it."""
+    """A serial sweep holds each benchmark model, and the memos it owns,
+    only while cells that need it remain; a parallel sweep builds and
+    warms every model before it forks.  Nothing outlives the sweep."""
 
-    @pytest.mark.parametrize("perf", [False, True])
-    def test_sweep_frees_its_programs(self, monkeypatch, tmp_path, perf):
-        built = []
+    A, B = BENCHES
+
+    @pytest.fixture
+    def tracked(self, monkeypatch):
+        """Weak references to each program built and its memo, by name,
+        and a snapshot at every cell start: the cell, the benchmarks whose
+        program or memo is still alive, and the memos the sweep added."""
+        built, starts = {}, []
+        held = list(memos)  # programs alive before the sweep stay so
         build = executor.build_benchmark
 
-        def tracking(*args, **kwargs):
-            program = build(*args, **kwargs)
-            built.append((weakref.ref(program),
-                          weakref.ref(program_memo(program))))
+        def building(name, *args, **kwargs):
+            program = build(name, *args, **kwargs)
+            built.setdefault(name, []).append(
+                (weakref.ref(program), weakref.ref(program_memo(program))))
             return program
 
-        monkeypatch.setattr(executor, "build_benchmark", tracking)
-        outcome = run_cells(make_cells(benches=["175.vpr"],
-                                       labels=["orig", "vc"]),
-                            cache=False, engine="fast", perf=perf,
+        def alive():
+            return sorted(name for name, refs in built.items()
+                          if any(ref() is not None
+                                 for pair in refs for ref in pair))
+
+        execute = executor._execute_cell
+
+        def starting(benchmark, config, params, *args, **kwargs):
+            starts.append(((benchmark, config.name), alive(),
+                           len(memos) - len(held)))
+            return execute(benchmark, config, params, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "build_benchmark", building)
+        monkeypatch.setattr(executor, "_execute_cell", starting)
+        return built, starts
+
+    @pytest.mark.parametrize("perf", [False, True])
+    def test_sweep_frees_its_programs(self, tracked, tmp_path, perf):
+        built, starts = tracked
+        A, B = self.A, self.B
+        gc.disable()  # reference counting alone must free them
+        try:
+            outcome = run_cells(make_cells(labels=["orig", "wth-wp-wec"]),
+                                cache=False, engine="fast", perf=perf,
+                                perf_dir=tmp_path)
+            assert outcome.stats.executed == 4
+            # One model per (benchmark, scale), freed with its memo after
+            # its last cell.  Perf recording warms a program before its
+            # first cell; without it the first cell builds the program.
+            assert {name: len(refs) for name, refs in built.items()} == {
+                A: 1, B: 1}
+            first_a, first_b = ([A], [B]) if perf else ([], [])
+            assert [(cell, live) for cell, live, _ in starts] == [
+                ((A, "orig"), first_a), ((A, "wth-wp-wec"), [A]),
+                ((B, "orig"), first_b), ((B, "wth-wp-wec"), [B]),
+            ]
+            assert all(n_memos <= 1 for _, _, n_memos in starts)
+            assert [ref() for refs in built.values()
+                    for pair in refs for ref in pair] == [None] * 4
+        finally:
+            gc.enable()
+
+    def test_failing_cell_still_drops_its_program(self, tracked, monkeypatch):
+        _, starts = tracked
+        A, B = self.A, self.B
+        run = executor.run_program
+
+        def failing(program, config, *args, **kwargs):
+            if (program.name, config.name) == (A, "vc"):
+                raise RuntimeError("boom")
+            return run(program, config, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "run_program", failing)
+        with pytest.raises(SweepError) as excinfo:
+            run_cells(make_cells(labels=["orig", "vc"]), cache=False,
+                      engine="fast")
+        err = excinfo.value
+        assert [(f.benchmark, f.label) for f in err.failures] == [(A, "vc")]
+        assert "RuntimeError: boom" in str(err)
+        # Raised after the whole grid: B's cells ran, after A was dropped.
+        assert list(err.outcome.results) == [(A, "orig"), (B, "orig"),
+                                             (B, "vc")]
+        assert [(cell, live) for cell, live, _ in starts] == [
+            ((A, "orig"), []), ((A, "vc"), [A]),
+            ((B, "orig"), []), ((B, "vc"), [B]),
+        ]
+
+    def test_failing_warm_up_still_runs_and_drops(self, tracked, monkeypatch,
+                                                  tmp_path):
+        _, starts = tracked
+        A, B = self.A, self.B
+        cells = make_cells(labels=["orig", "wth-wp-wec"])
+        plain = run_cells(cells, cache=False, engine="fast", perf=False)
+        del starts[:]
+        compile_only = executor.compile_program_fast
+
+        def failing(program, *args, **kwargs):
+            if program.name == A:
+                raise RuntimeError("boom")
+            return compile_only(program, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "compile_program_fast", failing)
+        outcome = run_cells(cells, cache=False, engine="fast", perf=True,
                             perf_dir=tmp_path)
-        assert outcome.stats.executed == 2
-        assert len(built) == 1  # one model per (benchmark, scale)
-        gc.collect()
-        assert [ref() for ref in built[0]] == [None, None]
+        assert outcome.stats.failures == []
+        assert outcome.results == plain.results
+        # The warm-up built A before its compile raised; A is still
+        # dropped after its last cell.
+        assert [(cell, live) for cell, live, _ in starts] == [
+            ((A, "orig"), [A]), ((A, "wth-wp-wec"), [A]),
+            ((B, "orig"), [B]), ((B, "wth-wp-wec"), [B]),
+        ]
+
+    def test_interleaved_order_holds_a_program_until_its_last_cell(
+            self, tracked, tmp_path):
+        built, starts = tracked
+        A, B = self.A, self.B
+        cells = [SweepCell(bench, label, named_config(label), TINY)
+                 for bench, label in ((A, "orig"), (B, "orig"),
+                                      (A, "wth-wp-wec"), (B, "wth-wp-wec"))]
+        outcome = run_cells(cells, cache=False, engine="fast", perf=True,
+                            perf_dir=tmp_path)
+        assert {name: len(refs) for name, refs in built.items()} == {A: 1,
+                                                                     B: 1}
+        assert [(cell, live) for cell, live, _ in starts] == [
+            ((A, "orig"), [A]), ((B, "orig"), sorted([A, B])),
+            ((A, "wth-wp-wec"), sorted([A, B])), ((B, "wth-wp-wec"), [B]),
+        ]
+        assert list(outcome.results) == [c.grid_key for c in cells]
+
+    def test_parallel_sweep_warms_every_program_before_forking(
+            self, monkeypatch):
+        pools = []
+        held = list(memos)
+        pool = executor.ProcessPoolExecutor
+
+        def recording(*args, **kwargs):
+            pools.append((sorted(executor._worker_programs),
+                          len(memos) - len(held)))
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", recording)
+        cells = make_cells(labels=["orig", "wth-wp-wec"])
+        outcome = run_cells(cells, jobs=2, cache=False, engine="fast")
+        assert outcome.stats.jobs_used == 2
+        # Both programs built, and both memos filled, before the fork.
+        assert pools == [([(b, TINY.scale) for b in sorted(BENCHES)], 2)]
+        assert executor._worker_programs == {}
+        serial = run_cells(cells, cache=False, engine="fast")
+        assert outcome.results == serial.results
 
 
 class TestWarmup:
-    """The fast engine's warm-up compiles once per memo key, and leaves
-    no compile work inside any cell's wall."""
+    """The fast engine's warm-up compiles once per memo key, each program
+    just before its first cell, and leaves no compile work inside any
+    cell's wall."""
 
     def test_two_seed_sweep_warms_each_key_once(self, monkeypatch, tmp_path):
         from repro.sim.fast.compile import CompiledRegion
         from repro.sim.fast.engine import _FastTU
 
-        warmed = []
+        events = []
         compile_only = executor.compile_program_fast
 
         def counting(program, config, params):
-            warmed.append((program.name, config.name, params.seed))
+            events.append(("warm", program.name, config.name, params.seed))
             return compile_only(program, config, params)
 
         monkeypatch.setattr(executor, "compile_program_fast", counting)
@@ -341,33 +471,42 @@ class TestWarmup:
         execute = executor._execute_cell
 
         def tracking(benchmark, config, params, *args, **kwargs):
-            running.append((config.name, params.seed))
+            events.append(("cell", benchmark, config.name, params.seed))
+            running.append((benchmark, config.name, params.seed))
             try:
                 return execute(benchmark, config, params, *args, **kwargs)
             finally:
                 running.pop()
 
         monkeypatch.setattr(executor, "_execute_cell", tracking)
+        benches = ("181.mcf", "164.gzip")
+        labels = (("orig", "orig", 8), ("vc", "vc", 8),
+                  ("wec", "wth-wp-wec", 8), ("wec@2tu", "wth-wp-wec", 2),
+                  ("wp", "wp", 8))
         cells = [
-            SweepCell("181.mcf", f"{label}/{seed}",
+            SweepCell(bench, f"{label}/{seed}",
                       named_config(name, n_tus=n_tus),
                       SimParams(seed=seed, scale=2e-5))
+            for bench in benches
             for seed in (2003, 7)
-            for label, name, n_tus in (("orig", "orig", 8),
-                                       ("vc", "vc", 8),
-                                       ("wec", "wth-wp-wec", 8),
-                                       ("wec@2tu", "wth-wp-wec", 2),
-                                       ("wp", "wp", 8))
+            for label, name, n_tus in labels
         ]
         outcome = run_cells(cells, cache=False, engine="fast", perf=True,
                             perf_dir=tmp_path)
         assert outcome.stats.executed == len(cells)
         # orig and vc share a key (no wrong execution, 8 TUs); so do
-        # nothing else: 4 keys per seed.
-        assert warmed == [
-            ("181.mcf", name, seed)
-            for seed in (2003, 7)
-            for name in ("orig", "wth-wp-wec", "wth-wp-wec", "wp")
+        # nothing else: 4 keys per seed.  A program's keys are compiled
+        # after the previous program's last cell, before its own first.
+        assert events == [
+            event
+            for bench in benches
+            for event in (
+                [("warm", bench, name, seed)
+                 for seed in (2003, 7)
+                 for name in ("orig", "wth-wp-wec", "wth-wp-wec", "wp")]
+                + [("cell", bench, name, seed)
+                   for seed in (2003, 7)
+                   for _, name, _ in labels])
         ]
         assert compiled_in_cells == []
 

@@ -48,6 +48,13 @@ def small_cfg(n_tus=4, wrong_thread=False, wrong_path=False):
     )
 
 
+def wrong_thread_loads(machine):
+    """The loads every TU's wrong threads ran, from the counter dump."""
+    stats = machine.collect_stats()
+    return sum(stats.get(f"tu{i}.core.wrong_thread_loads", 0)
+               for i in range(machine.n_tus))
+
+
 def region(dep_coupling=0.1, iters=12):
     cfg = IterationCFG(
         entry="a",
@@ -141,7 +148,7 @@ class TestMachine:
 class TestParallelScheduling:
     def test_region_cycles_positive_and_spread(self):
         machine, sched = make(n_tus=4)
-        cycles, iterations, _ = sched.run_parallel_region(region(iters=12), 0)
+        cycles, iterations = sched.run_parallel_region(region(iters=12), 0)
         assert cycles > 0
         assert iterations == 12
         # All four TUs executed iterations.
@@ -185,17 +192,17 @@ class TestParallelScheduling:
     def test_wrong_threads_spawn_only_when_enabled(self):
         r = region(iters=8)
         m_off, s_off = make(n_tus=4, wrong_thread=False)
-        _, _, wrong_loads_off = s_off.run_parallel_region(r, 0)
-        assert wrong_loads_off == 0
+        s_off.run_parallel_region(r, 0)
+        assert wrong_thread_loads(m_off) == 0
         m_on, s_on = make(n_tus=4, wrong_thread=True)
-        _, _, wrong_loads_on = s_on.run_parallel_region(r, 0)
-        assert wrong_loads_on > 0
+        s_on.run_parallel_region(r, 0)
+        assert wrong_thread_loads(m_on) > 0
 
     def test_wrong_threads_need_multiple_tus(self):
         r = region(iters=8)
-        _, s = make(n_tus=1, wrong_thread=True)
-        _, _, wrong_loads = s.run_parallel_region(r, 0)
-        assert wrong_loads == 0
+        m, s = make(n_tus=1, wrong_thread=True)
+        s.run_parallel_region(r, 0)
+        assert wrong_thread_loads(m) == 0
 
     def test_single_tu_pays_no_fork_cost(self):
         """With one TU there is no fork; cycles must equal the sum of
