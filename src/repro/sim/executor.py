@@ -602,7 +602,7 @@ def _warm_up(cells: List[SweepCell], engine: str, freeze: bool) -> None:
     trace objects allocated since.  Results are unaffected.  The freeze
     hides objects from the cyclic collector only: programs and their
     memos form no cycles, so reference counting still frees them after
-    their last cell.
+    their last cell.  :func:`run_cells` unfreezes when it returns.
     """
     warmed = set()
     for cell in cells:
@@ -832,6 +832,7 @@ def run_cells(
             RuntimeWarning,
             stacklevel=2,
         )
+    frozen_on_entry = gc.get_freeze_count()
     try:
         if use_parallel:
             # Build and warm every program in the parent, so forked
@@ -888,6 +889,11 @@ def run_cells(
         # process that runs many sweeps must not keep every sweep's
         # traces alive.
         _worker_programs.clear()
+        # The warm-up's freeze serves this sweep's ledger walls only: an
+        # object it froze that later turns into cyclic garbage would
+        # never be collected.  A freeze the caller made is left alone.
+        if not frozen_on_entry and gc.get_freeze_count():
+            gc.unfreeze()
 
     # Deterministic output order: the caller's cell order, not completion
     # order (benchmarks_of relies on grid insertion order).

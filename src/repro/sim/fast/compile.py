@@ -16,16 +16,22 @@ structure:
   every configuration of a sweep grid replay the identical workload
   without regenerating it;
 * binding works per region invocation (:meth:`CompiledRegion.trace_range`):
-  the walk streams of every index the memo misses are seeded in one
-  batch, the indices are grouped by path, and each (path, pattern) pair
-  is bound by one numpy call over a grid of the group's iterations by
-  the pattern's occurrences (the splitmix64 mixer, strided/pointer-chase
-  indexing and the hot/cold split all map to exact uint64/float64 array
-  expressions).  :meth:`CompiledRegion.trace` sends a lone miss through
-  the same binder;
+  the walk streams of every index the memo misses are drawn in bulk
+  (their first 16 doubles, by :meth:`FastStreamFactory.raw_batch`),
+  the walks step through the CFG together in numpy, one branch
+  decision a step, and every memory slot of the batch's traces becomes
+  an entry of one flat (iteration, occurrence, slot) list that each
+  pattern binds with one numpy call (the splitmix64 mixer,
+  strided/pointer-chase indexing and the hot/cold split all map to
+  exact uint64/float64 array expressions).  A walk that needs more
+  than 16 draws, and a batch too small for bulk draws to pay (a lone
+  miss from :meth:`CompiledRegion.trace`, say), walks its own
+  generator instead;
 * the wrong-path bursts of an invocation are seeded in one batch too
   (:meth:`CompiledRegion.seed_wrong_paths`), once the engine knows
-  which branches mispredict.
+  which branches mispredict: each burst's length, convergence and skip
+  come from its stream's first three raw outputs, except where numpy
+  draws them in ways the bulk kernels do not reproduce.
 
 Bound addresses are held compactly: a trace's loads and stores are
 ``array('q')`` copies of the binder's int64 buffers, its target stores
@@ -60,7 +66,13 @@ from ...workloads.patterns import (
 )
 from ...workloads.program import ParallelRegionSpec, Program, SequentialRegionSpec
 from ...workloads.tracegen import code_base_for
-from .streams import FastStreamFactory
+from .streams import (
+    GEOMETRIC_SEARCH_MIN,
+    FastStreamFactory,
+    geometric_search,
+    lemire_bounded,
+    raw_doubles,
+)
 
 __all__ = ["CompiledRegion", "FastTrace", "ProgramMemo", "program_memo"]
 
@@ -82,6 +94,17 @@ _MAX_TRACES = 1 << 17
 #: Upper bound on memoized paths per region.
 _MAX_PATHS = 1 << 14
 
+#: Draws per stream the bulk walker steps through; a walk that takes
+#: more branch decisions walks its own generator.  At cold-start (six
+#: benchmarks at 2e-3, seed 2003) 171 of the 93,551 walks drawn in bulk
+#: needed more.
+_WALK_DRAWS = 16
+
+#: Walks drawn and bound per pass.  Passes over a whole invocation
+#: (cold-start batches reach 5,331 walks) raised the process's peak RSS
+#: by ~0.6 MB with their draws and slot arrays, and saved no time.
+_BIND_ROWS = 1024
+
 
 class _CompiledBlock:
     """Static per-block data needed to replay walk decisions quickly."""
@@ -95,18 +118,14 @@ class _CompiledBlock:
         self.next_idx = next_idx
 
 
-class _BindEntry:
-    """Per-pattern scatter plan for one path's memory operations."""
+class _Replay:
+    """A stream whose first doubles are drawn, as the oracle walker reads
+    it: each ``random()`` call returns the next one."""
 
-    __slots__ = ("pattern", "occ", "lsel", "lidx", "ssel", "sidx")
+    __slots__ = ("random",)
 
-    def __init__(self, pattern, occ, lsel, lidx, ssel, sidx):
-        self.pattern = pattern
-        self.occ = occ          # uint64 occurrence indices, walk order
-        self.lsel = lsel        # positions within occ that are loads
-        self.lidx = lidx        # -> index into the trace's load array
-        self.ssel = ssel        # positions within occ that are stores
-        self.sidx = sidx        # -> index into the trace's store array
+    def __init__(self, doubles: np.ndarray) -> None:
+        self.random = iter(doubles.tolist()).__next__
 
 
 class PathData:
@@ -114,11 +133,11 @@ class PathData:
 
     __slots__ = (
         "key", "n_instr", "n_loads", "n_stores", "events", "branch_pcs",
-        "branch_taken", "branch_next_load", "tstore_idx", "mix",
-        "bind", "ifetch_count",
+        "branch_taken", "branch_next_load", "n_targets", "mix",
+        "slot_pattern", "slot_occ", "slot_target", "ifetch_count",
     )
 
-    def __init__(self, key, walk, region):
+    def __init__(self, key, walk, pattern_ids: Dict[str, int]):
         self.key = key
         self.n_instr = walk.n_instr
         self.mix = walk.mix
@@ -137,7 +156,6 @@ class PathData:
         self.n_stores = len(stores)
         self.branch_pcs = [pc for _, pc, _ in walk.branches]
         self.branch_taken = [bool(t) for _, _, t in walk.branches]
-        self.tstore_idx = [i for i, (_, _, t) in enumerate(stores) if t]
         branch_pos = np.asarray([p for p, _, _ in walk.branches], dtype=np.int64)
         lp = np.asarray(load_pos, dtype=np.int64)
         self.branch_next_load = (
@@ -165,36 +183,21 @@ class PathData:
         self.events: List[Tuple[int, int]] = list(
             zip(kinds[order].tolist(), idxs[order].tolist())
         )
-        # Per-pattern occurrence plan.  Occurrences count up in dynamic
-        # (mem_ops) order per pattern, exactly as the oracle binds them.
-        per: Dict[str, List[List[int]]] = {}
+        # Binding plan, one entry per memory slot (the loads, then the
+        # stores): its pattern, its occurrence index and whether it is a
+        # target store.  Occurrences count up in dynamic (mem_ops) order
+        # per pattern, exactly as the oracle binds them.
         occ_counts: Dict[str, int] = {}
-        li = si = 0
-        for pos_, pattern_name, is_store, _ in walk.mem_ops:
-            entry = per.setdefault(pattern_name, [[], [], [], [], []])
+        plans: Tuple[List[tuple], List[tuple]] = ([], [])
+        for _, pattern_name, is_store, is_tstore in walk.mem_ops:
             occ = occ_counts.get(pattern_name, 0)
             occ_counts[pattern_name] = occ + 1
-            k = len(entry[0])
-            entry[0].append(occ)
-            if is_store:
-                entry[3].append(k)
-                entry[4].append(si)
-                si += 1
-            else:
-                entry[1].append(k)
-                entry[2].append(li)
-                li += 1
-        self.bind: List[_BindEntry] = [
-            _BindEntry(
-                region.patterns[name],
-                np.asarray(e[0], dtype=np.uint64),
-                np.asarray(e[1], dtype=np.intp),
-                np.asarray(e[2], dtype=np.intp),
-                np.asarray(e[3], dtype=np.intp),
-                np.asarray(e[4], dtype=np.intp),
-            )
-            for name, e in per.items()
-        ]
+            plans[is_store].append((pattern_ids[pattern_name], occ, is_tstore))
+        slots = plans[0] + plans[1]
+        self.slot_pattern = np.array([s[0] for s in slots], dtype=np.int16)
+        self.slot_occ = np.array([s[1] for s in slots], dtype=np.uint64)
+        self.slot_target = np.array([s[2] for s in slots], dtype=bool)
+        self.n_targets = int(self.slot_target.sum())
         self.ifetch_count = max(1, self.n_instr // 16)
 
 
@@ -212,11 +215,11 @@ class FastTrace:
 
 def _vec_addrs(pattern: AddressPattern, iters: np.ndarray,
                occ: np.ndarray) -> np.ndarray:
-    """Bit-exact ``pattern.addr`` over a grid: one row per iteration.
+    """Bit-exact ``pattern.addr`` over paired entries.
 
-    ``iters`` is an int64 column (shape ``(n, 1)``), ``occ`` a row of
-    uint64 occurrence indices; the result is the ``(n, len(occ))`` int64
-    array of ``pattern.addr(iters[i], occ[j])``.
+    ``iters`` is an int64 array and ``occ`` a uint64 array of the same
+    length; the result is the int64 array of
+    ``pattern.addr(iters[i], occ[i])``.
     """
     if isinstance(pattern, (SequentialPattern, StridedPattern)):
         elem = (iters * pattern.per_iter + occ.astype(np.int64)) % pattern._n_elems
@@ -241,13 +244,13 @@ def _vec_addrs(pattern: AddressPattern, iters: np.ndarray,
         )
     # Unknown pattern subclass: fall back to the exact scalar rule.
     return np.asarray(
-        [[pattern.addr(i, o) for o in occ.tolist()] for i in iters[:, 0].tolist()],
+        [pattern.addr(i, o) for i, o in zip(iters.tolist(), occ.tolist())],
         dtype=np.int64,
-    ).reshape(len(iters), len(occ))
+    )
 
 
 def _vec_mix64(iters: np.ndarray, occ: np.ndarray, c: int) -> np.ndarray:
-    """splitmix64 finalizer over (iters[i], occ[j], c), wrapping at 64 bits."""
+    """splitmix64 finalizer over (iters[i], occ[i], c), wrapping at 64 bits."""
     const = iters.astype(np.uint64) * np.uint64(_C1) + np.uint64(
         ((c * _C3) + _C1) & _M64
     )
@@ -290,7 +293,10 @@ class CompiledRegion:
                     index[b.next_block] if b.next_block is not None else -1,
                 ))
         self.blocks = blocks
-        self.paths: Dict[Tuple[bool, ...], PathData] = {}
+        self._graph(blocks)
+        self._patterns = list(region.patterns.values())
+        self._pattern_ids = {name: q for q, name in enumerate(region.patterns)}
+        self.paths: Dict[int, PathData] = {}
         # iteration -> FastTrace, (iteration, branch) -> burst, per seed
         self.traces: Dict[int, Dict[int, FastTrace]] = {}
         self.wp_addrs: Dict[int, Dict[Tuple[int, int], Sequence[int]]] = {}
@@ -299,17 +305,51 @@ class CompiledRegion:
         self.ifetch_footprint = max(1, region.code_footprint // 64)
         self._prefix = "it:" if self.is_parallel else "sq:"
 
+    def _graph(self, blocks: List[_CompiledBlock]) -> None:
+        """The bulk walker's form of the CFG.
+
+        Node ``j`` is the ``j``-th branch block and the last node ends
+        the walk.  Each edge skips the unconditional blocks after it and
+        counts every block it enters, so a walk takes one step per
+        branch decision.  An unconditional cycle counts past
+        :data:`MAX_BLOCKS_PER_WALK`.
+        """
+        branch_blocks = [i for i, blk in enumerate(blocks) if blk.p_eff is not None]
+        node = {i: j for j, i in enumerate(branch_blocks)}
+        end = self._end = len(branch_blocks)
+
+        def settle(i: int) -> Tuple[int, int]:
+            entered = 0
+            while i >= 0 and blocks[i].p_eff is None:
+                entered += 1
+                if entered > MAX_BLOCKS_PER_WALK:
+                    return end, entered
+                i = blocks[i].next_idx
+            return (end, entered) if i < 0 else (node[i], entered + 1)
+
+        self._entry = settle(self.entry_idx)
+        edges = [[settle(blocks[i].fall_idx) for i in branch_blocks] + [(end, 0)],
+                 [settle(blocks[i].taken_idx) for i in branch_blocks] + [(end, 0)]]
+        # Rows: fallthrough, taken.  The end node never takes its edge.
+        self._next = np.array([[n for n, _ in row] for row in edges], dtype=np.intp)
+        self._entered = np.array([[c for _, c in row] for row in edges],
+                                 dtype=np.int64)
+        self._p = np.array([blocks[i].p_eff for i in branch_blocks] + [0.0])
+
     # -- walking -------------------------------------------------------
 
-    def _walk_key(self, gen) -> Tuple[bool, ...]:
+    def _walk_key(self, gen) -> int:
         """Replay branch decisions only, buffering the double stream.
 
         Overdraws from the stream in chunks; the values consumed for
-        decision *k* are identical to the oracle's scalar draws.
+        decision *k* are identical to the oracle's scalar draws.  The
+        key packs the decisions into the bits of an int, the first one
+        lowest, under a leading 1.
         """
         blocks = self.blocks
         cur = self.entry_idx
-        decisions: List[bool] = []
+        bits = 0
+        n_dec = 0
         buf = gen.random(16)
         nbuf = 16
         bi = 0
@@ -317,10 +357,7 @@ class CompiledRegion:
         while cur >= 0:
             steps += 1
             if steps > MAX_BLOCKS_PER_WALK:
-                raise WorkloadError(
-                    f"CFG walk exceeded {MAX_BLOCKS_PER_WALK} blocks; "
-                    f"check loop back-edge probabilities"
-                )
+                raise _runaway_walk()
             blk = blocks[cur]
             p = blk.p_eff
             if p is None:
@@ -330,11 +367,78 @@ class CompiledRegion:
                     buf = gen.random(64)
                     nbuf = 64
                     bi = 0
-                taken = bool(buf[bi] < p)
+                if buf[bi] < p:
+                    bits |= 1 << n_dec
+                    cur = blk.taken_idx
+                else:
+                    cur = blk.fall_idx
                 bi += 1
-                decisions.append(taken)
-                cur = blk.taken_idx if taken else blk.fall_idx
-        return tuple(decisions)
+                n_dec += 1
+        return bits | (1 << n_dec)
+
+    def _walk_bulk(self, doubles: np.ndarray) -> Tuple[List[int], List[bool]]:
+        """The keys of walks stepped together, one draw a step.
+
+        Row ``k`` of ``doubles`` holds stream ``k``'s first doubles.
+        Returns each walk's key and whether it ended within them; the
+        key of a walk that did not is meaningless.
+        """
+        n, width = doubles.shape
+        node, entered = self._entry
+        cur = np.full(n, node, dtype=np.intp)
+        blocks = np.full(n, entered, dtype=np.int64)
+        bits = np.zeros(n, dtype=np.int64)
+        n_dec = np.zeros(n, dtype=np.int64)
+        end = self._end
+        for step in range(width):
+            live = cur != end
+            if not live.any():
+                break
+            taken = (doubles[:, step] < self._p[cur]).astype(np.intp)
+            n_dec += live
+            bits |= taken << step
+            blocks += self._entered[taken, cur]
+            cur = self._next[taken, cur]
+        if blocks.max() > MAX_BLOCKS_PER_WALK:
+            raise _runaway_walk()
+        return (bits | (1 << n_dec)).tolist(), (cur == end).tolist()
+
+    def _paths(self, streams: FastStreamFactory,
+               names: List[str]) -> List[PathData]:
+        """The path each named stream walks, compiling the new ones."""
+        paths = self.paths
+        out: List[PathData] = []
+        raw = streams.raw_batch(names, _WALK_DRAWS)
+        if raw is None:
+            for name, gen in zip(names, streams.fresh_batch(names)):
+                key = self._walk_key(gen)
+                path = paths.get(key)
+                out.append(path if path is not None
+                           else self._new_path(key, streams.fresh(name)))
+            return out
+        doubles = raw_doubles(raw)
+        keys, ended = self._walk_bulk(doubles)
+        for k, (key, done) in enumerate(zip(keys, ended)):
+            if not done:
+                key = self._walk_key(streams.fresh(names[k]))
+            path = paths.get(key)
+            if path is None:
+                path = self._new_path(
+                    key, _Replay(doubles[k]) if done else streams.fresh(names[k]))
+            out.append(path)
+        return out
+
+    def _new_path(self, key: int, rng) -> PathData:
+        """Compile the path of a walk the memo has not seen.
+
+        Reruns the oracle's own walker on the same stream, so path
+        structure is exact by construction rather than by
+        transliteration.
+        """
+        path = PathData(key, self.region.cfg.walk(rng), self._pattern_ids)
+        if len(self.paths) < _MAX_PATHS:
+            self.paths[key] = path
+        return path
 
     # -- traces --------------------------------------------------------
 
@@ -366,47 +470,54 @@ class CompiledRegion:
               indices: List[int]) -> List[FastTrace]:
         """Walk and bind ``indices``; memoize them while the memo has room.
 
-        The walks' streams are seeded in one batch.  The indices are
-        then grouped by path, and each (path, pattern) pair is bound by
-        one ``_vec_addrs`` call over the group's iterations.
+        :data:`_BIND_ROWS` indices a pass, the walks are drawn and
+        stepped together (:meth:`_paths`) and their traces bound
+        together (:meth:`_bind_paths`).
         """
         prefix = f"{self._prefix}{self.region.name}:"
-        paths = self.paths
-        groups: Dict[PathData, List[int]] = {}
-        gens = streams.fresh_batch([f"{prefix}{index}" for index in indices])
-        for k, gen in enumerate(gens):
-            key = self._walk_key(gen)
-            path = paths.get(key)
-            if path is None:
-                # Cold path: rerun the oracle's own walker on a second
-                # copy of the same stream, so path structure is exact by
-                # construction rather than by transliteration.
-                walk = self.region.cfg.walk(streams.fresh(f"{prefix}{indices[k]}"))
-                path = PathData(key, walk, self.region)
-                if len(paths) < _MAX_PATHS:
-                    paths[key] = path
-            groups.setdefault(path, []).append(k)
-        out: List[Optional[FastTrace]] = [None] * len(indices)
-        for path, ks in groups.items():
-            iters = np.array([indices[k] for k in ks], dtype=np.int64)[:, None]
-            la = np.empty((len(ks), path.n_loads), dtype=np.int64)
-            sa = np.empty((len(ks), path.n_stores), dtype=np.int64)
-            for e in path.bind:
-                vec = _vec_addrs(e.pattern, iters, e.occ)
-                la[:, e.lidx] = vec[:, e.lsel]
-                sa[:, e.sidx] = vec[:, e.ssel]
-            targets = sa[:, path.tstore_idx].tolist() if path.tstore_idx else None
-            for row, k in enumerate(ks):
-                out[k] = FastTrace(
-                    path,
-                    array("q", la[row].tobytes()),
-                    array("q", sa[row].tobytes()),
-                    tuple(targets[row]) if targets is not None else (),
-                )
+        out: List[FastTrace] = []
+        for lo in range(0, len(indices), _BIND_ROWS):
+            chunk = indices[lo:lo + _BIND_ROWS]
+            out += self._bind_paths(
+                chunk, self._paths(streams, [f"{prefix}{i}" for i in chunk]))
         for index, trace in zip(indices, out):
             if len(per_seed) >= _MAX_TRACES:
                 break
             per_seed[index] = trace
+        return out
+
+    def _bind_paths(self, indices: List[int],
+                    paths: List[PathData]) -> List[FastTrace]:
+        """The traces of ``indices``, walking ``paths``.
+
+        Every memory slot of every trace goes into one flat list of
+        (iteration, occurrence, slot) entries, and each pattern binds
+        its entries with one ``_vec_addrs`` call.
+        """
+        pattern = np.concatenate([path.slot_pattern for path in paths])
+        occ = np.concatenate([path.slot_occ for path in paths])
+        iters = np.repeat(np.asarray(indices, dtype=np.int64),
+                          [path.slot_occ.size for path in paths])
+        addrs = np.empty(occ.size, dtype=np.int64)
+        for q, pat in enumerate(self._patterns):
+            sel = np.flatnonzero(pattern == q)
+            if sel.size:
+                addrs[sel] = _vec_addrs(pat, iters[sel], occ[sel])
+        flat = addrs.tobytes()
+        targets = addrs[np.concatenate([path.slot_target for path in paths])]
+        targets = targets.tolist()
+        out: List[FastTrace] = []
+        end = t_end = 0
+        for path in paths:
+            start = end
+            mid = start + 8 * path.n_loads
+            end = mid + 8 * path.n_stores
+            t_start = t_end
+            t_end += path.n_targets
+            out.append(FastTrace(
+                path, array("q", flat[start:mid]), array("q", flat[mid:end]),
+                tuple(targets[t_start:t_end]) if t_end > t_start else (),
+            ))
         return out
 
     # -- wrong execution ----------------------------------------------
@@ -434,7 +545,8 @@ class CompiledRegion:
         addrs = ()
         if prof.wp_max_loads != 0 and prof.wp_mean_loads > 0:
             rng = streams.fresh(f"wp:{self.region.name}:{index}:{branch_idx}")
-            addrs = self._burst(rng, trace, branch_idx, index, future_loads)
+            addrs = self._burst(trace, branch_idx, index, future_loads,
+                                *self._draws(rng))
         if len(per_seed) < _MAX_TRACES:
             per_seed[memo_key] = addrs
         return addrs
@@ -448,9 +560,11 @@ class CompiledRegion:
         """Memoize the bursts of ``sites`` in one batch.
 
         Each site is ``(trace, branch_idx, index, future_loads)``, the
-        arguments :meth:`wrong_path_addrs` would get.  The streams of
-        the bursts the memo lacks are seeded together, up to the memo's
-        room; the rest are left to :meth:`wrong_path_addrs`.
+        arguments :meth:`wrong_path_addrs` would get.  The bursts the
+        memo lacks, up to its room, are drawn together: each from its
+        stream's first three raw outputs, where numpy draws the length
+        by search, or else from its own generator.  The rest are left
+        to :meth:`wrong_path_addrs`.
         """
         prof = self.region.wrong_exec
         if prof.wp_max_loads == 0 or prof.wp_mean_loads <= 0:
@@ -458,53 +572,67 @@ class CompiledRegion:
         per_seed = self.wp_addrs.setdefault(seed, {})
         todo = [site for site in sites if (site[2], site[1]) not in per_seed]
         del todo[max(0, _MAX_TRACES - len(per_seed)):]
-        name = self.region.name
-        gens = streams.fresh_batch(
-            [f"wp:{name}:{index}:{branch_idx}" for _, branch_idx, index, _ in todo]
-        )
-        for (trace, branch_idx, index, future_loads), rng in zip(todo, gens):
-            per_seed[(index, branch_idx)] = self._burst(
-                rng, trace, branch_idx, index, future_loads
-            )
+        region = self.region.name
+        names = [f"wp:{region}:{index}:{branch_idx}"
+                 for _, branch_idx, index, _ in todo]
+        p = min(1.0, 1.0 / prof.wp_mean_loads)
+        n_skip = max(1, prof.wp_lookahead // 4)
+        raw = (streams.raw_batch(names, 3)
+               if p >= GEOMETRIC_SEARCH_MIN and n_skip < 1 << 32 else None)
+        if raw is None:
+            for site, rng in zip(todo, streams.fresh_batch(names)):
+                per_seed[(site[2], site[1])] = self._burst(*site, *self._draws(rng))
+            return
+        lengths = np.minimum(geometric_search(raw_doubles(raw[:, 0]), p),
+                             prof.wp_max_loads)
+        skips, exact = lemire_bounded(raw[:, 2], n_skip)
+        exact &= lengths > 0
+        for site, name, k, u, skip, ok in zip(
+                todo, names, lengths.tolist(), raw_doubles(raw[:, 1]).tolist(),
+                skips.tolist(), exact.tolist()):
+            draws = (k, u, skip) if ok else self._draws(streams.fresh(name))
+            per_seed[(site[2], site[1])] = self._burst(*site, *draws)
 
-    def _burst(self, rng, trace: FastTrace, branch_idx: int, index: int,
-               future_loads: Optional[Sequence[int]]) -> Sequence[int]:
-        """One wrong-path burst, drawn from its own fresh stream ``rng``."""
+    def _draws(self, rng) -> Tuple[int, float, int]:
+        """A burst's draws from its own fresh stream ``rng``, in the
+        oracle's order: its length (capped), the convergence double and,
+        when that double can make the burst convergent, the skip."""
+        prof = self.region.wrong_exec
+        k = min(int(rng.geometric(min(1.0, 1.0 / prof.wp_mean_loads))),
+                prof.wp_max_loads)
+        u = rng.random()
+        skip = 0
+        if u < prof.p_convergent:
+            skip = int(rng.integers(0, max(1, prof.wp_lookahead // 4)))
+        return k, u, skip
+
+    def _burst(self, trace: FastTrace, branch_idx: int, index: int,
+               future_loads: Optional[Sequence[int]], k: int, u: float,
+               skip: int) -> Sequence[int]:
+        """One wrong-path burst of ``k`` loads, given its draws."""
         region = self.region
         prof = region.wrong_exec
-        k = int(rng.geometric(min(1.0, 1.0 / prof.wp_mean_loads)))
-        k = min(k, prof.wp_max_loads)
-        if k <= 0:
-            return ()
-        burst: List[int] = []
         path = trace.path
         next_load = path.branch_next_load[branch_idx]
         own_loads = trace.load_addrs
         n_own = path.n_loads
         n_ext = n_own + (len(future_loads) if future_loads is not None else 0)
-        pollution = (
-            region.patterns[region.pollution_pattern]
-            if region.pollution_pattern is not None
-            else None
-        )
-        convergent = rng.random() < prof.p_convergent and next_load < n_ext
-        if convergent:
-            skip = int(rng.integers(0, max(1, prof.wp_lookahead // 4)))
+        if u < prof.p_convergent and next_load < n_ext:
             start = next_load + skip
-            for idx in range(start, min(start + k, n_ext)):
-                if idx < n_own:
-                    burst.append(own_loads[idx])
-                else:
-                    burst.append(future_loads[idx - n_own])
-        elif pollution is not None:
-            for j in range(k):
-                occ = (1 << 20) + branch_idx * 64 + j
-                burst.append(pollution.addr(index, occ))
+            stop = min(start + k, n_ext)
+            burst = own_loads[start:stop]
+            if stop > n_own:
+                burst.extend(future_loads[max(start, n_own) - n_own:stop - n_own])
+        elif region.pollution_pattern is not None:
+            addr = region.patterns[region.pollution_pattern].addr
+            occ = (1 << 20) + branch_idx * 64
+            burst = array("q", [addr(index, occ + j) for j in range(k)])
         elif n_own:
             start = min(next_load + prof.wp_lookahead, n_own - 1)
-            for idx in range(start, min(start + k, n_own)):
-                burst.append(own_loads[idx])
-        return array("q", burst) if burst else ()
+            burst = own_loads[start:start + k]
+        else:
+            return ()
+        return burst if burst else ()
 
     def wrong_thread_addrs(
         self, streams: FastStreamFactory, seed: int, index: int
@@ -516,6 +644,13 @@ class CompiledRegion:
         trace = self.trace(streams, seed, index)
         n = int(round(trace.path.n_loads * prof.wth_fraction))
         return trace.load_addrs[:n]
+
+
+def _runaway_walk() -> WorkloadError:
+    return WorkloadError(
+        f"CFG walk exceeded {MAX_BLOCKS_PER_WALK} blocks; "
+        f"check loop back-edge probabilities"
+    )
 
 
 class ProgramMemo:

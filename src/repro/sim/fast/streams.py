@@ -2,37 +2,52 @@
 
 ``StreamFactory.fresh(name)`` builds a ``SeedSequence`` for every stream
 (numpy's entropy pooling, ~10 us) and then a ``Generator``/``PCG64``
-pair (~1.6 us).  The pooling algorithm is small and fixed, and with a
-single-word seed and a one-word spawn key everything but its last
-mixing step depends on the seed alone, so that prefix is computed once
-per factory.  The rest is pooled one of two ways:
+pair.  The pooling algorithm is small and fixed, and with a single-word
+seed and a one-word spawn key everything but its last mixing step
+depends on the seed alone, so that prefix is computed once per factory.
+The rest is pooled one of two ways:
 
-* a batch of spawn words (:meth:`FastStreamFactory.fresh_batch`, at
-  least :data:`BATCH_MIN` names) in vectorized numpy passes over
-  ``uint64`` arrays: ~1.1 us a name at 16 names, ~0.14 us at 256;
+* a batch of spawn words (:func:`pooled_state_batch`) in vectorized
+  numpy passes over ``uint64`` arrays: ~0.14 us a name at 256 names;
 * a single name in plain Python, ~5 us.
 
-The pooled words reach ``PCG64`` through a minimal ``ISeedSequence``
-shim (:class:`PrepooledSeedSequence`) that skips the pooling numpy
-would otherwise redo.  So building the generator is now the larger
-cost of a batched stream.  (Figures measured on a 2-core x86-64 host
-with Python 3.11 and numpy 2.4.)
+Most streams are then never given a generator.  The fast engine reads
+only the first few draws of each (a CFG walk's branch decisions, a
+wrong-path burst's length, convergence and skip), and PCG64 is a
+128-bit LCG with a fixed output permutation, so
+:meth:`FastStreamFactory.raw_batch` runs it for a whole batch at once
+(:func:`pcg64_raw`): the 128-bit state is two ``uint64`` limbs, and
+every stream's state at draw *k* follows from its seed words by two
+128-bit multiplies with constants of ``k`` steps.
+:func:`raw_doubles`, :func:`geometric_search` and
+:func:`lemire_bounded` turn raw outputs into what ``Generator.random``,
+``Generator.geometric`` (its search form) and ``Generator.integers``
+return.  From 256 streams on, 16 doubles cost ~1.3 us a stream in
+bulk, against ~4-5 us to build a ``Generator`` from pooled words and
+draw them; at one stream the kernel costs ~110 us against ~17 us.  A
+whole batch of walks or wrong-path bursts breaks even at about 32
+streams, so smaller batches keep their generators
+(:data:`BULK_MIN`, :meth:`FastStreamFactory.fresh_batch`).  (Figures
+measured on a 2-core x86-64 host with Python 3.11 and numpy 2.4.)
 
 Bit-exactness is non-negotiable: the fast engine must produce the same
 ``SimResult`` as the oracle.  Two guards enforce it:
 
-* an import-time self-check pools a handful of (seed, name) pairs with
-  numpy and with both of our implementations and compares the state
-  words; on any mismatch (say, a numpy that changes its pooling
-  constants or its integer promotion rules) every factory permanently
-  takes the oracle path;
+* a self-check, run once when the first factory is made, pools a
+  handful of (seed, name) pairs with numpy and with both of our
+  poolings and compares the state words, and compares our raw draws,
+  doubles, geometric and bounded integers with numpy's generators on
+  them; on any mismatch (say, a numpy that changes its pooling
+  constants, its integer promotion rules or a sampling algorithm) every
+  factory takes the oracle path from then on;
 * seeds outside ``[0, 2**32)`` — which numpy would split into multiple
   32-bit entropy words — always take the oracle path.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
@@ -43,8 +58,12 @@ from ...common.rng import stable_hash32
 __all__ = [
     "FastStreamFactory",
     "PrepooledSeedSequence",
+    "geometric_search",
+    "lemire_bounded",
+    "pcg64_raw",
     "pooled_state_batch",
     "pooled_state_words",
+    "raw_doubles",
 ]
 
 # SeedSequence pooling constants (numpy/random/bit_generator.pyx).
@@ -62,10 +81,30 @@ _POOL_SIZE = 4
 #: below it the per-name Python pooling is cheaper (measured crossover).
 BATCH_MIN = 4
 
-#: Spawn words per numpy pass.  Larger passes (a batch reaches ~5k
-#: words) save next to nothing per word, but their temporaries raised
-#: the process's peak RSS by ~1 MB.
+#: Smallest batch :meth:`FastStreamFactory.raw_batch` draws in bulk;
+#: below it a generator per stream is cheaper (measured crossover).
+BULK_MIN = 32
+
+#: Spawn words per numpy pass, when pooling and when drawing.  Larger
+#: passes (a batch reaches ~6k words) save next to nothing per word, but
+#: their temporaries raised the process's peak RSS by ~1 MB.
 _POOL_ROWS = 256
+
+# PCG64 (numpy/random/src/pcg64/pcg64.h): a 128-bit LCG stepped by
+# state = state * _PCG_MULT + inc before every output.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+
+#: ``Generator.random`` is ``(raw >> 11) * 2**-53``; this is its largest
+#: value.
+_U_MAX = 1.0 - 2.0 ** -53
+
+#: ``Generator.geometric(p)`` searches the cumulative distribution with
+#: one double from this ``p`` up (numpy's literal 0.333333333333333333333333
+#: is this double); below it it inverts an exponential drawn by ziggurat,
+#: which :func:`geometric_search` does not reproduce.
+GEOMETRIC_SEARCH_MIN = 1.0 / 3.0
 
 
 def _pool_prefix(seed: int) -> Tuple[List[int], int]:
@@ -164,6 +203,11 @@ _U32 = np.uint64(_M32)
 _USHIFT = np.uint64(_XSHIFT)
 _UMIX_R = np.uint64(_MIX_MULT_R)
 _U64_HALF = np.uint64(32)
+_U1 = np.uint64(1)
+_U11 = np.uint64(11)
+_U58 = np.uint64(58)
+_U63 = np.uint64(63)
+_U64 = np.uint64(64)
 
 
 def _batch_consts(pool: List[int], hash_const: int) -> Tuple[np.ndarray, ...]:
@@ -208,6 +252,144 @@ def pooled_state_batch(seed: int, spawn_words: Sequence[int]) -> np.ndarray:
     return _pool_batch(_batch_consts(*_pool_prefix(seed)), spawn_words)
 
 
+def _limb_columns(values: Sequence[int]) -> Tuple[np.ndarray, ...]:
+    """128-bit constants as read-only rows of ``uint64`` limbs: high,
+    low, and the low limb's two 32-bit halves."""
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+    lo = np.array([v & _M64 for v in values], dtype=np.uint64)
+    return tuple(_frozen(limb) for limb in (hi, lo, lo & _U32, lo >> _U64_HALF))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=32)
+def _jump(n_draws: int) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+    """Constants that take a seeded stream to each of its first draws.
+
+    ``pcg64_set_seed`` leaves ``(t * M + inc)`` with ``t = init + inc``,
+    and draw ``k`` steps once more before its output, so the state it
+    outputs is ``t * M**(k+1) + inc * (M**k + ... + M + 1)``.  Returns
+    the limbs of both multipliers for ``k = 1 .. n_draws``.
+    """
+    power, total = _PCG_MULT, 1
+    powers, totals = [], []
+    for _ in range(n_draws):
+        power = (power * _PCG_MULT) & _M128
+        total = (total * _PCG_MULT + 1) & _M128
+        powers.append(power)
+        totals.append(total)
+    return _limb_columns(powers), _limb_columns(totals)
+
+
+def _mul128(xh: np.ndarray, xl: np.ndarray,
+            const: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(xh, xl) * const`` modulo 2**128, as high and low limbs.
+
+    The low limbs' 64x64-bit product is split into 32-bit halves, so
+    every partial product fits a ``uint64``.
+    """
+    ch, cl, c0, c1 = const
+    x0 = xl & _U32
+    x1 = xl >> _U64_HALF
+    p00 = x0 * c0
+    p01 = x0 * c1
+    p10 = x1 * c0
+    mid = (p00 >> _U64_HALF) + (p01 & _U32) + (p10 & _U32)
+    carry = (x1 * c1 + (p01 >> _U64_HALF) + (p10 >> _U64_HALF)
+             + (mid >> _U64_HALF))
+    return carry + xl * ch + xh * cl, xl * cl
+
+
+def _raw_rows(states: np.ndarray, n_draws: int) -> np.ndarray:
+    """:func:`pcg64_raw` over one pass of rows."""
+    powers, totals = _jump(n_draws)
+    # pcg64_set_seed: state words 0-1 are the initial state, 2-3 the
+    # stream (both high limb first); inc = (stream << 1) | 1.
+    inc_h = ((states[:, 2] << _U1) | (states[:, 3] >> _U63))[:, None]
+    inc_l = ((states[:, 3] << _U1) | _U1)[:, None]
+    t_l = states[:, 1, None] + inc_l
+    t_h = states[:, 0, None] + inc_h + (t_l < inc_l)
+    ah, al = _mul128(t_h, t_l, powers)
+    bh, bl = _mul128(inc_h, inc_l, totals)
+    lo = al + bl
+    hi = ah + bh + (lo < bl)
+    # XSL-RR output: rotate (hi ^ lo) right by the state's top six bits.
+    x = hi ^ lo
+    rot = hi >> _U58
+    return (x >> rot) | (x << ((_U64 - rot) & _U63))
+
+
+def pcg64_raw(states: np.ndarray, n_draws: int) -> np.ndarray:
+    """The first ``n_draws`` raw outputs of ``PCG64`` seeded by each row.
+
+    ``states`` holds pooled state words, one stream a row, as
+    :func:`pooled_state_batch` gives them; row ``k`` of the result is
+    ``PCG64(seed_seq_k).random_raw(n_draws)``.
+    """
+    out = np.empty((len(states), n_draws), dtype=np.uint64)
+    for lo in range(0, len(states), _POOL_ROWS):
+        out[lo:lo + _POOL_ROWS] = _raw_rows(states[lo:lo + _POOL_ROWS], n_draws)
+    return out
+
+
+def raw_doubles(raw: np.ndarray) -> np.ndarray:
+    """What ``Generator.random`` makes of each raw output."""
+    return (raw >> _U11).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+@lru_cache(maxsize=32)
+def _geometric_sums(p: float) -> np.ndarray:
+    """numpy's running sums for ``geometric(p)`` by search, in its order.
+
+    numpy counts the sums below its double ``U`` (``sum = prod = p``,
+    then ``prod *= q; sum += prod`` per step).  The sums stop where they
+    reach the largest ``U`` or stop growing; a ``U`` above a sum that
+    stopped growing never ends numpy's loop.
+    """
+    q = 1.0 - p
+    total = prod = p
+    sums = [total]
+    while total < _U_MAX:
+        prod *= q
+        if total + prod == total:
+            break
+        total += prod
+        sums.append(total)
+    return _frozen(np.array(sums))
+
+
+def geometric_search(doubles: np.ndarray, p: float) -> np.ndarray:
+    """``Generator.geometric(p)`` from each stream's first double.
+
+    For ``p >= GEOMETRIC_SEARCH_MIN`` only, where numpy searches with
+    one double (even at ``p == 1``).  0 marks a double numpy's search
+    never returns from.
+    """
+    sums = _geometric_sums(p)
+    k = np.searchsorted(sums, doubles, side="left") + 1
+    k[doubles > sums[-1]] = 0
+    return k
+
+
+def lemire_bounded(raw: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``Generator.integers(0, n)`` from each raw output, and which rows
+    it is exact for.
+
+    For ``1 <= n < 2**32`` numpy maps the low 32 bits of one raw output
+    into ``[0, n)`` by Lemire's multiply-shift; a word in the rejection
+    zone takes the output's high half and maybe more draws, so its row
+    is marked inexact.  ``integers(0, 1)`` draws nothing and returns 0.
+    """
+    if n == 1:
+        return np.zeros(raw.shape, dtype=np.int64), np.ones(raw.shape, dtype=bool)
+    m = (raw & _U32) * np.uint64(n)
+    threshold = np.uint64(((1 << 32) - n) % n)
+    return (m >> _U64_HALF).astype(np.int64), (m & _U32) >= threshold
+
+
 class PrepooledSeedSequence(ISeedSequence):
     """Minimal ``ISeedSequence`` carrying already-pooled state words.
 
@@ -238,7 +420,7 @@ class PrepooledSeedSequence(ISeedSequence):
 
 
 def _self_check() -> bool:
-    """Compare both of our poolings against numpy's on a spread of keys."""
+    """Compare our poolings and bulk draws against numpy on a spread of keys."""
     names = ("it:r0:0", "sq:seq:17", "wp:a:3:1", "est:x", "")
     try:
         for seed in (0, 1, 2003, 0x7FFFFFFF, 0xDEADBEEF, 0xFFFFFFFF):
@@ -253,16 +435,52 @@ def _self_check() -> bool:
                 ref = tuple(int(x) for x in ref)
                 if pooled_state_words(seed, spawn) != ref or tuple(row) != ref:
                     return False
+            if not _draws_match(batch):
+                return False
         return True
-    # lint: allow(EXC001 import-time capability probe: any failure means "pooling not exact here" and every factory takes the oracle path)
+    # lint: allow(EXC001 capability probe: any failure means "pooling not exact here" and every factory takes the oracle path)
     except Exception:
         return False
 
 
-#: Whether both of our poolings, per name and batched, reproduce numpy's
-#: exactly on this installation.  When False every factory uses the
+def _draws_match(states: np.ndarray) -> bool:
+    """Whether our bulk draws from ``states`` equal numpy's generators'."""
+    def numpy(draw):
+        return [draw(Generator(PCG64(PrepooledSeedSequence(row))))
+                for row in states]
+
+    raw = pcg64_raw(states, 4)
+    doubles = raw_doubles(raw)
+    if (numpy(lambda g: g.bit_generator.random_raw(4).tolist()) != raw.tolist()
+            or numpy(lambda g: g.random(4).tolist()) != doubles.tolist()):
+        return False
+    for p in (1.0, 0.5, GEOMETRIC_SEARCH_MIN):
+        want = numpy(lambda g: g.geometric(p))
+        if want != geometric_search(doubles[:, 0], p).tolist():
+            return False
+    for n in (1, 2, 3, 6, 7):
+        values, exact = lemire_bounded(raw[:, 0], n)
+        want = numpy(lambda g: g.integers(0, n))
+        if any(ok and w != v for w, v, ok in
+               zip(want, values.tolist(), exact.tolist())):
+            return False
+    return True
+
+
+#: Whether both of our poolings, per name and batched, and our bulk draws
+#: reproduce numpy's exactly on this installation; None until the first
+#: factory runs the self-check, so a process that never makes one (the
+#: oracle's) pays nothing for it.  When False every factory uses the
 #: oracle path.
-POOLING_EXACT = _self_check()
+POOLING_EXACT: Optional[bool] = None
+
+
+def _pooling_exact() -> bool:
+    """:data:`POOLING_EXACT`, running the self-check on first use."""
+    global POOLING_EXACT
+    if POOLING_EXACT is None:
+        POOLING_EXACT = _self_check()
+    return POOLING_EXACT
 
 
 class FastStreamFactory:
@@ -272,10 +490,28 @@ class FastStreamFactory:
 
     def __init__(self, seed: int) -> None:
         self._seed = seed
-        self._fast = POOLING_EXACT and 0 <= seed < (1 << 32)
+        self._fast = 0 <= seed < (1 << 32) and _pooling_exact()
         if self._fast:
             self._pool, self._hash_const = _pool_prefix(seed)
             self._consts = _batch_consts(self._pool, self._hash_const)
+
+    def _pooled(self, words: List[int]) -> Iterator[np.ndarray]:
+        """The pooled state rows of ``words``, :data:`_POOL_ROWS` a pass."""
+        for lo in range(0, len(words), _POOL_ROWS):
+            yield _pool_batch(self._consts, words[lo:lo + _POOL_ROWS])
+
+    def raw_batch(self, names: Sequence[str], n_draws: int) -> Optional[np.ndarray]:
+        """The first ``n_draws`` raw outputs of each name's stream.
+
+        Row ``k`` holds what ``fresh(names[k]).bit_generator.random_raw(n_draws)``
+        would.  ``None`` when the batch has fewer than :data:`BULK_MIN`
+        names or the factory takes the oracle path: the caller then
+        draws from :meth:`fresh_batch`'s generators.
+        """
+        if not self._fast or len(names) < BULK_MIN:
+            return None
+        words = [stable_hash32(name) for name in names]
+        return pcg64_raw(np.concatenate(list(self._pooled(words))), n_draws)
 
     def fresh_batch(self, names: Sequence[str]) -> Iterator[Generator]:
         """New generators for ``names``, in order: what ``fresh`` gives each.
@@ -291,9 +527,7 @@ class FastStreamFactory:
             return (Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(w,))))
                     for w in words)
         if len(words) >= BATCH_MIN:
-            consts = self._consts
-            states = (row for lo in range(0, len(words), _POOL_ROWS)
-                      for row in _pool_batch(consts, words[lo:lo + _POOL_ROWS]))
+            states = (row for block in self._pooled(words) for row in block)
         else:
             pool, hash_const = self._pool, self._hash_const
             states = [_finish_pool(list(pool), hash_const, w) for w in words]

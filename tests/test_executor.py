@@ -440,6 +440,56 @@ class TestProgramLifetime:
         assert outcome.results == serial.results
 
 
+class _Cyclic:
+    """A 1 MiB payload that refers to itself: only the cyclic collector
+    can free it."""
+
+    def __init__(self):
+        self.payload = bytearray(1 << 20)
+        self.me = self
+
+
+class TestGcFreeze:
+    """A perf-recording sweep freezes the heap for its ledger walls and
+    unfreezes it when it returns, whether or not a cell failed."""
+
+    @pytest.fixture(autouse=True)
+    def unfrozen(self):
+        gc.unfreeze()
+        yield
+        gc.unfreeze()
+
+    def test_sweep_unfreezes_what_it_froze(self, tmp_path):
+        garbage = _Cyclic()
+        ref = weakref.ref(garbage)
+        outcome = run_cells(make_cells(benches=["164.gzip"], labels=["orig"]),
+                            cache=False, engine="fast", perf=True,
+                            perf_dir=tmp_path)
+        assert outcome.stats.executed == 1
+        assert gc.get_freeze_count() == 0
+        del garbage
+        gc.collect()
+        assert ref() is None
+
+    def test_failing_sweep_unfreezes(self, monkeypatch, tmp_path):
+        def failing(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(executor, "run_program", failing)
+        with pytest.raises(SweepError):
+            run_cells(make_cells(benches=["164.gzip"], labels=["orig"]),
+                      cache=False, engine="fast", perf=True,
+                      perf_dir=tmp_path)
+        assert gc.get_freeze_count() == 0
+
+    def test_callers_freeze_is_kept(self, tmp_path):
+        gc.freeze()
+        frozen = gc.get_freeze_count()
+        run_cells(make_cells(benches=["164.gzip"], labels=["orig"]),
+                  cache=False, engine="fast", perf=True, perf_dir=tmp_path)
+        assert gc.get_freeze_count() >= frozen > 0
+
+
 class TestWarmup:
     """The fast engine's warm-up compiles once per memo key, each program
     just before its first cell, and leaves no compile work inside any

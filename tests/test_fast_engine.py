@@ -20,6 +20,7 @@ through the same engine plumbing.
 from __future__ import annotations
 
 import gc
+import math
 import random
 import time
 import tracemalloc
@@ -29,7 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import SeedSequence
+from numpy.random import PCG64, Generator, SeedSequence
 
 from repro.common.config import (
     CacheConfig,
@@ -41,7 +42,7 @@ from repro.common.config import (
     ThreadUnitConfig,
     WrongExecutionConfig,
 )
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, WorkloadError
 from repro.common.rng import StreamFactory
 from repro.isa.cfg import BlockSpec, BranchSpec, IterationCFG, MemSlot
 from repro.mem.cache import DIRTY, WRONG, SetAssocCache
@@ -58,7 +59,7 @@ from repro.sim.fast import streams as streams_mod
 from repro.sim.fast import compile_program_fast, run_program_fast
 from repro.sim.fast.compile import CompiledRegion, program_memo
 from repro.sim.fast.engine import _FastMachine, _FastTU
-from repro.sim.fast.streams import FastStreamFactory
+from repro.sim.fast.streams import FastStreamFactory, PrepooledSeedSequence
 from repro.sta.configs import CONFIG_NAMES, named_config
 from repro.workloads import BENCHMARK_NAMES
 from repro.workloads.benchmarks import build_benchmark
@@ -400,11 +401,38 @@ def _strided_region():
     )
 
 
+def _long_walk_region():
+    """A region whose walks often take more than 16 branch decisions.
+
+    Its loop repeats with probability 0.9, so about one walk in five
+    runs past the bulk walker's draw window; the exit block has no
+    memory slots and the loop block a load and a store.
+    """
+    cfg = IterationCFG(
+        entry="head",
+        blocks=[
+            BlockSpec("head", n_instr=6, next_block="loop"),
+            BlockSpec("loop", n_instr=12,
+                      mem_slots=(MemSlot("row"), MemSlot("row", is_store=True)),
+                      branch=BranchSpec(0.9, "loop", "exit")),
+            BlockSpec("exit", n_instr=3),
+        ],
+    )
+    patterns = {"row": StridedPattern("row", 0x7000000, 64 * 1024,
+                                      stride=64, per_iter=3)}
+    return SequentialRegionSpec(
+        name="long.walk", cfg=cfg, patterns=patterns,
+        chunks_per_invocation=N_COMPILED,
+        wrong_exec=WrongExecProfile(wp_mean_loads=2.0, wp_max_loads=5,
+                                    p_convergent=0.6, wp_lookahead=12),
+    )
+
+
 @pytest.fixture(scope="module")
 def compile_regions():
     regions = [region for name in BENCHMARK_NAMES
                for region in build_benchmark(name, scale=SCALE).body]
-    return regions + [_strided_region()]
+    return regions + [_strided_region(), _long_walk_region()]
 
 
 class TestCompiledTraces:
@@ -412,37 +440,44 @@ class TestCompiledTraces:
 
     @pytest.mark.parametrize("seed", (2003, 7))
     def test_traces_match_trace_generator(self, compile_regions, seed):
-        assert N_COMPILED >= 4 * streams_mod.BATCH_MIN
+        # Two range binds, one below the bulk-draw threshold and one at
+        # or above it, then the next index as a lone miss.
+        small = streams_mod.BULK_MIN - 1
+        assert N_COMPILED - small >= streams_mod.BULK_MIN
         gen = TraceGenerator(StreamFactory(seed))
         streams = FastStreamFactory(seed)
-        paths_per_batch = []
-        small_groups = 0
+        mixed_batches = 0
+        past_window = 0
         for region in compile_regions:
             comp = CompiledRegion(region)
             sequential = isinstance(region, SequentialRegionSpec)
             oracle = gen.chunk_trace if sequential else gen.iteration_trace
-            # One range bind, then the next index as a lone miss.
-            traces = comp.trace_range(streams, seed, 0, N_COMPILED)
+            traces = comp.trace_range(streams, seed, 0, small)
+            bulk = comp.trace_range(streams, seed, small, N_COMPILED)
+            traces += bulk
             assert sorted(comp.traces[seed]) == list(range(N_COMPILED))
             traces.append(comp.trace(streams, seed, N_COMPILED))
-            paths_per_batch.append(len({id(t.path) for t in traces}))
-            small_groups += sum(len(e.occ) < 8
-                                for path in comp.paths.values()
-                                for e in path.bind)
+            # The flat binder cut a batch into traces of unequal length.
+            mixed_batches += len({(len(t.load_addrs), len(t.store_addrs))
+                                  for t in bulk}) >= 2
+            past_window += sum(len(t.path.branch_pcs) > compile_mod._WALK_DRAWS
+                               for t in bulk)
             wants = [oracle(region, index) for index in range(N_COMPILED + 1)]
             for index, (got, want) in enumerate(zip(traces, wants)):
                 where = f"{region.name}[{index}] seed {seed}"
                 assert got.load_addrs.typecode == "q", where
                 assert got.load_addrs.tolist() == want.load_addrs.tolist(), where
                 assert got.store_addrs.tolist() == want.store_addrs.tolist(), where
+                assert got.path.branch_pcs == want.branch_pcs.tolist(), where
                 assert isinstance(got.targets, tuple), where
                 assert list(got.targets) == (
                     want.store_addrs[want.tstore_mask].tolist()), where
                 if not sequential:
                     assert list(comp.wrong_thread_addrs(streams, seed, index)) == (
                         gen.wrong_thread_addrs(region, index).tolist()), where
-            # Every burst of the batch, seeded together as an invocation
-            # seeds them, against the oracle's one-at-a-time bursts.
+            # Every burst, seeded as invocations seed them: one batch
+            # below the threshold, one above, against the oracle's
+            # one-at-a-time bursts.
             sites = [
                 (traces[index], b, index,
                  traces[index + 1].load_addrs if sequential else None)
@@ -450,7 +485,8 @@ class TestCompiledTraces:
                 for b in range(wants[index].n_branches)
             ]
             assert sites, region.name
-            comp.seed_wrong_paths(streams, seed, sites)
+            comp.seed_wrong_paths(streams, seed, sites[:small])
+            comp.seed_wrong_paths(streams, seed, sites[small:])
             prof = region.wrong_exec
             if prof.wp_max_loads != 0 and prof.wp_mean_loads > 0:
                 assert len(comp.wp_addrs[seed]) == len(sites), region.name
@@ -462,22 +498,65 @@ class TestCompiledTraces:
                 future = wants[index + 1].load_addrs if sequential else None
                 assert list(burst) == gen.wrong_path_addrs(
                     region, wants[index], b, index, future_loads=future), where
-        # Some batch held several paths, and some path bound a pattern
-        # with only a few occurrences.
-        assert max(paths_per_batch) >= 2
-        assert small_groups > 0
+        assert mixed_batches > 0
+        assert past_window > 0
 
     def test_exact_fallback_binds_the_same_traces(self, compile_regions,
                                                    monkeypatch):
-        region = compile_regions[0]
-        fast = CompiledRegion(region).trace_range(
-            FastStreamFactory(2003), 2003, 0, N_COMPILED)
+        # With the self-check forced off every stream takes numpy's own
+        # seeding and a generator: same traces, paths and bursts, on a
+        # benchmark region and on one whose walks outrun the bulk draws.
+        regions = (compile_regions[0], compile_regions[-1])
+
+        def compiled(factory):
+            state = []
+            for region in regions:
+                comp = CompiledRegion(region)
+                traces = comp.trace_range(factory, 2003, 0, N_COMPILED)
+                comp.seed_wrong_paths(factory, 2003, [
+                    (trace, b, index, None) for index, trace in enumerate(traces)
+                    for b in range(len(trace.path.branch_pcs))])
+                state.append(([(t.load_addrs, t.store_addrs, t.targets,
+                                t.path.key) for t in traces], comp.wp_addrs))
+            return state
+
+        fast = compiled(FastStreamFactory(2003))
         monkeypatch.setattr(streams_mod, "POOLING_EXACT", False)
         factory = FastStreamFactory(2003)
         assert not factory._fast
-        exact = CompiledRegion(region).trace_range(factory, 2003, 0, N_COMPILED)
-        assert [(t.load_addrs, t.store_addrs, t.targets) for t in exact] == [
-            (t.load_addrs, t.store_addrs, t.targets) for t in fast]
+        assert compiled(factory) == fast
+
+    def test_inexact_draws_take_their_generators(self, compile_regions,
+                                                 monkeypatch):
+        # A burst whose bulk draws are inexact (a Lemire rejection, a
+        # geometric sum numpy's search never passes) takes its stream's
+        # own generator.
+        region = compile_regions[-1]
+        assert (1.0 / region.wrong_exec.wp_mean_loads
+                >= streams_mod.GEOMETRIC_SEARCH_MIN)
+        streams = FastStreamFactory(7)
+        gen = TraceGenerator(StreamFactory(7))
+        comp = CompiledRegion(region)
+        traces = comp.trace_range(streams, 7, 0, N_COMPILED)
+        sites = [(trace, b, index, None) for index, trace in enumerate(traces)
+                 for b in range(len(trace.path.branch_pcs))]
+        assert len(sites) >= streams_mod.BULK_MIN
+
+        def reject_odd_rows(raw, n):
+            values, exact = streams_mod.lemire_bounded(raw, n)
+            exact[1::2] = False
+            return values, exact
+        monkeypatch.setattr(compile_mod, "lemire_bounded", reject_odd_rows)
+        drawn = []
+        draws = CompiledRegion._draws
+        monkeypatch.setattr(CompiledRegion, "_draws",
+                            lambda self, rng: drawn.append(rng) or draws(self, rng))
+        comp.seed_wrong_paths(streams, 7, sites)
+        assert len(drawn) == len(sites) // 2
+        for trace, b, index, _ in sites:
+            want = gen.wrong_path_addrs(region, gen.chunk_trace(region, index),
+                                        b, index)
+            assert list(comp.wp_addrs[7][(index, b)]) == want
 
     def test_bounded_memos_stay_bit_identical(self, monkeypatch):
         # Each batch binds and seeds many entries at once; the memos must
@@ -513,13 +592,144 @@ class TestStreamSeeding:
                 4, np.uint64)
             assert row == ref.tolist()
 
-    def test_fast_seeding_is_live(self):
-        # Canary: a numpy whose pooling or integer promotion we do not
-        # reproduce sends every stream down the exact (numpy) path.
-        # Results stay right, so nothing else fails; only speed is lost.
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           words=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
+           n_draws=st.integers(1, 20))
+    def test_raw_draws_match_numpy(self, seed, words, n_draws):
+        raw = streams_mod.pcg64_raw(
+            streams_mod.pooled_state_batch(seed, words), n_draws)
+        assert raw.dtype == np.uint64 and raw.shape == (len(words), n_draws)
+        doubles = streams_mod.raw_doubles(raw)
+        for word, row, double_row in zip(words, raw.tolist(), doubles.tolist()):
+            seq = SeedSequence(seed, spawn_key=(word,))
+            assert row == PCG64(seq).random_raw(n_draws).tolist()
+            assert double_row == Generator(PCG64(seq)).random(n_draws).tolist()
+
+    def test_raw_batch_matches_oracle_streams(self):
+        # Past one pass of rows, and only from the bulk threshold on.
+        oracle = StreamFactory(2003)
+        factory = FastStreamFactory(2003)
+        names = [f"wp:r:{i}:0" for i in range(streams_mod._POOL_ROWS + 3)]
+        raw = factory.raw_batch(names, 3)
+        assert raw.tolist() == [
+            oracle.fresh(name).bit_generator.random_raw(3).tolist()
+            for name in names]
+        assert factory.raw_batch(names[:streams_mod.BULK_MIN - 1], 3) is None
+        assert FastStreamFactory(2**32 + 2003).raw_batch(names, 3) is None
+
+    def test_geometric_search_matches_numpy(self):
+        third = streams_mod.GEOMETRIC_SEARCH_MIN
+        programs = [build_benchmark(name, scale=SCALE) for name in BENCHMARK_NAMES]
+        programs += [build_microbenchmark(kind) for kind in MICROBENCH_NAMES]
+        workload_ps = {min(1.0, 1.0 / region.wrong_exec.wp_mean_loads)
+                       for program in programs for region in program.body
+                       if region.wrong_exec.wp_mean_loads > 0}
+        rng = random.Random(5)
+        ps = [1.0, third, float(np.nextafter(third, 1.0))]
+        ps += sorted(p for p in workload_ps if p >= third)
+        ps += [rng.uniform(third, 1.0) for _ in range(8)]
+        assert len(ps) > 8
+        states = streams_mod.pooled_state_batch(2003, list(range(300)))
+        raw = streams_mod.pcg64_raw(states, 2)
+        for p in ps:
+            got = streams_mod.geometric_search(
+                streams_mod.raw_doubles(raw[:, 0]), p)
+            for row, k, second in zip(states, got.tolist(), raw[:, 1].tolist()):
+                bitgen = PCG64(PrepooledSeedSequence(row))
+                assert Generator(bitgen).geometric(p) == k, p
+                # numpy's search draws one double, even at p == 1.
+                assert bitgen.random_raw() == second, p
+        # Just below 1/3 numpy inverts an exponential instead.
+        below = float(np.nextafter(third, 0.0))
+        got = streams_mod.geometric_search(streams_mod.raw_doubles(raw[:, 0]),
+                                           below)
+        assert any(Generator(PCG64(PrepooledSeedSequence(row))).geometric(below)
+                   != k for row, k in zip(states, got.tolist()))
+
+    def test_geometric_search_at_numpy_boundaries(self):
+        # Draws on, and one double either side of, each of numpy's
+        # running sums, fed to numpy through crafted states.
+        for p in (1.0, 0.5, 0.35, streams_mod.GEOMETRIC_SEARCH_MIN):
+            sums = streams_mod._geometric_sums(p)
+            draws = sorted({float(np.nextafter(s, toward))
+                            for s in sums for toward in (0.0, s, 1.0)})
+            # Draws are the multiples of 2**-53 below 1, and numpy never
+            # returns for one above a sum that stopped growing.
+            draws = [u for u in draws if (u * 2**53).is_integer()
+                     and u < 1.0 and u <= sums[-1]]
+            assert draws
+            got = streams_mod.geometric_search(np.array(draws), p)
+            for u, k in zip(draws, got.tolist()):
+                bitgen = _pcg64_emitting(int(u * 2**53) << 11)
+                assert Generator(bitgen).geometric(p) == k, (p, u)
+
+    def test_geometric_search_marks_unending_sums(self):
+        # At p = 0.35 numpy's running sum stops growing below the
+        # largest double a draw can be; its search never returns there.
+        sums = streams_mod._geometric_sums(0.35)
+        assert sums[-1] < streams_mod._U_MAX
+        top = np.array([sums[-1], streams_mod._U_MAX])
+        got = streams_mod.geometric_search(top, 0.35)
+        assert got.tolist() == [len(sums), 0]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lemire_matches_integers(self, n):
+        states = streams_mod.pooled_state_batch(7, list(range(300)))
+        raw = streams_mod.pcg64_raw(states, 2)
+        values, exact = streams_mod.lemire_bounded(raw[:, 0], n)
+        assert exact.all()
+        for row, value, first, second in zip(states, values.tolist(),
+                                             raw[:, 0].tolist(),
+                                             raw[:, 1].tolist()):
+            bitgen = PCG64(PrepooledSeedSequence(row))
+            assert Generator(bitgen).integers(0, n) == value
+            # integers(0, 1) draws nothing; otherwise one raw output.
+            assert bitgen.random_raw() == (first if n == 1 else second)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_lemire_rejection_is_marked(self, n):
+        # A raw output whose low half is 0 falls in numpy's rejection
+        # zone unless n is a power of two; numpy then takes the high
+        # half.
+        high = 0x9E3779B9
+        word = high << 32
+        bitgen = _pcg64_emitting(word)
+        value, exact = streams_mod.lemire_bounded(
+            np.array([word], dtype=np.uint64), n)
+        numpy_value = Generator(bitgen).integers(0, n)
+        if n & (n - 1):
+            assert not exact[0]
+            assert numpy_value == (high * n) >> 32 != value[0]
+        else:
+            assert exact[0] and numpy_value == value[0] == 0
+        # The lowest accepted product: its low half equals the threshold.
+        threshold = ((1 << 32) - n) % n
+        g = math.gcd(n, 1 << 32)
+        if threshold % g == 0:
+            low = (threshold // g) * pow(n // g, -1, (1 << 32) // g) % (1 << 32)
+            assert low * n % (1 << 32) == threshold
+            word = (high << 32) | low
+            value, exact = streams_mod.lemire_bounded(
+                np.array([word], dtype=np.uint64), n)
+            assert exact[0]
+            assert Generator(_pcg64_emitting(word)).integers(0, n) == value[0]
+
+    def test_fast_seeding_is_live(self, monkeypatch):
+        # Canary: a numpy whose pooling, integer promotion or sampling
+        # we do not reproduce sends every stream down the exact (numpy)
+        # path.  Results stay right, so nothing else fails; only speed
+        # is lost.
+        factory = FastStreamFactory(2003)
+        assert factory._fast
         assert streams_mod.POOLING_EXACT
         assert streams_mod._self_check()
-        assert FastStreamFactory(2003)._fast
+        # A batch at the threshold walks its bulk draws: no generator.
+        comp = CompiledRegion(_strided_region())
+        for name in ("fresh", "fresh_batch"):
+            monkeypatch.setattr(FastStreamFactory, name, None)
+        traces = comp.trace_range(factory, 2003, 0, streams_mod.BULK_MIN)
+        assert len(traces) == streams_mod.BULK_MIN
 
     @pytest.mark.parametrize("seed", (2003, 2**32 + 2003))
     def test_fresh_batch_matches_oracle_streams(self, seed):
@@ -531,6 +741,63 @@ class TestStreamSeeding:
             draws = [g.random(4).tolist() for g in factory.fresh_batch(names)]
             assert draws == [oracle.fresh(name).random(4).tolist()
                              for name in names]
+
+
+def _pcg64_emitting(word: int) -> PCG64:
+    """A ``PCG64`` whose next raw output is ``word``.
+
+    The state after the step has a zero rotation, so its output is the
+    XOR of its halves; the state before it undoes the LCG step.
+    """
+    mult = streams_mod._PCG_MULT
+    inc = 0x5851F42D4C957F2D
+    high = 0x0123456789ABCDEF
+    after = (high << 64) | (high ^ word)
+    before = ((after - inc) * pow(mult, -1, 1 << 128)) % (1 << 128)
+    bitgen = PCG64()
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": before, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    probe = PCG64()
+    probe.state = bitgen.state
+    assert probe.random_raw() == word
+    return bitgen
+
+
+# ---------------------------------------------------------------------------
+# Runaway walks: a CFG that never ends fails loudly on every walker
+# ---------------------------------------------------------------------------
+
+def _runaway_region(kind):
+    if kind == "taken-back-edge":
+        blocks = [BlockSpec("loop", n_instr=4,
+                            branch=BranchSpec(1.0, "loop", None))]
+    else:  # an unconditional cycle
+        blocks = [BlockSpec("a", n_instr=4, next_block="b"),
+                  BlockSpec("b", n_instr=4, next_block="a")]
+    return ParallelRegionSpec(
+        name=f"runaway.{kind}", cfg=IterationCFG(entry=blocks[0].name,
+                                                 blocks=blocks),
+        patterns={}, iters_per_invocation=streams_mod.BULK_MIN)
+
+
+@pytest.mark.parametrize("kind", ("taken-back-edge", "unconditional-cycle"))
+class TestRunawayWalks:
+    def test_oracle_walker_raises(self, kind):
+        region = _runaway_region(kind)
+        with pytest.raises(WorkloadError, match="CFG walk exceeded"):
+            region.cfg.walk(StreamFactory(7).fresh("it:runaway:0"))
+
+    def test_bulk_walker_raises(self, kind):
+        comp = CompiledRegion(_runaway_region(kind))
+        with pytest.raises(WorkloadError, match="CFG walk exceeded"):
+            comp.trace_range(FastStreamFactory(7), 7, 0, streams_mod.BULK_MIN)
+        assert not comp.paths and not comp.traces[7]
+
+    def test_lone_miss_raises(self, kind):
+        comp = CompiledRegion(_runaway_region(kind))
+        with pytest.raises(WorkloadError, match="CFG walk exceeded"):
+            comp.trace(FastStreamFactory(7), 7, 0)
 
 
 # ---------------------------------------------------------------------------
