@@ -55,13 +55,9 @@ Simulations resolve through the persistent result cache
 ``--no-cache``); ``fidelity`` fans cache misses out over ``--jobs``
 worker processes.
 
-Simulation commands accept ``--sanitize`` (equivalent to setting
-``REPRO_SANITIZE=1``): runs execute under the runtime invariant checker
-of :mod:`repro.lint.sanitize`, which raises a structured
-``SanitizerError`` on any architectural-invariant violation while
-leaving results bit-identical.  Combine with ``--no-cache`` on ``run``
-and ``fidelity`` — cache hits skip simulation and therefore skip the
-checks.
+Every simulated result is checked against the run identities of
+:data:`repro.sim.results.RUN_IDENTITIES` on either engine; a run that
+breaks one fails with exit 1.  Cache hits were checked when they ran.
 
 Exit codes follow one convention (shared by ``trace``/``perf``/``lint``
 via one helper): 0 = success, 1 = a failed run, a significant perf
@@ -73,7 +69,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -89,7 +84,6 @@ from .common.errors import (
 )
 from .lint.engine import lint_paths, write_baseline
 from .lint.rules import RULES
-from .lint.sanitize import ENV_VAR as SANITIZE_ENV_VAR
 from .obs.attrib import (
     AttributionCollector,
     explain_report,
@@ -156,12 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "oracle); 'fast' is bit-identical on results "
                              "but has no event-level observer hooks")
 
-    def add_sanitize(sp):
-        sp.add_argument("--sanitize", action="store_true",
-                        help="run under the runtime invariant checker "
-                             "(same as REPRO_SANITIZE=1; see "
-                             "docs/STATIC_ANALYSIS.md)")
-
     run_p = sub.add_parser("run", help="simulate one benchmark/config pair")
     run_p.add_argument("--benchmark", required=True)
     run_p.add_argument("--config", default="wth-wp-wec", choices=CONFIG_NAMES)
@@ -170,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bypass the persistent result cache "
                             "($REPRO_CACHE_DIR, default ~/.cache/repro)")
     add_engine(run_p)
-    add_sanitize(run_p)
 
     diff_p = sub.add_parser(
         "diff",
@@ -221,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "too: adds attrib_use/attrib_pollute events "
                               "and the attribution counter tracks to the "
                               "Perfetto trace")
-    add_sanitize(trace_p)
 
     exp_p = sub.add_parser(
         "explain",
@@ -244,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--window", type=float, default=4096.0, metavar="N",
                        help="attribution series window in cycles "
                             "(default 4096)")
-    add_sanitize(exp_p)
 
     lint_p = sub.add_parser(
         "lint",
@@ -338,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "oracle); recorded in each ledger entry's "
                             "provenance — incompatible with --trace, "
                             "which needs the oracle's event hooks")
-    add_sanitize(rec_p)
 
     cmpp = perf_sub.add_parser(
         "compare",
@@ -398,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "$REPRO_PERF_DIR; unset: no ledger); campaign "
                              "cells land in it with context=fidelity")
         add_engine(sp)
-        add_sanitize(sp)
 
     frun_p = fid_sub.add_parser(
         "run",
@@ -967,10 +950,6 @@ def _cmd_lint(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "sanitize", False):
-        # Env-var (not kwarg) propagation so forked sweep workers and
-        # every nested run_simulation pick the sanitizer up too.
-        os.environ[SANITIZE_ENV_VAR] = "1"
     try:
         if args.command == "list":
             return _cmd_list()

@@ -62,7 +62,6 @@ class ThreadUnit:
         "_obs_thread",
         "_obs_mem",
         "_prof",
-        "_san",
         "_attrib",
     )
 
@@ -74,7 +73,6 @@ class ThreadUnit:
         params: SimParams,
         tracer=None,
         profiler=None,
-        sanitizer=None,
         attrib=None,
     ) -> None:
         tu = machine_cfg.tu
@@ -86,8 +84,6 @@ class ThreadUnit:
         self._obs_mem = tracer if live and tracer.wants(CAT_MEM) else None
         #: Host wall-clock profiler (None → no section timing at all).
         self._prof = profiler
-        #: Runtime invariant checker (None → unsanitized, zero cost).
-        self._san = sanitizer
         #: Block-provenance collector (None → unattributed, zero cost).
         self._attrib = attrib if attrib is not None and attrib.enabled else None
         self.mem = TUMemSystem(
@@ -95,7 +91,6 @@ class ThreadUnit:
             prefetch_late_cycles=params.prefetch_late_cycles,
             prefetch_late_far_cycles=params.prefetch_late_far_cycles,
             tracer=tracer,
-            sanitizer=sanitizer,
             attrib=attrib,
         )
         # Wrong-execution fills that install into the L1 occupy its fill
@@ -186,9 +181,6 @@ class ThreadUnit:
         wrong_path = self.cfg.wrong_exec.wrong_path
         stats = self.stats
         prof = self._prof
-        san = self._san
-        if san is not None:
-            san.check_execute(self.tu_id)
 
         # -- instruction fetch ------------------------------------------
         # Host-profiling timers are per-iteration (one pair per section,
@@ -268,8 +260,6 @@ class ThreadUnit:
 
         # -- write-back stage: commit buffered stores in order -----------
         if not sequential:
-            if san is not None:
-                san.check_writeback(self.tu_id)
             if prof is not None:
                 t0 = perf_counter()  # lint: allow(DET001 host profiling only)
             for addr, _is_target in membuf.writeback():
@@ -317,9 +307,6 @@ class ThreadUnit:
         obs_t = self._obs_thread
         obs_m = self._obs_mem
         prof = self._prof
-        san = self._san
-        if san is not None:
-            san.enter_wrong(self.tu_id, start_iter)
         t0 = perf_counter() if prof is not None else 0.0  # lint: allow(DET001 host profiling only)
         if obs_t is not None:
             obs_t.emit(THREAD_ABORT, self.tu_id, start_iter)
@@ -338,8 +325,6 @@ class ThreadUnit:
             self.stats.counter("wrong_thread_loads").add(n)
         # The wrong thread reaches its own abort: squash buffered state.
         self.membuf.abort()
-        if san is not None:
-            san.exit_wrong(self.tu_id, self.membuf.occupancy)
         self.stats.counter("wrong_threads").add()
         if obs_t is not None:
             obs_t.emit(THREAD_KILL, self.tu_id, n)

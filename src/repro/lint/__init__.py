@@ -1,8 +1,8 @@
-"""Static analysis and runtime sanitizing for the WEC reproduction.
+"""Static analysis for the WEC reproduction.
 
-Two complementary halves guard the determinism axiom the result cache,
-perf ledger, and regression gate all rest on ("same config + same code
-=> same metrics"):
+Two passes guard the determinism axiom the result cache, perf ledger,
+and regression gate all rest on ("same config + same code => same
+metrics"):
 
 ``repro.lint.rules`` / ``repro.lint.engine``
     An AST-based static pass (stdlib :mod:`ast` + :mod:`tokenize` only)
@@ -21,25 +21,19 @@ perf ledger, and regression gate all rest on ("same config + same code
     in an exempt module is flagged at the call site that makes it
     reachable from a scoped layer.
 
-``repro.lint.sanitize``
-    A runtime sanitizer (``REPRO_SANITIZE=1`` or ``--sanitize``) that
-    asserts the paper's architectural invariants while a simulation
-    runs: wrong-execution loads never write architectural state,
-    WEC/L1D fills stay mutually exclusive, aborted wrong threads never
-    fork or write back, ring communication stays unidirectional, and
-    per-TU cycles are monotone.  Violations raise a structured
-    :class:`~repro.lint.sanitize.SanitizerError` naming the TU, cycle,
-    and event; sanitized runs are bit-identical to unsanitized runs.
+The paper's architectural invariants are checked at run time instead,
+as counter identities on every result
+(:data:`repro.sim.results.RUN_IDENTITIES`).
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalog, the allow-tag
-syntax (``# lint: allow(RULE reason)``), and the baseline workflow.
+syntax (``# lint: allow(RULE reason)``), the baseline workflow, and the
+run invariants.
 """
 
 from __future__ import annotations
 
 from .engine import LintReport, lint_paths, lint_source, load_baseline, write_baseline
 from .rules import RULES, RULES_BY_ID, Finding, Rule
-from .sanitize import Sanitizer, SanitizerError, maybe_sanitizer, sanitize_enabled
 from .sarif import render_sarif
 
 __all__ = [
@@ -48,13 +42,9 @@ __all__ = [
     "RULES",
     "RULES_BY_ID",
     "Rule",
-    "Sanitizer",
-    "SanitizerError",
     "lint_paths",
     "lint_source",
     "load_baseline",
-    "maybe_sanitizer",
     "render_sarif",
-    "sanitize_enabled",
     "write_baseline",
 ]

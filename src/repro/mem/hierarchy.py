@@ -87,7 +87,6 @@ class TUMemSystem:
         prefetch_late_cycles: float = 6.0,
         prefetch_late_far_cycles: float = 150.0,
         tracer=None,
-        sanitizer=None,
         attrib=None,
     ) -> None:
         self.tu_id = tu_id
@@ -131,11 +130,6 @@ class TUMemSystem:
             self.load_correct = self._load_correct_plain
             self.store_correct = self._store_correct_plain
             self.load_wrong = self._load_wrong_plain
-        if sanitizer is not None:
-            # Re-bind the policy slots with invariant-checking wrappers;
-            # they observe only through non-mutating probe/__contains__,
-            # so sanitized runs stay bit-identical (repro.lint.sanitize).
-            sanitizer.attach_memory_checks(self)
 
     # ------------------------------------------------------------------
     # helpers

@@ -48,7 +48,7 @@ L1 victims demoted into a sidecar open a fresh ``PROV_VICTIM`` lifetime
 speculative lifetime, which continues — matching the way the ``WRONG``
 / ``PREFETCHED`` flags survive demotion in :mod:`repro.mem.hierarchy`.
 
-Like the tracer, profiler and sanitizer, an ``AttributionCollector`` is
+Like the tracer and the profiler, an ``AttributionCollector`` is
 passed to :func:`repro.sim.driver.run_simulation` as a separate
 argument — never inside hashed :class:`SimParams` — and it only *reads*
 simulator state, so attributed runs are bit-identical to plain runs

@@ -10,8 +10,9 @@ This is the main public entry point::
 
 Either engine builds its machine and hands it to the region loop both
 share, :func:`repro.sim.results.run_regions`;
-:meth:`repro.sim.results.SimResult.from_counters` then makes the
-result from the loop's cycles and the machine's counter dump.
+:meth:`repro.sim.results.SimResult.from_counters` then checks the
+machine's counter dump against the run identities and makes the result
+from it and the loop's cycles.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Optional, Union
 from ..common.config import MachineConfig, SimParams
 from ..common.errors import ConfigError
 from ..common.rng import StreamFactory
-from ..lint.sanitize import maybe_sanitizer
 from ..obs.tracer import IntervalMetrics
 from ..sta.machine import Machine
 from ..sta.scheduler import Scheduler
@@ -40,11 +40,11 @@ __all__ = ["ENGINES", "OBSERVER_POLICY_MSG", "run_simulation", "run_program"]
 ENGINES = ("oracle", "fast")
 
 #: The one observer/engine policy (docs/OBSERVABILITY.md, "Engines and
-#: observers"): every event-level observer — tracer, sanitizer (kwarg
-#: *or* ``REPRO_SANITIZE=1``), attribution collector — requires the
-#: oracle interpreter, and asking the fast engine to honour one is
-#: always the same loud :class:`ConfigError`, never a warning or a
-#: silent fallback.  ``{names}`` lists the active observers.
+#: observers"): both event-level observers — the tracer and the
+#: attribution collector — require the oracle interpreter, and asking
+#: the fast engine to honour one is always the same loud
+#: :class:`ConfigError`, never a warning or a silent fallback.
+#: ``{names}`` lists the active observers.
 OBSERVER_POLICY_MSG = (
     "engine='fast' has no event-level observer hooks, but {names} "
     "is/are active; re-run with --engine oracle (engine='oracle' / "
@@ -59,7 +59,6 @@ def run_simulation(
     params: SimParams = SimParams(),
     tracer=None,
     profiler=None,
-    sanitizer=None,
     attrib=None,
     engine: Optional[str] = None,
 ) -> SimResult:
@@ -82,14 +81,6 @@ def run_simulation(
     the real time went to).  Like the tracer it never touches simulated
     state, so profiled runs are bit-identical to unprofiled ones.
 
-    ``sanitizer`` is an optional :class:`~repro.lint.sanitize.Sanitizer`
-    asserting the paper's architectural invariants while the run
-    executes (wrong execution never writes state, WEC/L1D exclusivity,
-    ring direction, cycle monotonicity).  Like the tracer/profiler it
-    stays out of hashed :class:`SimParams` and is read-only on sim
-    state, so sanitized runs are bit-identical too.  Left ``None`` it is
-    auto-created when ``REPRO_SANITIZE=1`` is set in the environment.
-
     ``attrib`` is an optional
     :class:`~repro.obs.attrib.AttributionCollector` tagging every fill
     with its provenance and tracking block lifetimes (fill → first
@@ -110,8 +101,7 @@ def run_simulation(
     else:
         program = benchmark
     return run_program(program, config, params, tracer=tracer,
-                       profiler=profiler, sanitizer=sanitizer,
-                       attrib=attrib, engine=engine)
+                       profiler=profiler, attrib=attrib, engine=engine)
 
 
 def run_program(
@@ -120,7 +110,6 @@ def run_program(
     params: SimParams = SimParams(),
     tracer=None,
     profiler=None,
-    sanitizer=None,
     attrib=None,
     engine: Optional[str] = None,
 ) -> SimResult:
@@ -133,21 +122,13 @@ def run_program(
         )
     if engine == "fast":
         # One policy for every event-level observer (OBSERVER_POLICY_MSG
-        # above): tracer, sanitizer and attrib — whether passed as
-        # kwargs or auto-created from REPRO_SANITIZE=1 — always raise
-        # the same ConfigError naming the --engine oracle escape hatch.
-        # (Historically kwargs raised while the env sanitizer warned and
-        # fell back; three behaviours for one constraint.)
+        # above): tracer and attrib always raise the same ConfigError
+        # naming the --engine oracle escape hatch.
         blockers = [
             name
-            for name, obs in (
-                ("tracer", tracer), ("sanitizer", sanitizer),
-                ("attrib", attrib),
-            )
+            for name, obs in (("tracer", tracer), ("attrib", attrib))
             if obs is not None
         ]
-        if sanitizer is None and maybe_sanitizer(None) is not None:
-            blockers.append("sanitizer (from REPRO_SANITIZE=1)")
         if blockers:
             raise ConfigError(
                 OBSERVER_POLICY_MSG.format(names=", ".join(blockers))
@@ -155,7 +136,6 @@ def run_program(
         # The host profiler never touches sim state, so both engines
         # take it.
         return run_program_fast(program, config, params, profiler=profiler)
-    sanitizer = maybe_sanitizer(sanitizer)
     machine_tracer = tracer
     if profiler is not None and tracer is not None:
         # Route the machine's emits through a timing proxy so tracing
@@ -163,8 +143,7 @@ def run_program(
         # sections; the caller keeps its direct tracer reference.
         machine_tracer = profiler.wrap_tracer(tracer)
     machine = Machine(config, params, tracer=machine_tracer,
-                      profiler=profiler, sanitizer=sanitizer,
-                      attrib=attrib)
+                      profiler=profiler, attrib=attrib)
     tracegen = TraceGenerator(StreamFactory(params.seed))
     scheduler = Scheduler(machine, tracegen)
 

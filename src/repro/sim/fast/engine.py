@@ -1414,7 +1414,7 @@ def run_program_fast(
 ) -> SimResult:
     """Fast-engine equivalent of :func:`repro.sim.driver.run_program`.
 
-    Takes no tracer/sanitizer/attrib: observers require the oracle's
+    Takes no tracer or attrib: observers require the oracle's
     event-level replay (the driver enforces this).  A host ``profiler``
     gets the shared region loop's ``scheduler.*`` sections.  The result
     is bit-identical to the oracle's for any program and configuration.

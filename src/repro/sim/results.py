@@ -9,8 +9,9 @@ relative speedup (Figures 9–12, 15, 16), normalized execution time
 
 Both engines make their results here, in one way: :func:`run_regions`
 is the one region loop (warm-up, cycle sums, region records, host
-profiling), and :meth:`SimResult.from_counters` derives every headline
-number from the counter dump.
+profiling), and :meth:`SimResult.from_counters` checks the counter dump
+against :data:`RUN_IDENTITIES` and derives every headline number from
+it.
 """
 
 from __future__ import annotations
@@ -21,15 +22,39 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..common.config import MachineConfig, SimParams
-from ..common.errors import AnalysisError
+from ..common.errors import AnalysisError, SimulationError
 from ..common.stats import normalized_time, relative_speedup_pct, speedup
 from ..workloads.program import ParallelRegionSpec, Program
 
-__all__ = ["SimResult", "require_same_workload", "run_regions"]
+__all__ = [
+    "RUN_IDENTITIES", "SimResult", "require_same_workload", "run_regions",
+]
 
 #: What :func:`run_regions` measures: total, parallel-region and
 #: sequential-region cycles, and the ``record_regions`` records.
 RegionCycles = Tuple[float, float, float, List[Dict]]
+
+#: The counter identities each thread unit's dump satisfies on both
+#: engines, checked on every result (docs/STATIC_ANALYSIS.md, "Run
+#: invariants"): a name, then the ``tu{i}.*`` keys summed on each side.
+RUN_IDENTITIES: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...] = (
+    # Every wrong load comes from a wrong path or a wrong thread ...
+    ("wrong split", ("core.wrong_path_loads", "core.wrong_thread_loads"),
+     ("mem.wrong_loads",)),
+    # ... and is served by the L1D, the sidecar or a fill.
+    ("wrong service", ("mem.wrong_loads",),
+     ("mem.wrong_l1_hits", "mem.wrong_sidecar_hits", "mem.wrong_fills")),
+    # A correct-path L1D miss is a sidecar hit or a demand fill.
+    ("miss service", ("mem.l1_misses",),
+     ("mem.demand_fills", "mem.sidecar_hits")),
+    # Every correct-path access hits or misses in the L1D.
+    ("access split", ("mem.loads", "mem.stores"),
+     ("mem.l1_hits", "mem.l1_misses")),
+    # Every wrong thread ends in an abort and never writes back (§3.1.2):
+    # only a parallel iteration commits its speculative buffer.
+    ("wrong threads abort", ("membuf.aborts",), ("core.wrong_threads",)),
+    ("only iterations commit", ("membuf.writebacks",), ("core.iterations",)),
+)
 
 
 @dataclass
@@ -92,9 +117,12 @@ class SimResult:
         the machine's flattened counters.  Every headline number is a
         sum of counter keys, read directly (``tu{i}.core.*``,
         ``tu{i}.mem.*``, ``tu{i}.bpred.*`` per thread unit, and
-        ``l2.*``), so both engines derive it in this one place.
+        ``l2.*``), so both engines derive it in this one place.  A dump
+        that breaks one of :data:`RUN_IDENTITIES` raises
+        :class:`SimulationError`.
         """
         n_tus = config.n_thread_units
+        _check_identities(f"{program.name}/{config.name}", n_tus, counters)
 
         def per_tu(key: str) -> int:
             return sum(counters.get(f"tu{i}.{key}", 0) for i in range(n_tus))
@@ -332,6 +360,22 @@ def run_regions(
                 }
             )
     return total, par_cycles, seq_cycles, region_records
+
+
+def _check_identities(run: str, n_tus: int, counters: Dict[str, int]) -> None:
+    """Raise :class:`SimulationError` on the first identity a TU breaks."""
+    get = counters.get
+    for i in range(n_tus):
+        tu = f"tu{i}."
+        for name, lhs, rhs in RUN_IDENTITIES:
+            left = sum(get(tu + key, 0) for key in lhs)
+            right = sum(get(tu + key, 0) for key in rhs)
+            if left != right:
+                raise SimulationError(
+                    f"{run}: tu{i} breaks the {name!r} identity: "
+                    f"{' + '.join(lhs)} = {left}, "
+                    f"{' + '.join(rhs)} = {right}"
+                )
 
 
 def require_same_workload(a: SimResult, b: SimResult) -> None:

@@ -25,7 +25,7 @@ class Machine:
 
     __slots__ = (
         "cfg", "params", "l2", "tus", "bus", "head_tu", "tracer", "profiler",
-        "sanitizer", "attrib",
+        "attrib",
     )
 
     def __init__(
@@ -34,7 +34,6 @@ class Machine:
         params: SimParams = SimParams(),
         tracer=None,
         profiler=None,
-        sanitizer=None,
         attrib=None,
     ) -> None:
         self.cfg = cfg
@@ -43,14 +42,12 @@ class Machine:
         self.tracer = tracer
         #: Host-side wall-clock profiler (None → unprofiled).
         self.profiler = profiler
-        #: Runtime invariant checker (None → unsanitized, zero cost).
-        self.sanitizer = sanitizer
         #: Block-provenance collector (None → unattributed, zero cost).
         self.attrib = attrib
         self.l2 = SharedL2(cfg.mem, tracer=tracer)
         self.tus: List[ThreadUnit] = [
             ThreadUnit(i, cfg, self.l2, params, tracer=tracer,
-                       profiler=profiler, sanitizer=sanitizer, attrib=attrib)
+                       profiler=profiler, attrib=attrib)
             for i in range(cfg.n_thread_units)
         ]
         self.bus = UpdateBus([tu.mem for tu in self.tus])

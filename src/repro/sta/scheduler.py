@@ -96,8 +96,7 @@ class Scheduler:
 
     __slots__ = (
         "machine", "tracegen", "_clock",
-        "_tracer", "_obs_region", "_obs_thread", "_obs_ring", "_san",
-        "_attrib",
+        "_tracer", "_obs_region", "_obs_thread", "_obs_ring", "_attrib",
     )
 
     def __init__(self, machine: Machine, tracegen: TraceGenerator) -> None:
@@ -105,9 +104,9 @@ class Scheduler:
         self.tracegen = tracegen
         # Global simulated-cycle base: regions execute one after another,
         # so each region's local schedule is offset by the cycles of
-        # everything that ran before it.  Only tracing consumes this.
+        # everything that ran before it.  Only tracing and attribution
+        # consume this.
         self._clock = 0.0
-        self._san = machine.sanitizer
         tracer = machine.tracer
         live = tracer is not None and tracer.enabled
         self._tracer = tracer if live else None
@@ -150,7 +149,6 @@ class Scheduler:
         obs = self._tracer
         att = self._attrib
         obs_t = self._obs_thread
-        san = self._san
         if att is not None:
             att.region = region.name
         if self._obs_region is not None:
@@ -160,13 +158,6 @@ class Scheduler:
 
         for i in range(lo, hi):
             tu = machine.tu_for_iteration(i)
-            if san is not None and i > lo:
-                # Iteration i was forked by its ring predecessor, which
-                # also forwarded the target stores consumed below: both
-                # must come from a live thread one hop back on the ring.
-                src = (i - 1) % n_tus
-                san.check_fork(src)
-                san.check_ring(src, tu.tu_id, n_tus)
             trace = tracegen.iteration_trace(region, i)
             if obs is not None or att is not None:
                 # Replay happens before the schedule times are composed;
@@ -225,8 +216,6 @@ class Scheduler:
                     cycle=base + start,
                 )
 
-            if san is not None:
-                san.check_iter(tu.tu_id, base + start, base + wb_end)
             tu_free[tu.tu_id] = wb_end
             prev_cont_end = cont_end
             prev_comp_end = comp_end
@@ -251,8 +240,6 @@ class Scheduler:
                 tu.run_wrong_thread(region, wrong_iter, tracegen)
         machine.set_head((hi - 1) % n_tus)
         self._clock = base + region_end
-        if san is not None:
-            san.check_clock(self._clock)
         if self._obs_region is not None:
             self._obs_region.emit(
                 REGION_END, 0, invocation, hi - lo, region_end,
@@ -287,7 +274,6 @@ class Scheduler:
             self._obs_region.emit(
                 REGION_BEGIN, tu.tu_id, invocation, tag=region.name, cycle=base
             )
-        san = self._san
         for c in range(lo, hi):
             if obs is not None:
                 obs.now = base + cycles
@@ -297,8 +283,6 @@ class Scheduler:
             timing = tu.execute_sequential_chunk(
                 region, c, trace, tracegen, update_bus=machine.bus
             )
-            if san is not None:
-                san.check_iter(tu.tu_id, base + cycles, base + cycles + timing.total)
             if obs_t is not None:
                 obs_t.emit(
                     ITER_SPAN, tu.tu_id, c, trace.n_instr,
@@ -310,8 +294,6 @@ class Scheduler:
                 )
             cycles += timing.total
         self._clock = base + cycles
-        if san is not None:
-            san.check_clock(self._clock)
         if self._obs_region is not None:
             self._obs_region.emit(
                 REGION_END, tu.tu_id, invocation, hi - lo, cycles,

@@ -49,6 +49,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--benchmark", "mcf"] + flag)
 
+    def test_sanitize_option_is_gone(self, capsys):
+        # Every result is checked against the run identities on both
+        # engines, so there is no checker to switch on.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--benchmark", "181.mcf", "--config", "orig",
+                  "--scale", "1e-5", "--engine", "fast", "--no-cache",
+                  "--sanitize"])
+        assert exc.value.code == 2
+        assert "--sanitize" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -106,11 +116,6 @@ DIFF_ARGS = ["diff", "--benchmarks", "164.gzip", "--configs", "orig,wth-wp-wec",
 
 
 class TestDiffCli:
-    @pytest.fixture(autouse=True)
-    def _no_env_sanitizer(self, monkeypatch):
-        # The fast engine refuses the sanitizer; diff pins both engines.
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-
     @staticmethod
     def _record_configs(monkeypatch):
         """Stub both engines with one fixed result; list the configs run."""

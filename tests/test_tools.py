@@ -26,8 +26,6 @@ def run_profile(*args: str, engine: str, workload=("181.mcf", "wth-wp-wec")):
         [str(ROOT / "src"), env.get("PYTHONPATH", "")]
     )
     env["REPRO_ENGINE"] = engine
-    # The sanitizer is an event-level observer the fast engine refuses.
-    env.pop("REPRO_SANITIZE", None)
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "profile_run.py"),
          *workload, "1e-5", "--top", "8", *args],
