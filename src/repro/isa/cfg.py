@@ -128,6 +128,9 @@ class IterationCFG:
         self._branch_pc: Dict[str, int] = {}
         for i, name in enumerate(sorted(self.blocks)):
             self._branch_pc[name] = pc_base + 16 * i
+        # Each block's instruction mix depends only on the block, so a
+        # walk builds it on its first visit and merges it thereafter.
+        self._block_mix: Dict[str, InstructionMix] = {}
 
     def _validate(self) -> None:
         if self.entry not in self.blocks:
@@ -159,7 +162,11 @@ class IterationCFG:
                 )
             block = self.blocks[current]
             body_instr = block.n_instr
-            mix.merge_from(InstructionMix.from_weights(body_instr, block.mix_weights))
+            block_mix = self._block_mix.get(current)
+            if block_mix is None:
+                block_mix = InstructionMix.from_weights(body_instr, block.mix_weights)
+                self._block_mix[current] = block_mix
+            mix.merge_from(block_mix)
             # Spread memory slots evenly across the block's instructions.
             n_slots = len(block.mem_slots)
             for i, slot in enumerate(block.mem_slots):

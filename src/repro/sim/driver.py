@@ -113,7 +113,15 @@ def run_program(
     attrib=None,
     engine: Optional[str] = None,
 ) -> SimResult:
-    """Simulate a prebuilt :class:`Program` on ``config``."""
+    """Simulate a prebuilt :class:`Program` on ``config``.
+
+    Either engine releases its machine when the run returns or raises
+    (:meth:`Machine.release`, and
+    :meth:`~repro.sim.fast.engine._FastMachine.release` for the fast
+    one).  Reference counting then frees the run's caches, shared L2
+    and collectors at once, instead of leaving them as cyclic garbage
+    for a full collection.
+    """
     if engine is None:
         engine = "oracle"
     if engine not in ENGINES:
@@ -146,12 +154,14 @@ def run_program(
                       profiler=profiler, attrib=attrib)
     tracegen = TraceGenerator(StreamFactory(params.seed))
     scheduler = Scheduler(machine, tracegen)
-
-    cycles = run_regions(program, params, scheduler, machine,
-                         profiler=profiler, attrib=attrib)
-    result = SimResult.from_counters(
-        program, config, params, cycles, machine.collect_stats()
-    )
+    try:
+        cycles = run_regions(program, params, scheduler, machine,
+                             profiler=profiler, attrib=attrib)
+        result = SimResult.from_counters(
+            program, config, params, cycles, machine.collect_stats()
+        )
+    finally:
+        machine.release()
     if tracer is not None:
         metrics = getattr(tracer, "metrics", None)
         if metrics is None and isinstance(tracer, IntervalMetrics):

@@ -101,5 +101,19 @@ class Machine:
         self.l2.memory.stats.reset()
         self.bus.stats.reset()
 
+    def release(self) -> None:
+        """Break the machine's reference cycles, so dropping it frees it.
+
+        Each TU's memory system holds its three bound policy methods,
+        and each points back at it.  Left as cycles, they keep a finished
+        run's L1s, sidecars, shared L2, main memory and attribution
+        collector alive until a full garbage collection, which a process
+        running many oracle runs seldom makes.  The fast engine's
+        :meth:`~repro.sim.fast.engine._FastMachine.release` breaks the
+        same cycles in its machine.
+        """
+        for tu in self.tus:
+            tu.mem.load_correct = tu.mem.store_correct = tu.mem.load_wrong = None
+
     def __repr__(self) -> str:
         return f"Machine({self.cfg.describe()})"

@@ -15,12 +15,20 @@ The contract under test, in order of importance:
    ``perf compare`` metric defs → Perfetto counter tracks.
 5. **Surface** — the ``repro explain`` CLI (text, json, --vs) and the
    OBS002 lint rule guarding the provenance enum.
+
+The ``make explain-smoke`` case's JSON is pinned in
+``tests/data/explain_smoke.json``, so a drift in any attribution value
+fails.  Refreshing it after an intentional model change::
+
+    PYTHONPATH=src python -m repro explain 181.mcf wth-wp-wec --vs wth-wp \
+        --scale 5e-5 --seed 7 --format json > tests/data/explain_smoke.json
 """
 
 from __future__ import annotations
 
 import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +52,9 @@ from repro.obs.tracer import RingBufferTracer
 from repro.lint.rules import check_module
 
 FAST = SimParams(seed=7, scale=5e-5, warmup_invocations=0)
+
+#: ``make explain-smoke``'s case as JSON (refresh: module docstring).
+EXPLAIN_SMOKE = Path(__file__).parent / "data" / "explain_smoke.json"
 
 #: The ladder subset covering every sidecar policy plus plain wrong
 #: execution and the no-speculation baseline.
@@ -252,6 +263,8 @@ class TestSurface:
         assert doc["config"] == "wth-wp-wec"
         assert doc["vs"]["config"] == "wth-wp"
         assert doc["attribution"]["metrics"]["wrong_coverage"] > 0
+        # The make explain-smoke case: every attribution value is pinned.
+        assert doc == json.loads(EXPLAIN_SMOKE.read_text())
 
     def test_explain_rejects_unknown_config(self, capsys):
         with pytest.raises(SystemExit):

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 
 from repro.common.config import SimParams
 from repro.common.errors import AnalysisError, SimulationError
+from repro.mem.l2 import SharedL2
 from repro.obs.attrib import AttributionCollector
 from repro.obs.tracer import IntervalMetrics
-from repro.sim.driver import run_program, run_simulation
+from repro.sim.driver import ENGINES, run_program, run_simulation
+from repro.sim.fast.engine import _FastL2
 from repro.sim.results import RUN_IDENTITIES, SimResult, require_same_workload
 from repro.sim.sweep import (
     benchmarks_of,
@@ -97,6 +102,60 @@ class TestDriver:
         assert r.region_cycles
         kinds = {rec["kind"] for rec in r.region_cycles}
         assert kinds == {"parallel", "sequential"}
+
+
+class TestRunIsFreed:
+    """A finished run is freed by reference counting, on both engines.
+
+    Left to the cycle collector, a run's caches, shared L2 and
+    collectors wait for a full collection, which a process making many
+    runs seldom makes.  So each case runs with the collector off and
+    checks, through a weak reference, that the run's shared L2 is gone
+    as soon as ``run_program`` returns or raises.
+    """
+
+    #: Where each engine's machine looks up the class of its shared L2.
+    L2_CLASS = {
+        "oracle": ("repro.sta.machine.SharedL2", SharedL2),
+        "fast": ("repro.sim.fast.engine._FastL2", _FastL2),
+    }
+
+    def _watch_l2(self, monkeypatch, engine):
+        """Weak references to the shared L2 of each machine built."""
+        target, base = self.L2_CLASS[engine]
+        refs = []
+
+        class Watched(base):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(target, Watched)
+        return refs
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returned", "raised"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_l2_is_freed(self, monkeypatch, engine, raises):
+        refs = self._watch_l2(monkeypatch, engine)
+        if raises:
+            def fail(*args, **kwargs):
+                raise SimulationError("injected")
+
+            monkeypatch.setattr(SimResult, "from_counters", fail)
+        program = build_benchmark("181.mcf", SCALE)
+        gc.collect()
+        gc.disable()
+        try:
+            with (pytest.raises(SimulationError, match="injected") if raises
+                  else contextlib.nullcontext()):
+                run_program(program, named_config("wth-wp-wec"), PARAMS,
+                            engine=engine)
+            assert len(refs) == 1
+            assert refs[0]() is None, "the finished run's L2 is still alive"
+        finally:
+            gc.enable()
 
 
 class TestSimResultMath:

@@ -181,6 +181,32 @@ class TestCFGWalk:
                 return
         pytest.fail("branch never taken in 20 walks")
 
+    def test_stored_block_mixes_sum_like_fresh_ones(self):
+        # "a" loops on itself, so a walk visits it 1 + (taken branches)
+        # times, then "b" once.
+        weights_a = {InstrClass.LOAD: 0.3, InstrClass.FPALU: 0.45,
+                     InstrClass.IALU: 0.25}
+        cfg = IterationCFG(entry="a", blocks=[
+            BlockSpec("a", n_instr=7, mix_weights=weights_a,
+                      branch=BranchSpec(0.6, "a", "b")),
+            BlockSpec("b", n_instr=5, mix_weights={InstrClass.STORE: 1.0}),
+        ])
+        rng = np.random.default_rng(4)
+        stored = None
+        for _ in range(50):
+            w = cfg.walk(rng)
+            expected = InstructionMix()
+            for _ in range(1 + sum(taken for _, _, taken in w.branches)):
+                expected.merge_from(InstructionMix.from_weights(7, weights_a))
+            expected.merge_from(
+                InstructionMix.from_weights(5, {InstrClass.STORE: 1.0}))
+            expected.add(InstrClass.BRANCH, len(w.branches))
+            assert w.mix == expected
+            if stored is None:
+                stored = {name: dict(m.counts)
+                          for name, m in cfg._block_mix.items()}
+        assert {name: m.counts for name, m in cfg._block_mix.items()} == stored
+
 
 class TestStageSplit:
     def test_must_sum_to_one(self):
